@@ -1,4 +1,4 @@
-"""Processor allocation: Lemma 2 and the equal-finish binary search.
+"""Processor allocation: Lemma 2 and the equal-finish solve.
 
 Two regimes:
 
@@ -30,7 +30,13 @@ edge can never overshoot the root; whenever the step is unusable
 (singular ``g``, out of bracket) the iteration falls back to plain
 bisection, keeping convergence guaranteed.  ``"brentq"`` (SciPy) and
 ``"bisect"`` (the paper's literal binary search) are retained for the
-solver-ablation benchmark.
+solver-ablation benchmark; SciPy is imported only on the ``"brentq"``
+branch, so the package itself does not load it.
+
+The scalar path (:func:`_equal_finish_single`) is also the online
+engine's re-solve: :func:`repro.online.allocation.remaining_equal_finish`
+maps an application's remaining work onto ``(s_i, c_i)`` and calls it,
+so offline and online share one equal-finish kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..types import SolverError
 from .application import Workload
@@ -252,8 +257,10 @@ def _equal_finish_single(seq, c, p, xtol):
     Python floats and NumPy float64 are both IEEE doubles, the
     left-to-right accumulations become plain loops, and every branch
     decision mirrors the np.where masks, so the two produce identical
-    bits.  Exists purely because array-op dispatch overhead at
-    ``B == 1`` would otherwise dominate the scalar scheduling path.
+    bits.  Exists because array-op dispatch overhead at ``B == 1``
+    would otherwise dominate the scalar scheduling path, which includes
+    every online re-solve
+    (:func:`repro.online.allocation.remaining_equal_finish`).
     """
     n = len(c)
     one_minus = [1.0 - s for s in seq]
@@ -395,6 +402,8 @@ def equal_finish_makespan(
         return _bisect(g, lo, hi, xtol=xtol)
     if method != "brentq":
         raise ValueError(f"unknown method {method!r}")
+    from scipy.optimize import brentq  # deferred: only this ablation needs scipy
+
     try:
         return float(brentq(g, lo, hi, xtol=max(xtol * lo, 1e-300), rtol=1e-14))
     except ValueError as exc:  # pragma: no cover - bracket guaranteed above

@@ -17,7 +17,6 @@ fraction-based strategy can achieve for a given platform.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..core.application import Workload
 from ..core.dominance import optimal_cache_fractions
@@ -59,6 +58,8 @@ def optimize_fractions(
         Fractions with ``sum <= 1`` (tiny allocations below 1e-12 are
         snapped to zero).  Guaranteed no worse than the warm start.
     """
+    from scipy.optimize import minimize  # deferred: scipy costs ~0.5 s to import
+
     n = workload.n
     if x0 is None:
         d = workload.miss_coefficients(platform)

@@ -1,27 +1,27 @@
 """Equal-finish allocation over *remaining* work.
 
-The offline solver of :mod:`repro.core.processor_allocation` prices
-whole applications; an online scheduler reallocates mid-flight, when
-each application has some sequential and parallel operations left.
-With a cache fraction fixing the access factor ``factor_i`` (Eq. 2's
-per-operation cost), the time for application ``i`` to finish on
-``p_i`` processors is
+An online scheduler reallocates mid-flight, when each application has
+some sequential and parallel operations left.  With a cache fraction
+fixing the access factor ``factor_i`` (Eq. 2's per-operation cost), the
+time for application ``i`` to finish on ``p_i`` processors is
 
-    ``t_i = factor_i * (seq_left_i + par_left_i / p_i)``,
+    ``t_i = factor_i * (seq_left_i + par_left_i / p_i)``.
 
-so the equal-finish horizon ``K`` solves
-
-    ``sum_i par_left_i * factor_i / (K - seq_left_i * factor_i) = p``
-
-(strictly decreasing in ``K`` past the singularities) and
-``p_i = par_left_i * factor_i / (K - seq_left_i * factor_i)``.
+Writing ``c_i = factor_i * (seq_left_i + par_left_i)`` (the remaining
+time on one processor) and ``s_i = factor_i * seq_left_i / c_i`` (its
+sequential share) turns this into the offline Section 5 model term for
+term, so the horizon ``K`` solves the same equation
+``sum_i (1-s_i) / (K/c_i - s_i) = p``.  There is no second root finder:
+the solve goes through the scalar Newton/false-position kernel of
+:mod:`repro.core.processor_allocation`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..types import ModelError, SolverError
+from ..core.processor_allocation import _equal_finish_single
+from ..types import ModelError
 
 __all__ = ["remaining_equal_finish"]
 
@@ -74,40 +74,8 @@ def remaining_equal_finish(
         procs = np.full(seq.size, _EPS_PROC)
         return procs, float(seq_time.max())
 
-    def demand(K: float) -> float:
-        denom = K - seq_time
-        if np.any(denom <= 0):
-            return np.inf
-        with np.errstate(divide="ignore"):
-            return float(np.where(par_work > 0, par_work / denom, 0.0).sum())
-
-    lo = float((seq_time + par_work / p).max())
-    g_lo = demand(lo)
-    if g_lo <= p:
-        K = lo
-    else:
-        hi = float((seq_time + par_work).max())
-        if hi <= lo:
-            hi = lo * (1 + 1e-9) + 1e-300
-        expansions = 0
-        while demand(hi) > p:
-            hi *= 2.0
-            expansions += 1
-            if expansions > 200:
-                raise SolverError("could not bracket the online horizon")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if demand(mid) > p:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= xtol * max(1.0, lo):
-                break
-        K = 0.5 * (lo + hi)
-
-    denom = np.maximum(K - seq_time, 1e-300)
-    procs = np.maximum(par_work / denom, _EPS_PROC)
-    total = procs.sum()
-    if total > p:
-        procs *= p / total
-    return procs, float(K)
+    # The kernel clamps every share at _EPS_PROC before rescaling to p.
+    c = seq_time + par_work
+    procs, K = _equal_finish_single(
+        (seq_time / c).tolist(), c.tolist(), float(p), xtol)
+    return np.array(procs), float(K)

@@ -179,14 +179,20 @@ def _registry_allocation(
             f"{', '.join(BUILTIN_POLICIES)}, plus any registered "
             f"concurrent scheduler ({', '.join(scheduler_names())})"
         ) from None
-    snapshot = Workload(
-        workload[int(i)].scaled(
-            work=float(seq_left[i] + par_left[i]),
-            seq_fraction=float(seq_left[i] / (seq_left[i] + par_left[i])),
-        )
-        for i in idx
-    )
-    schedule = entry(snapshot, platform, rng)
+    # An application with no progress yet passes through unchanged:
+    # rebuilding it from seq_left + par_left can move its sequential
+    # fraction (and work) by an ulp, which a local optimizer such as
+    # continuous-opt's SLSQP amplifies into a different schedule.
+    seq_ops = workload.seq * workload.work
+    par_ops = (1.0 - workload.seq) * workload.work
+    apps = []
+    for i in idx:
+        app = workload[int(i)]
+        if seq_left[i] != seq_ops[i] or par_left[i] != par_ops[i]:
+            work = float(seq_left[i] + par_left[i])
+            app = app.scaled(work=work, seq_fraction=float(seq_left[i] / work))
+        apps.append(app)
+    schedule = entry(Workload(apps), platform, rng)
     if not schedule.concurrent:
         raise ModelError(
             f"policy {policy!r} builds a sequential schedule; the online "
@@ -210,30 +216,25 @@ def _allocate(
     fcfs_order: np.ndarray,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(procs, cache) for the active set under *policy*."""
+    """(procs, access-cost factors) for the active set under *policy*."""
     n = workload.n
     procs = np.zeros(n)
     cache = np.zeros(n)
     idx = np.flatnonzero(active)
     if idx.size == 0:
-        return procs, cache
-
-    if policy == "fcfs":
+        pass  # nothing active: no processors, no cache
+    elif policy == "fcfs":
         head = idx[np.argmin(fcfs_order[idx])]
         procs[head] = platform.p
         cache[head] = 1.0
-        return procs, cache
-
-    if policy == "fair":
+    elif policy == "fair":
         procs[idx] = platform.p / idx.size
         total_freq = float(workload.freq[idx].sum())
         if total_freq > 0:
             cache[idx] = workload.freq[idx] / total_freq
         else:
             cache[idx] = 1.0 / idx.size
-        return procs, cache
-
-    if policy == "dominant":
+    elif policy == "dominant":
         work_left = seq_left + par_left
         cache = _dominant_fractions_remaining(workload, platform, active, work_left)
         factors = access_cost_factor(workload, platform, cache)
@@ -241,13 +242,14 @@ def _allocate(
             seq_left[idx], par_left[idx], factors[idx], platform.p
         )
         procs[idx] = alloc
-        return procs, cache
-
-    # Fall through to the scheduler registry; get_entry raises a
-    # ModelError naming the known strategies for unknown policies.
-    return _registry_allocation(
-        workload, platform, idx, seq_left, par_left, policy, rng
-    )
+        return procs, factors
+    else:
+        # Fall through to the scheduler registry; get_entry raises a
+        # ModelError naming the known strategies for unknown policies.
+        procs, cache = _registry_allocation(
+            workload, platform, idx, seq_left, par_left, policy, rng
+        )
+    return procs, access_cost_factor(workload, platform, cache)
 
 
 def arrival_order(arrival_times) -> np.ndarray:
@@ -282,11 +284,10 @@ def make_policy_allocator(
         fcfs_order = np.arange(workload.n, dtype=np.float64)
 
     def allocate(now, active, seq_left, par_left):
-        procs, cache = _allocate(
+        return _allocate(
             workload, platform, active, seq_left, par_left, policy,
             fcfs_order, rng,
         )
-        return procs, access_cost_factor(workload, platform, cache)
 
     return allocate
 

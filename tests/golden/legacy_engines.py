@@ -13,6 +13,10 @@ kernel-backed engines and asserts **bit-identical** results.  Do not
 "fix" bugs here — the point is to freeze the historical arithmetic
 (including its quirks) so any drift in the refactor is caught exactly.
 
+It also freezes the online engine's former bisection equal-finish
+solve (:func:`legacy_remaining_equal_finish`), which the property tests
+of ``tests/online/test_allocation.py`` use as an oracle.
+
 The single intentional divergence class: the legacy loops' epsilon
 handling (relative-only arrival admission, per-loop tolerances) differs
 from the kernel's canonical abs+rel tolerance on razor-edge instances
@@ -29,7 +33,7 @@ from repro.core.execution import access_cost_factor
 from repro.core.platform import Platform
 from repro.core.registry import get_entry, scheduler_names
 from repro.online.allocation import remaining_equal_finish
-from repro.types import ModelError
+from repro.types import ModelError, SolverError
 
 _EPS = 1e-12
 _REL_EPS = 1e-12
@@ -272,6 +276,80 @@ def legacy_simulate_online(workload, platform, arrival_times, *,
         arrived |= newly
 
     return finish, events
+
+
+# ---------------------------------------------------------------------------
+# Legacy online equal-finish solve (repro/online/allocation.py before it
+# went through the offline kernel).  An oracle for the property tests
+# only: legacy_simulate_online above calls the live solver, so the
+# kernel-equivalence sweeps compare clocks, not root finders.
+# ---------------------------------------------------------------------------
+
+_LEGACY_EPS_PROC = 1e-9
+
+
+def legacy_remaining_equal_finish(seq_ops, par_ops, factors, p, *,
+                                  xtol=1e-12):
+    """The 200-step bisection ``remaining_equal_finish``, verbatim.
+
+    Returns ``(procs, horizon)``.
+    """
+    seq = np.asarray(seq_ops, dtype=np.float64)
+    par = np.asarray(par_ops, dtype=np.float64)
+    fac = np.asarray(factors, dtype=np.float64)
+    if not (seq.shape == par.shape == fac.shape) or seq.ndim != 1 or seq.size == 0:
+        raise ModelError("seq_ops, par_ops, factors must be equal-length 1-D arrays")
+    if np.any(seq < 0) or np.any(par < 0) or np.any(fac <= 0):
+        raise ModelError("remaining ops must be >= 0 and factors > 0")
+    if np.any((seq == 0) & (par == 0)):
+        raise ModelError("finished applications must be removed before reallocating")
+    if p <= 0:
+        raise ModelError(f"p must be positive, got {p}")
+
+    seq_time = seq * fac
+    par_work = par * fac
+
+    if np.all(par_work == 0):
+        procs = np.full(seq.size, _LEGACY_EPS_PROC)
+        return procs, float(seq_time.max())
+
+    def demand(K):
+        denom = K - seq_time
+        if np.any(denom <= 0):
+            return np.inf
+        with np.errstate(divide="ignore"):
+            return float(np.where(par_work > 0, par_work / denom, 0.0).sum())
+
+    lo = float((seq_time + par_work / p).max())
+    g_lo = demand(lo)
+    if g_lo <= p:
+        K = lo
+    else:
+        hi = float((seq_time + par_work).max())
+        if hi <= lo:
+            hi = lo * (1 + 1e-9) + 1e-300
+        expansions = 0
+        while demand(hi) > p:
+            hi *= 2.0
+            expansions += 1
+            if expansions > 200:
+                raise SolverError("could not bracket the online horizon")
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if demand(mid) > p:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= xtol * max(1.0, lo):
+                break
+        K = 0.5 * (lo + hi)
+
+    denom = np.maximum(K - seq_time, 1e-300)
+    procs = np.maximum(par_work / denom, _LEGACY_EPS_PROC)
+    total = procs.sum()
+    if total > p:
+        procs *= p / total
+    return procs, float(K)
 
 
 # ---------------------------------------------------------------------------

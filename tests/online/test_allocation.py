@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.online import remaining_equal_finish
 from repro.types import ModelError
+from golden.legacy_engines import legacy_remaining_equal_finish
+
+#: One active application: (seq_left, par_left, factor).  Either phase
+#: may be empty, but not both; the 1e6 spread keeps every sequential
+#: share ``seq_time / c`` below 1 in floating point.
+_ops = st.one_of(st.just(0.0), st.floats(1.0, 1e6))
+_apps = st.tuples(_ops, _ops, st.floats(1.0, 4.0)).filter(
+    lambda app: app[0] > 0 or app[1] > 0)
 
 
 class TestRemainingEqualFinish:
@@ -67,3 +77,35 @@ class TestRemainingEqualFinish:
             remaining_equal_finish([1.0], [1.0], [0.0], 4.0)  # zero factor
         with pytest.raises(ModelError):
             remaining_equal_finish([1.0], [1.0], [1.0], 0.0)
+
+
+class TestMatchesBisectionOracle:
+    """The offline-kernel solve agrees with the former bisection."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(apps=st.lists(_apps, min_size=1, max_size=10),
+           p=st.floats(0.5, 64.0))
+    @example(apps=[(10.0, 1000.0, 1.5)], p=8.0)                    # n = 1
+    @example(apps=[(0.0, 500.0, 1.0)] * 6, p=2.0)                  # n > p
+    @example(apps=[(300.0, 0.0, 2.0), (0.0, 100.0, 1.0),
+                   (5.0, 50.0, 3.0)], p=4.0)                       # mixed tails
+    def test_property(self, apps, p):
+        seq, par, fac = (np.array(col) for col in zip(*apps))
+        procs, K = remaining_equal_finish(seq, par, fac, p)
+        _, K_ref = legacy_remaining_equal_finish(seq, par, fac, p)
+        assert K == pytest.approx(K_ref, rel=1e-10)
+        assert np.all(procs > 0)
+        assert procs.sum() <= p * (1 + 1e-12)
+        # Beyond 1e-9, two effects let a finish drift from K through the
+        # proportional rescale to p: the 1e-9-processor floor of apps
+        # without parallel work (at most n * 1e-9 of the budget), and
+        # K's xtol error, which the share of an app finishing just past
+        # its sequential tail amplifies by K / (K - seq_time).  The
+        # former bisection drifts the same way.
+        runs = par > 0
+        if not runs.any():
+            return
+        finish = fac[runs] * (seq[runs] + par[runs] / procs[runs])
+        amplification = float(np.max(K / (K - fac[runs] * seq[runs])))
+        rtol = 1e-9 + seq.size * 1e-9 / p + 1e-11 * amplification
+        np.testing.assert_allclose(finish, K, rtol=rtol)
