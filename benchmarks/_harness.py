@@ -27,7 +27,9 @@ from __future__ import annotations
 import json
 import os
 import platform as _platform
+import re
 import subprocess
+from importlib import metadata
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,6 +44,9 @@ CSV_DIR = os.environ.get("REPRO_BENCH_CSV_DIR")
 
 #: Repository root (benchmarks/ lives directly under it).
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: The pinned toolchain whose installed versions every record carries.
+REQUIREMENTS_PATH = REPO_ROOT / "requirements-ci.txt"
 
 #: Version tag of the trajectory record format.
 TRAJECTORY_FORMAT = 1
@@ -58,6 +63,7 @@ def machine_fingerprint() -> dict:
     import numpy as np
 
     return {
+        **pinned_versions(),
         "platform": _platform.platform(),
         "machine": _platform.machine(),
         "processor": _platform.processor() or _platform.machine(),
@@ -65,6 +71,25 @@ def machine_fingerprint() -> dict:
         "python": _platform.python_version(),
         "numpy": np.__version__,
     }
+
+
+def pinned_versions() -> dict[str, str]:
+    """Installed version of each package named in ``requirements-ci.txt``.
+
+    Read from package metadata, so nothing is imported (scipy stays
+    out of the process); a package that is not installed reads
+    ``"not installed"``.
+    """
+    out = {}
+    for line in REQUIREMENTS_PATH.read_text().splitlines():
+        name = re.split(r"[\s=<>!~;\[]", line.split("#", 1)[0].strip(), 1)[0]
+        if not name:
+            continue
+        try:
+            out[name] = metadata.version(name)
+        except metadata.PackageNotFoundError:
+            out[name] = "not installed"
+    return out
 
 
 def git_revision() -> str:

@@ -18,7 +18,8 @@ directory and shares one mechanical substrate:
 
 :class:`DecisionDiskTier`
     Decisions keyed by their SHA-256 request fingerprint, one small
-    canonical-JSON file per decision under ``decisions/``.  This is
+    canonical-JSON file per decision under ``decisions/``, written as
+    the bytes the caller encoded (:func:`canonical_bytes`).  This is
     what gives the decision service cross-restart warm starts: a
     decision computed by yesterday's process answers today's first
     request.  Anything that fails to parse is a miss, not an error.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import warnings
 from dataclasses import dataclass
@@ -39,13 +41,23 @@ from pathlib import Path
 from typing import Any, Iterable
 
 __all__ = ["CACHE_DIR_ENV", "ContentAddressedStore", "DecisionDiskTier",
-           "PruneReport", "resolve_cache_dir"]
+           "PruneReport", "canonical_bytes", "resolve_cache_dir"]
 
 #: Env var naming the cache directory (disk caching disabled when unset).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Entry patterns of every known tier, for the unified CLI view.
 ALL_TIER_PATTERNS: tuple[str, ...] = ("*.npz", "decisions/*.json")
+
+
+#: Keys the decision tier accepts: ASCII word characters, ``-`` and
+#: ``.``, at most 255 of them — a SHA-256 hex fingerprint always is one.
+_SAFE_KEY = re.compile(r"[A-Za-z0-9_.-]{1,255}")
+
+
+def canonical_bytes(payload: Any) -> bytes:
+    """Sorted-key, whitespace-free JSON: the decision tier's file format."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
 def resolve_cache_dir(cache_dir: str | Path | None) -> Path | None:
@@ -177,8 +189,12 @@ class ContentAddressedStore:
         tmp = path.with_name(
             f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(data)
+            try:
+                tmp.write_bytes(data)
+            except FileNotFoundError:
+                # The directory is made when missing, not probed per write.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_bytes(data)
             os.replace(tmp, path)
         except OSError as exc:
             warnings.warn(f"{self.label}: could not store {path}: {exc}",
@@ -221,8 +237,7 @@ class DecisionDiskTier:
 
     @staticmethod
     def _is_safe_key(key: str) -> bool:
-        return bool(key) and all(
-            c.isalnum() or c in "-_." for c in key) and len(key) <= 255
+        return isinstance(key, str) and _SAFE_KEY.fullmatch(key) is not None
 
     def path_for(self, key: str) -> Path:
         return self.cache_dir / self.SUBDIR / f"{key}.json"
@@ -253,12 +268,15 @@ class DecisionDiskTier:
             return None
         return payload if isinstance(payload, dict) else None
 
-    def put(self, key: str, payload: dict[str, Any]) -> bool:
-        """Persist *payload* under *key* (atomic); False on failure."""
+    def put(self, key: str, payload: bytes | dict[str, Any]) -> bool:
+        """Persist *payload* under *key* (atomic); False on failure.
+
+        Bytes are written as given (the caller's memoized encoding);
+        a mapping is encoded with :func:`canonical_bytes` first.
+        """
         if not self._is_safe_key(key):
             return False
-        data = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode()
+        data = payload if isinstance(payload, bytes) else canonical_bytes(payload)
         return self.store.write_atomic(self.path_for(key), data)
 
     def __contains__(self, key: str) -> bool:
@@ -269,3 +287,27 @@ class DecisionDiskTier:
 
     def size_bytes(self) -> int:
         return self.store.size_bytes()
+
+    def footprint(self) -> tuple[int, int]:
+        """``(entries, bytes)`` in one directory pass, for ``/metrics``.
+
+        Unlike :meth:`entries` this neither sorts nor globs: one
+        ``os.scandir`` and at most one stat per entry, so a scrape
+        stays cheap with thousands of decisions on disk.  Vanished
+        files are skipped.
+        """
+        count = size = 0
+        try:
+            with os.scandir(self.cache_dir / self.SUBDIR) as it:
+                for entry in it:
+                    if not entry.name.endswith(".json"):
+                        continue
+                    try:
+                        st = entry.stat()
+                    except OSError:
+                        continue
+                    count += 1
+                    size += st.st_size
+        except OSError:
+            pass
+        return count, size

@@ -12,9 +12,10 @@ to both tiers, which is what makes a fresh process warm: the memory
 tier dies with the process, the disk tier does not.
 
 Values cross the disk boundary through a pluggable ``encode``/
-``decode`` pair (value ↔ JSON-safe payload); with the identity default
-the tier stores plain payload dicts.  A decode failure (stale format)
-is a miss, never an error.
+``decode`` pair: ``encode`` turns a value into the bytes (or a
+JSON-safe payload) to store, ``decode`` rebuilds it from the loaded
+payload; with the identity default the tier stores plain payload
+dicts.  A decode failure (stale format) is a miss, never an error.
 
 Without a disk tier the composition is transparent: every operation
 forwards to the memory backend and :meth:`TieredCache.stats` returns
@@ -47,12 +48,13 @@ class TieredCache(Generic[V]):
         The persistent tier; None (default) disables persistence and
         makes this a transparent wrapper.
     encode, decode : callable, optional
-        ``encode(value) -> payload`` serializes a value for disk;
-        ``decode(payload) -> value`` rebuilds it.  Identity by default.
+        ``encode(value) -> bytes | payload`` serializes a value for
+        disk; ``decode(payload) -> value`` rebuilds it.  Identity by
+        default.
     """
 
     def __init__(self, memory, *, disk: DecisionDiskTier | None = None,
-                 encode: Callable[[V], dict[str, Any]] | None = None,
+                 encode: Callable[[V], bytes | dict[str, Any]] | None = None,
                  decode: Callable[[dict[str, Any]], V] | None = None):
         self.memory = memory
         self.disk = disk
@@ -179,6 +181,7 @@ class TieredCache(Generic[V]):
             return mem
         with self._lock:
             disk_hits = self._disk_hits
+        disk_entries, disk_bytes = self.disk.footprint()
         return TieredCacheStats(
             hits=mem.hits + disk_hits,
             misses=mem.misses - disk_hits,
@@ -187,6 +190,6 @@ class TieredCache(Generic[V]):
             capacity=mem.capacity,
             shards=getattr(mem, "shards", None),
             disk_hits=disk_hits,
-            disk_entries=len(self.disk.entries()),
-            disk_bytes=self.disk.size_bytes(),
+            disk_entries=disk_entries,
+            disk_bytes=disk_bytes,
         )

@@ -83,7 +83,7 @@ class Application:
             )
         if not (0.0 <= self.miss_rate <= 1.0):
             raise ModelError(f"{self.name}: miss_rate must be in [0, 1], got {self.miss_rate}")
-        if self.footprint <= 0:
+        if not self.footprint > 0:  # also rejects NaN
             raise ModelError(f"{self.name}: footprint must be positive, got {self.footprint}")
         if not (self.baseline_cache > 0 and math.isfinite(self.baseline_cache)):
             raise ModelError(

@@ -270,12 +270,19 @@ class BatchSchedule:
         return np.where(self.problem.valid, self.times(), -np.inf).max(axis=1)
 
     def schedules(self, *, validate: bool = True) -> list[Schedule]:
-        """Materialize one :class:`Schedule` per row."""
+        """Materialize one :class:`Schedule` per row.
+
+        Each schedule gets its row of :meth:`times` (bit-identical to
+        a scalar recompute), so its ``times()`` and ``makespan()`` cost
+        nothing more.
+        """
+        times = self.times()
         out = []
         for i, (wl, pf) in enumerate(self.problem.instances):
             n = wl.n
             out.append(Schedule(wl, pf, self.procs[i, :n].copy(),
-                                self.cache[i, :n].copy(), validate=validate))
+                                self.cache[i, :n].copy(), validate=validate,
+                                times=times[i, :n].copy()))
         return out
 
     def schedule(self, i: int) -> Schedule:

@@ -81,6 +81,12 @@ class Schedule(BaseSchedule):
         at construction and :class:`InfeasibleScheduleError` is raised
         on violation (with :data:`~repro.types.FEASIBILITY_SLACK`
         slack to absorb solver tolerance).
+    times : array_like, optional
+        The execution times ``Exe_i(p_i, x_i)`` when the caller has
+        already computed them — a batch evaluation hands each row its
+        slice of the vectorized times, which are bit-identical to
+        :func:`~repro.core.execution.execution_times`.  Computed
+        lazily when omitted.
     """
 
     def __init__(
@@ -91,6 +97,7 @@ class Schedule(BaseSchedule):
         cache,
         *,
         validate: bool = True,
+        times=None,
     ):
         self.workload = workload
         self.platform = platform
@@ -105,6 +112,12 @@ class Schedule(BaseSchedule):
                 f"cache must have shape ({workload.n},), got {self.cache.shape}"
             )
         self._times: Optional[np.ndarray] = None
+        if times is not None:
+            times = np.ascontiguousarray(times, dtype=np.float64)
+            if times.shape != (workload.n,):
+                raise ModelError(
+                    f"times must have shape ({workload.n},), got {times.shape}")
+            self._times = times
         if validate:
             self.assert_feasible()
 

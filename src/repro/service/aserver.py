@@ -49,7 +49,7 @@ from ..types import ReproError
 from .batcher import QueueFullError
 from .core import DecisionService
 from .dispatcher import RequestError
-from .protocol import request_from_payload
+from .protocol import request_from_payload, response_bytes
 from .server import MAX_BODY_BYTES, render_metrics_text
 
 __all__ = ["AsyncDecisionServer", "AsyncServerThread", "serve_async"]
@@ -89,11 +89,12 @@ _HEALTH = _response(200, b'{"status": "ok"}')
 class _ByteCache:
     """L0 cache: exact request-body bytes -> replayable response prefix.
 
-    A stored value is the serialized 200 response payload re-flagged
-    as a cache hit (``cache_hit=True``, ``coalesced=False``,
-    ``batch_size=0``) and truncated just after ``"latency_ms": `` —
-    the hit path appends the fresh latency and the closing brace, so a
-    replay costs a cache probe and one concatenation.
+    A stored value is the 200 response body re-flagged as a cache hit
+    (``cache_hit=True``, ``coalesced=False``, ``batch_size=0``) and
+    stopped just after ``"latency_ms":`` (the prefix form of
+    :func:`~repro.service.protocol.response_bytes`) — the hit path
+    appends the fresh latency and the closing brace, so a replay costs
+    a cache probe and one concatenation.
 
     Storage is the unified :class:`repro.cache.LRUCache` used in
     *FIFO* mode: gets go through counter-free :meth:`peek` (this tier
@@ -113,16 +114,14 @@ class _ByteCache:
     def get(self, body: bytes) -> bytes | None:
         return self._entries.peek(body) if self._entries is not None else None
 
-    def put(self, body: bytes, payload: dict) -> None:
+    def put(self, body: bytes, response) -> None:
+        """Remember the replay prefix of *response* under *body*."""
         entries_ = self._entries
         if entries_ is None or entries_.peek(body) is not None:
             return
-        replay = dict(payload)
-        replay["cache_hit"] = True
-        replay["coalesced"] = False
-        replay["batch_size"] = 0
-        replay.pop("latency_ms", None)
-        entries_.put(body, (json.dumps(replay)[:-1] + ', "latency_ms": ').encode())
+        entries_.put(body, response_bytes(
+            response.request_id, response.decision,
+            cache_hit=True, coalesced=False, batch_size=0))
 
     def __len__(self) -> int:
         return len(self._entries) if self._entries is not None else 0
@@ -169,9 +168,8 @@ class AsyncDecisionServer:
             return _error(400, str(exc))
         except Exception as exc:  # pragma: no cover - defensive
             return _error(500, f"internal error: {exc}")
-        out = response.to_payload()
-        self.l0.put(body, out)
-        return _response(200, json.dumps(out).encode())
+        self.l0.put(body, response)
+        return _response(200, response.to_bytes())
 
     def metrics_response(self, query: bytes) -> bytes:
         metrics = self.service.metrics()

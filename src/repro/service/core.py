@@ -44,6 +44,11 @@ from .protocol import (
 __all__ = ["DecisionService"]
 
 
+async def _blocking_result(future):
+    """Wait on *future* by blocking the calling thread (no suspension)."""
+    return future.result()
+
+
 class DecisionService:
     """Batched, cache-backed co-scheduling decision service.
 
@@ -95,7 +100,7 @@ class DecisionService:
         self.cache = TieredCache(
             make_memory_backend(cache_capacity, shards=cache_shards),
             disk=DecisionDiskTier(disk_dir) if disk_dir is not None else None,
-            encode=AllocationDecision.to_payload,
+            encode=AllocationDecision.canonical_bytes,
             decode=AllocationDecision.from_payload,
         )
         self.dispatcher = Dispatcher(workers=workers)
@@ -113,27 +118,33 @@ class DecisionService:
         self._latency_total_s = 0.0
 
     # -- serving -----------------------------------------------------------
-    def allocate(self, request: AllocationRequest) -> AllocationResponse:
-        """Serve one request end to end (blocking)."""
+    async def _serve(self, request: AllocationRequest, wait,
+                     ) -> AllocationResponse:
+        """The serving body shared by both entry points.
+
+        Fingerprint, probe the tiered cache, submit to the batcher,
+        store the fresh decision and respond.  *wait* turns the
+        batcher future into an awaitable: :meth:`allocate_async`
+        passes :func:`asyncio.wrap_future`, :meth:`allocate` a
+        coroutine that blocks on the future and so never suspends.
+        """
         start = perf_counter()
         self.inflight.inc()
         try:
             try:
                 key = request.fingerprint()
             except Exception:
-                with self._lock:
-                    self._errors += 1
+                self._count_error()
                 raise
             cached = self.cache.get(key)
             if cached is not None:
                 return self._respond(key, cached, start, cache_hit=True,
                                      coalesced=False, batch_size=0)
             try:
-                decision, batch_size, coalesced = self.batcher.submit(
-                    request, key).result()
+                decision, batch_size, coalesced = await wait(
+                    self.batcher.submit(request, key))
             except Exception:
-                with self._lock:
-                    self._errors += 1
+                self._count_error()
                 raise
             self.cache.put(key, decision)
             return self._respond(key, decision, start,
@@ -141,6 +152,16 @@ class DecisionService:
                                  batch_size=batch_size)
         finally:
             self.inflight.dec()
+
+    def allocate(self, request: AllocationRequest) -> AllocationResponse:
+        """Serve one request end to end (blocking)."""
+        serving = self._serve(request, _blocking_result)
+        try:
+            serving.send(None)
+        except StopIteration as done:
+            return done.value
+        serving.close()
+        raise RuntimeError("blocking allocate suspended")  # pragma: no cover
 
     async def allocate_async(self, request: AllocationRequest,
                              ) -> AllocationResponse:
@@ -151,33 +172,11 @@ class DecisionService:
         event loop keeps accepting connections while the dispatcher
         computes.
         """
-        start = perf_counter()
-        self.inflight.inc()
-        try:
-            try:
-                key = request.fingerprint()
-            except Exception:
-                with self._lock:
-                    self._errors += 1
-                raise
-            cached = self.cache.get(key)
-            if cached is not None:
-                return self._respond(key, cached, start, cache_hit=True,
-                                     coalesced=False, batch_size=0)
-            try:
-                future = self.batcher.submit(request, key)
-                decision, batch_size, coalesced = await asyncio.wrap_future(
-                    future)
-            except Exception:
-                with self._lock:
-                    self._errors += 1
-                raise
-            self.cache.put(key, decision)
-            return self._respond(key, decision, start,
-                                 cache_hit=False, coalesced=coalesced,
-                                 batch_size=batch_size)
-        finally:
-            self.inflight.dec()
+        return await self._serve(request, asyncio.wrap_future)
+
+    def _count_error(self) -> None:
+        with self._lock:
+            self._errors += 1
 
     def allocate_payload(self, payload: Mapping) -> AllocationResponse:
         """Decode a wire payload and serve it (the HTTP/CLI entry point)."""

@@ -66,17 +66,26 @@ class RequestError(ReproError):
         }
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(np.asarray(values, dtype=np.float64).tolist())
+
+
 def _decision_from_schedule(request: AllocationRequest, name: str,
                             schedule) -> AllocationDecision:
-    """Package a computed schedule as the request's decision."""
+    """Package a computed schedule as the request's decision.
+
+    Reads the schedule's arrays as they are: a batch-evaluated
+    schedule already carries its row of the vectorized times.
+    """
     times = schedule.times()
-    procs = getattr(schedule, "procs", np.full(times.size, request.platform.p))
-    cache = getattr(schedule, "cache", np.ones(times.size))
+    procs = getattr(schedule, "procs", None)
+    cache = getattr(schedule, "cache", None)
     return AllocationDecision(
         names=request.workload().names,
-        procs=tuple(float(p) for p in procs),
-        cache=tuple(float(x) for x in cache),
-        times=tuple(float(t) for t in times),
+        procs=_floats(np.full(times.size, request.platform.p)
+                      if procs is None else procs),
+        cache=_floats(np.ones(times.size) if cache is None else cache),
+        times=_floats(times),
         makespan=float(schedule.makespan()),
         scheduler=name,
     )

@@ -11,14 +11,19 @@ seed.  Requests are *canonicalized* before anything else happens:
 * the seed is dropped for deterministic schedulers (it cannot affect
   the decision, so it must not affect the cache key) and defaulted to
   0 for randomized ones,
-* the JSON encoding is byte-stable — sorted keys, no whitespace,
-  ``repr``-exact floats, ``inf`` footprints encoded as ``null``.
+* every number is read as a float64, so ``256`` and ``256.0`` are the
+  same value while ``-0.0`` and ``0.0`` stay distinct.
 
-The SHA-256 of that canonical encoding is the request *fingerprint*:
-the decision-cache key, the in-flight coalescing key, and the
-``request_id`` echoed in every response.  Two clients asking the same
-question — however they phrased the platform — hit the same cache
-line.
+The request *fingerprint* is the SHA-256 of a binary canonical form
+(see :meth:`AllocationRequest.fingerprint`): the decision-cache key,
+the in-flight coalescing key, and the ``request_id`` echoed in every
+response.  Two clients asking the same question — however they
+phrased the platform — hit the same cache line.
+
+A decision is encoded once: :meth:`AllocationDecision.canonical_bytes`
+is the sorted, compact JSON the disk tier stores, and
+:func:`response_bytes` builds every HTTP answer (and the async front
+end's replay prefix) around those bytes by concatenation.
 """
 
 from __future__ import annotations
@@ -26,9 +31,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any
 
+from ..cache.disk import canonical_bytes
 from ..core.application import Application, Workload
 from ..core.platform import Platform
 from ..core.registry import get_entry
@@ -41,12 +49,20 @@ __all__ = [
     "AllocationResponse",
     "canonical_json",
     "request_from_payload",
+    "response_bytes",
     "parse_platform",
     "PROTOCOL_VERSION",
 ]
 
-#: Bump when the canonical encoding changes (part of every fingerprint).
+#: Version of the wire form (the ``version`` key of a canonical payload).
 PROTOCOL_VERSION = 1
+
+#: Leads every fingerprinted byte string; change it whenever the binary
+#: layout below changes, so old and new keys can never collide.
+_FP_SCHEME = b"repro-fingerprint/2\x00"
+_FP_COUNT = struct.Struct("<Q")
+_FP_PLATFORM = struct.Struct("<5d")
+_FP_APP = struct.Struct("<6d")
 
 #: Application fields accepted on the wire, in canonical order.
 _APP_FIELDS = ("name", "work", "seq_fraction", "access_freq", "miss_rate",
@@ -55,6 +71,9 @@ _APP_FIELDS = ("name", "work", "seq_fraction", "access_freq", "miss_rate",
 #: Platform fields accepted on the wire (beyond ``preset``).
 _PLATFORM_FIELDS = ("p", "cache_size", "latency_cache", "latency_memory",
                     "alpha", "name")
+_APP_FIELD_SET = frozenset(_APP_FIELDS)
+_REQUEST_FIELD_SET = frozenset(
+    ("applications", "platform", "scheduler", "seed", "version"))
 
 
 def canonical_json(obj: Any) -> str:
@@ -66,6 +85,21 @@ def canonical_json(obj: Any) -> str:
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
+
+
+def _fp_label(value: Any) -> bytes:
+    """A length-prefixed label: UTF-8 for strings, tagged JSON otherwise.
+
+    ``surrogatepass`` keeps the encoding injective on every ``str``
+    (JSON bodies can carry lone surrogates); a non-string name — the
+    wire does not forbid one — keeps its JSON spelling, as in
+    :meth:`AllocationRequest.canonical_payload`.
+    """
+    if isinstance(value, str):
+        raw = b"s" + value.encode("utf-8", "surrogatepass")
+    else:
+        raw = b"j" + canonical_json(value).encode()
+    return _FP_COUNT.pack(len(raw)) + raw
 
 
 def _app_payload(app: Application) -> dict[str, Any]:
@@ -132,8 +166,12 @@ class AllocationRequest:
             raise ModelError("an allocation request needs at least one application")
 
     def workload(self) -> Workload:
-        """The request's applications as a vectorized workload."""
-        return Workload(self.applications)
+        """The request's applications as a vectorized workload (memoized)."""
+        workload = getattr(self, "_workload", None)
+        if workload is None:
+            workload = Workload(self.applications)
+            object.__setattr__(self, "_workload", workload)
+        return workload
 
     def effective_seed(self) -> int | None:
         """The seed that actually reaches the scheduler.
@@ -161,7 +199,16 @@ class AllocationRequest:
         return payload
 
     def fingerprint(self) -> str:
-        """SHA-256 hex digest of the canonical encoding (memoized).
+        """SHA-256 hex digest of the binary canonical form (memoized).
+
+        The form is the scheme tag, the length-prefixed lower-cased
+        scheduler, the five resolved platform floats (``name``
+        excluded), the application count, then per application its
+        length-prefixed name and its six fields as float64 (``inf``
+        packed as is), and last the effective seed in decimal when
+        there is one.  Packing float64 gives the equivalence classes of
+        the canonical JSON: int and float spellings collide, ``-0.0``
+        and ``0.0`` do not.
 
         The request is frozen, so the digest is computed once; the
         serving path asks for it repeatedly (cache key, coalescing
@@ -169,9 +216,23 @@ class AllocationRequest:
         """
         fp = getattr(self, "_fp", None)
         if fp is None:
-            fp = hashlib.sha256(
-                canonical_json(self.canonical_payload()).encode()
-            ).hexdigest()
+            pf = self.platform
+            parts = [
+                _FP_SCHEME,
+                _fp_label(self.scheduler.lower()),
+                _FP_PLATFORM.pack(pf.p, pf.cache_size, pf.latency_cache,
+                                  pf.latency_memory, pf.alpha),
+                _FP_COUNT.pack(len(self.applications)),
+            ]
+            for a in self.applications:
+                parts.append(_fp_label(a.name))
+                parts.append(_FP_APP.pack(
+                    a.work, a.seq_fraction, a.access_freq, a.miss_rate,
+                    a.footprint, a.baseline_cache))
+            seed = self.effective_seed()
+            if seed is not None:
+                parts.append(b"seed=%d" % seed)
+            fp = hashlib.sha256(b"".join(parts)).hexdigest()
             object.__setattr__(self, "_fp", fp)
         return fp
 
@@ -196,6 +257,19 @@ class AllocationDecision:
             "makespan": self.makespan,
             "scheduler": self.scheduler,
         }
+
+    def canonical_bytes(self) -> bytes:
+        """Sorted, compact JSON of :meth:`to_payload` (memoized).
+
+        The decision's one encoding: the disk tier stores these bytes
+        as given and :func:`response_bytes` embeds them in every HTTP
+        answer, so a served miss encodes its decision once.
+        """
+        raw = getattr(self, "_bytes", None)
+        if raw is None:
+            raw = canonical_bytes(self.to_payload())
+            object.__setattr__(self, "_bytes", raw)
+        return raw
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "AllocationDecision":
@@ -255,6 +329,35 @@ class AllocationResponse:
             "latency_ms": self.latency_ms,
         }
 
+    def to_bytes(self) -> bytes:
+        """The JSON body of this response (see :func:`response_bytes`)."""
+        return response_bytes(self.request_id, self.decision,
+                              cache_hit=self.cache_hit,
+                              coalesced=self.coalesced,
+                              batch_size=self.batch_size,
+                              latency_ms=self.latency_ms)
+
+
+def response_bytes(request_id: str, decision: AllocationDecision, *,
+                   cache_hit: bool, coalesced: bool, batch_size: int,
+                   latency_ms: float | None = None) -> bytes:
+    """The JSON body of a 200 answer, built around the decision's bytes.
+
+    Both front ends answer with these bytes; ``json.loads`` of them
+    equals :meth:`AllocationResponse.to_payload`.  With *latency_ms*
+    None the body stops just after ``"latency_ms":`` — the async front
+    end's replay prefix, completed per hit with the fresh latency and
+    the closing brace.
+    """
+    head = b'{"request_id":%s,"decision":%s,"cache_hit":%s,' \
+           b'"coalesced":%s,"batch_size":%d,"latency_ms":' % (
+               json.dumps(request_id).encode(), decision.canonical_bytes(),
+               b"true" if cache_hit else b"false",
+               b"true" if coalesced else b"false", batch_size)
+    if latency_ms is None:
+        return head
+    return head + json.dumps(latency_ms).encode() + b"}"
+
 
 def parse_platform(spec: Mapping[str, Any] | str) -> Platform:
     """Build a platform from a wire spec.
@@ -265,7 +368,7 @@ def parse_platform(spec: Mapping[str, Any] | str) -> Platform:
     """
     if isinstance(spec, str):
         spec = {"preset": spec}
-    if not isinstance(spec, Mapping):
+    if type(spec) is not dict and not isinstance(spec, Mapping):
         raise ModelError(f"platform spec must be a name or a mapping, got {type(spec).__name__}")
     spec = dict(spec)
     preset = spec.pop("preset", None)
@@ -288,12 +391,13 @@ def parse_platform(spec: Mapping[str, Any] | str) -> Platform:
 
 
 def _parse_application(raw: Mapping[str, Any], index: int) -> Application:
-    if not isinstance(raw, Mapping):
+    # Decoded JSON holds plain dicts and lists: test their exact type
+    # first and leave the ABC check to other mappings.
+    if type(raw) is not dict and not isinstance(raw, Mapping):
         raise ModelError(f"application #{index} must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - set(_APP_FIELDS)
-    if unknown:
+    if not _APP_FIELD_SET.issuperset(raw):
         raise ModelError(
-            f"application #{index}: unknown fields {sorted(unknown)}; "
+            f"application #{index}: unknown fields {sorted(set(raw) - _APP_FIELD_SET)}; "
             f"known: {', '.join(_APP_FIELDS)}")
     if "work" not in raw:
         raise ModelError(f"application #{index} is missing required field 'work'")
@@ -314,13 +418,15 @@ def request_from_payload(payload: Mapping[str, Any]) -> AllocationRequest:
     message on any malformed input — the HTTP front end maps these to
     400 responses.
     """
-    if not isinstance(payload, Mapping):
+    if type(payload) is not dict and not isinstance(payload, Mapping):
         raise ModelError(f"request body must be a JSON object, got {type(payload).__name__}")
-    unknown = set(payload) - {"applications", "platform", "scheduler", "seed", "version"}
-    if unknown:
-        raise ModelError(f"unknown request fields {sorted(unknown)}")
+    if not _REQUEST_FIELD_SET.issuperset(payload):
+        raise ModelError(
+            f"unknown request fields {sorted(set(payload) - _REQUEST_FIELD_SET)}")
     apps_raw = payload.get("applications")
-    if not isinstance(apps_raw, Sequence) or isinstance(apps_raw, (str, bytes)) or not apps_raw:
+    is_list = type(apps_raw) is list or (
+        isinstance(apps_raw, Sequence) and not isinstance(apps_raw, (str, bytes)))
+    if not is_list or not apps_raw:
         raise ModelError("'applications' must be a non-empty list of application objects")
     applications = tuple(
         _parse_application(raw, i) for i, raw in enumerate(apps_raw)

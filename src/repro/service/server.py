@@ -177,7 +177,8 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive
             self._send_error_json(500, f"internal error: {exc}")
             return
-        self._send_json(200, response.to_payload())
+        self._send(200, response.to_bytes(),
+                   "application/json; charset=utf-8")
 
 
 def make_server(host: str = "127.0.0.1", port: int = 0,

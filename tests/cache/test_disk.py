@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -84,10 +85,82 @@ class TestDecisionDiskTier:
 
     def test_unsafe_keys_are_rejected(self, tmp_path):
         tier = DecisionDiskTier(tmp_path)
-        for key in ("../escape", "a/b", "", "x" * 256, "sp ace"):
+        for key in ("../escape", "a/b", "", "x" * 256, "sp ace", "caf\u00e9",
+                    "\u0663" * 64, "a\n"):
             assert not tier.put(key, {"v": 1})
             assert tier.get(key) is None
             assert key not in tier
+
+    def test_bytes_are_written_as_given(self, tmp_path):
+        tier = DecisionDiskTier(tmp_path)
+        assert tier.put("c" * 64, b'{"z":1, "a":2}')
+        assert tier.path_for("c" * 64).read_bytes() == b'{"z":1, "a":2}'
+        assert tier.get("c" * 64) == {"a": 2, "z": 1}
+
+    def test_directory_is_made_once(self, tmp_path, monkeypatch):
+        made = []
+        mkdir = type(tmp_path).mkdir
+        monkeypatch.setattr(type(tmp_path), "mkdir",
+                            lambda self, *a, **kw: made.append(self)
+                            or mkdir(self, *a, **kw))
+        tier = DecisionDiskTier(tmp_path / "fresh")
+        assert tier.put("0" * 64, {"v": 0})
+        assert made[0] == tmp_path / "fresh" / "decisions"
+        first = len(made)
+        for i in range(1, 5):
+            assert tier.put(f"{i:064x}", {"v": i})
+        assert len(made) == first
+        assert len(tier.entries()) == 5
+
+    def test_footprint_is_one_pass_at_most_one_stat_per_entry(
+            self, tmp_path, monkeypatch):
+        tier = DecisionDiskTier(tmp_path)
+        for i in range(20):
+            tier.put(f"{i:064x}", {"v": i})
+        (tmp_path / "decisions" / "stray.json.123-4.tmp").write_text("x")
+        (tmp_path / "decisions" / "notes.txt").write_text("x")
+        expected = (len(tier.entries()), tier.size_bytes())
+        assert expected[0] == 20
+
+        stats = []
+        scandir = os.scandir
+
+        class _Entry:
+            def __init__(self, entry):
+                self._entry = entry
+                self.name = entry.name
+
+            def stat(self, **kw):
+                stats.append(self.name)
+                return self._entry.stat(**kw)
+
+            def __getattr__(self, attr):
+                return getattr(self._entry, attr)
+
+        class _Scan:
+            def __init__(self, path):
+                self._it = scandir(path)
+
+            def __enter__(self):
+                return (_Entry(e) for e in self._it)
+
+            def __exit__(self, *exc):
+                self._it.close()
+
+        def no_stat(*args, **kwargs):
+            raise AssertionError("footprint() must not stat by path")
+
+        def no_listing(*args, **kwargs):
+            raise AssertionError("footprint() must not sort or glob")
+
+        monkeypatch.setattr(os, "scandir", _Scan)
+        monkeypatch.setattr(os, "stat", no_stat)
+        monkeypatch.setattr(ContentAddressedStore, "entries", no_listing)
+        assert tier.footprint() == expected
+        assert len(stats) == len(set(stats)) == 20
+
+    def test_footprint_of_missing_directory(self, tmp_path):
+        assert DecisionDiskTier(tmp_path / "nope").footprint() == (0, 0)
 
     def test_torn_or_foreign_entries_are_misses(self, tmp_path):
         tier = DecisionDiskTier(tmp_path)

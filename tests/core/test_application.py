@@ -38,6 +38,7 @@ class TestApplicationValidation:
         ("miss_rate", 1.5),
         ("footprint", 0.0),
         ("footprint", -5.0),
+        ("footprint", math.nan),
         ("baseline_cache", 0.0),
     ])
     def test_rejects_invalid(self, field, value):

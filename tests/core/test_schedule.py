@@ -79,6 +79,22 @@ class TestSchedule:
         s = Schedule(two_apps, tiny_platform, [1.0, 1.0], [0.0, 0.0])
         assert s.times() is s.times()
 
+    def test_given_times_are_kept(self, two_apps, tiny_platform):
+        s = Schedule(two_apps, tiny_platform, [1.0, 1.0], [0.0, 0.0],
+                     times=[3.0, 4.0])
+        assert s.times().tolist() == [3.0, 4.0]
+        assert s.makespan() == 4.0
+
+    def test_given_times_shape_checked(self, two_apps, tiny_platform):
+        with pytest.raises(ModelError, match="times"):
+            Schedule(two_apps, tiny_platform, [1.0, 1.0], [0.0, 0.0],
+                     times=[3.0])
+
+    def test_given_times_do_not_skip_validation(self, two_apps, tiny_platform):
+        with pytest.raises(InfeasibleScheduleError):
+            Schedule(two_apps, tiny_platform, [3.0, 3.0], [0.0, 0.0],
+                     times=[1.0, 1.0])
+
 
 class TestSequentialSchedule:
     def test_makespan_is_sum(self, two_apps, tiny_platform):

@@ -9,6 +9,7 @@ connections, backpressure 503s).
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
@@ -18,7 +19,8 @@ import urllib.request
 import pytest
 
 from repro.service import DecisionService, ServiceClient, ServiceError
-from repro.service.aserver import AsyncServerThread
+from repro.service import protocol
+from repro.service.aserver import AsyncDecisionServer, AsyncServerThread
 from repro.service.server import make_server
 
 
@@ -197,6 +199,48 @@ class TestAsyncServing:
             t.join()
         assert all(status == 200 for status, _ in results)
         assert len({rid for _, rid in results}) == 4
+
+
+class TestOneEncoding:
+    """A served miss encodes its decision once; every copy reuses it."""
+
+    FLAGS = ("cache_hit", "coalesced", "batch_size", "latency_ms")
+
+    def test_body_disk_and_replay_share_one_encoding(self, tmp_path,
+                                                     monkeypatch):
+        encodes = []
+        encode = protocol.canonical_bytes
+        monkeypatch.setattr(protocol, "canonical_bytes",
+                            lambda payload: encodes.append(1) or encode(payload))
+        service = DecisionService(cache_dir=tmp_path, max_wait_ms=0.0,
+                                  workers=1)
+        server = AsyncDecisionServer(service)
+        body = json.dumps(GOLDEN_PAYLOADS[0]).encode()
+        try:
+            raw = asyncio.run(server.handle_allocate(body))
+            replay = server.l0.get(body) + b"0.5}"
+        finally:
+            service.close()
+        assert len(encodes) == 1
+        head, _, fresh = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        sent = json.loads(fresh)
+        assert sent["cache_hit"] is False
+        disk = service.cache.disk.path_for(sent["request_id"]).read_bytes()
+        # The body embeds the disk file's bytes verbatim.
+        assert fresh.split(b'"decision":', 1)[1].startswith(
+            disk + b',"cache_hit":')
+        again = json.loads(replay)
+        assert ({k: v for k, v in again.items() if k not in self.FLAGS}
+                == {k: v for k, v in sent.items() if k not in self.FLAGS})
+        assert (again["cache_hit"], again["coalesced"], again["batch_size"],
+                again["latency_ms"]) == (True, False, 0, 0.5)
+
+    def test_body_decodes_to_the_payload(self):
+        with DecisionService(max_wait_ms=0.0, workers=1) as service:
+            for payload in GOLDEN_PAYLOADS:
+                response = service.allocate_payload(payload)
+                assert json.loads(response.to_bytes()) == response.to_payload()
 
 
 class TestBackpressure:

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
+from golden.legacy_fingerprint import legacy_fingerprint
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Application, Platform
 from repro.machine import taihulight
@@ -107,6 +111,110 @@ class TestFingerprint:
         json.dumps(payload, allow_nan=False)  # stays standard JSON
 
 
+#: Marks a slot left out of the payload (the parser's default applies).
+_ABSENT = object()
+
+#: Small value pools, several spellings per value, so that independently
+#: drawn requests collide often enough to test both directions.
+_APP_POOLS = {
+    "name": [_ABSENT, "a", "app0", "\u00e9", "\ud800", 7, "7"],
+    "work": [1, 1.0, 2.5, 2.5000000000000004],
+    "seq_fraction": [0, 0.0, -0.0, 0.5],
+    "access_freq": [0, 0.0, 1, 1.0],
+    "miss_rate": [0.0, -0.0, 0.25],
+    "footprint": [_ABSENT, None, 1e9, 1000000000],
+    "baseline_cache": [_ABSENT, 40e6, 40000000, 1e6],
+}
+_POOLS = {
+    "n": [1, 2],
+    "platform": [
+        "taihulight",
+        {"preset": "taihulight"},
+        {"p": 256, "cache_size": 32000000000, "alpha": 0.5},
+        {"p": 256.0, "cache_size": 32e9, "latency_cache": 0.17,
+         "latency_memory": 1, "alpha": 0.5, "name": "renamed"},
+        {"preset": "taihulight", "p": 64},
+    ],
+    "scheduler": ["dominant-minratio", "Dominant-MinRatio", "fair",
+                  "randompart"],
+    "seed": [_ABSENT, None, 0, 3],
+    **{(i, field): pool for i in range(2) for field, pool in _APP_POOLS.items()},
+}
+
+
+def _payload(slots: dict) -> dict:
+    apps = [{field: slots[(i, field)] for field in _APP_POOLS
+             if slots[(i, field)] is not _ABSENT}
+            for i in range(slots["n"])]
+    payload = {"applications": apps, "platform": slots["platform"],
+               "scheduler": slots["scheduler"]}
+    if slots["seed"] is not _ABSENT:
+        payload["seed"] = slots["seed"]
+    return payload
+
+
+_slots = st.fixed_dictionaries(
+    {key: st.sampled_from(pool) for key, pool in _POOLS.items()})
+
+
+class TestFingerprintMatchesJsonOracle:
+    """The binary fingerprint keeps the canonical-JSON equivalence classes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_slots, changed=st.lists(st.sampled_from(list(_POOLS)),
+                                      min_size=1, max_size=3),
+           data=st.data())
+    def test_collides_exactly_when_the_oracle_does(self, a, changed, data):
+        b = dict(a)
+        for key in changed:
+            b[key] = data.draw(st.sampled_from(_POOLS[key]), label=str(key))
+        ra = request_from_payload(_payload(a))
+        rb = request_from_payload(_payload(b))
+        assert re.fullmatch(r"[0-9a-f]{64}", ra.fingerprint())
+        assert ((ra.fingerprint() == rb.fingerprint())
+                == (legacy_fingerprint(ra) == legacy_fingerprint(rb)))
+
+    @pytest.mark.parametrize("a, b, same", [
+        ({"applications": [{"work": 256}]},
+         {"applications": [{"work": 256.0}]}, True),
+        ({"platform": "taihulight"},
+         {"platform": {"p": 256, "cache_size": 32e9, "alpha": 0.5}}, True),
+        ({"platform": {"p": 8, "cache_size": 1e6, "name": "one"}},
+         {"platform": {"p": 8, "cache_size": 1e6, "name": "two"}}, True),
+        ({"seed": 1}, {"seed": 2}, True),
+        ({"scheduler": "randompart", "seed": 1},
+         {"scheduler": "randompart", "seed": 2}, False),
+        ({"applications": [{"work": 1.0, "seq_fraction": 0.0}]},
+         {"applications": [{"work": 1.0, "seq_fraction": -0.0}]}, False),
+        ({"applications": [{"work": 1.0, "footprint": None}]},
+         {"applications": [{"work": 1.0}]}, True),
+        ({"applications": [{"work": 1.0, "footprint": None}]},
+         {"applications": [{"work": 1.0, "footprint": 1e300}]}, False),
+    ], ids=["int-float", "preset-explicit", "platform-name",
+            "seed-deterministic", "seed-randomized", "negative-zero",
+            "null-footprint", "finite-footprint"])
+    def test_explicit_cases(self, a, b, same):
+        base = {"applications": [{"work": 1.0}], "platform": "taihulight"}
+        ra = request_from_payload({**base, **a})
+        rb = request_from_payload({**base, **b})
+        assert (ra.fingerprint() == rb.fingerprint()) is same
+        assert (legacy_fingerprint(ra) == legacy_fingerprint(rb)) is same
+
+    def test_inf_footprint_equals_null(self):
+        by_value = _request(applications=(
+            Application(name="x", work=1.0, footprint=math.inf),))
+        by_wire = request_from_payload({
+            "applications": [{"name": "x", "work": 1.0, "footprint": None}],
+            "platform": "taihulight"})
+        assert by_value.fingerprint() == by_wire.fingerprint()
+
+    def test_nan_footprint_is_rejected(self):
+        """JSON could not encode it; the model now refuses it outright."""
+        with pytest.raises(ModelError, match="footprint"):
+            request_from_payload({"applications": [
+                {"work": 1.0, "footprint": float("nan")}]})
+
+
 class TestRequestFromPayload:
     def _payload(self, **overrides):
         payload = {
@@ -173,6 +281,21 @@ class TestRequestFromPayload:
         with pytest.raises(ModelError, match="seq_fraction"):
             request_from_payload(self._payload(
                 applications=[{"work": 1e9, "seq_fraction": 3.0}]))
+
+    def test_workload_is_built_once(self):
+        req = request_from_payload(self._payload())
+        assert req.workload() is req.workload()
+        assert req.workload().names == ("a0", "app1")
+
+    def test_non_dict_mappings_and_sequences_still_parse(self):
+        from types import MappingProxyType
+        payload = self._payload()
+        wrapped = MappingProxyType({
+            **payload,
+            "applications": tuple(MappingProxyType(a)
+                                  for a in payload["applications"])})
+        assert (request_from_payload(wrapped).fingerprint()
+                == request_from_payload(payload).fingerprint())
 
     def test_empty_request_rejected(self):
         with pytest.raises(ModelError):
