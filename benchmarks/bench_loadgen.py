@@ -49,12 +49,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _harness import REPO_ROOT, write_trajectory  # noqa: E402
 
+from repro.cache import LRUCache, ShardedClockCache  # noqa: E402
 from repro.online.arrivals import (  # noqa: E402
     ConstantRate,
     PoissonProcess,
     TraceSource,
 )
-from repro.service.cache import DecisionCache, ShardedDecisionCache  # noqa: E402
 
 #: Offered-load sweep points (requests/s).
 FULL_RATES = (3000, 8000, 14000, 20000, 30000, 40000)
@@ -282,14 +282,14 @@ def bench_cache_ab(nthreads: int = 8, nkeys: int = 1024,
 
     Both caches hold the same *nkeys* fingerprints and every thread
     performs the same number of key lookups; the sharded side goes
-    through :meth:`ShardedDecisionCache.get_many` in *burst*-sized
+    through :meth:`ShardedClockCache.get_many` in *burst*-sized
     probes — the batch API the serving path actually uses.
     """
     keys = [hashlib.sha256(str(i).encode()).hexdigest()
             for i in range(nkeys)]
     total = nthreads * lookups_per_thread
 
-    single: DecisionCache = DecisionCache(nkeys * 2)
+    single: LRUCache = LRUCache(nkeys * 2)
     for key in keys:
         single.put(key, object())
 
@@ -305,7 +305,7 @@ def bench_cache_ab(nthreads: int = 8, nkeys: int = 1024,
 
     single_wall = _hammer(nthreads, single_worker)
 
-    sharded: ShardedDecisionCache = ShardedDecisionCache(nkeys * 2, shards=8)
+    sharded: ShardedClockCache = ShardedClockCache(nkeys * 2, shards=8)
     for key in keys:
         sharded.put(key, object())
     bursts = [keys[i:i + burst] for i in range(0, nkeys, burst)]

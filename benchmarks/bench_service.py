@@ -16,7 +16,7 @@ each):
   first touch) but still far from scheduler compute; the bar is
   disk-warm >= 5x cold.
 * **batched** — the same *cold* workload, but issued concurrently:
-  requests coalesce into batches dispatched across the worker pool,
+  requests coalesce into batches the batcher thread evaluates,
   which is how the service actually meets traffic.
 
 Run under pytest (``pytest benchmarks/bench_service.py``) for

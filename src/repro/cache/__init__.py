@@ -5,7 +5,7 @@ spec, which makes caching the biggest lever at every layer — and every
 layer caches through this package:
 
 * the decision service's in-memory serving tier
-  (:mod:`repro.service.cache` re-exports the backends here),
+  (:class:`LRUCache` or :class:`ShardedClockCache`),
 * the experiment engine's content-addressed on-disk result store
   (:class:`repro.experiments.cache.ResultCache` rides
   :class:`ContentAddressedStore`),

@@ -146,13 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="largest request batch dispatched at once")
     srv.add_argument("--max-wait-ms", type=float, default=2.0,
                      help="linger time filling a batch before dispatch")
-    srv.add_argument("--workers", type=int, default=None,
-                     help="dispatch pool size; with --async, the number of "
-                          "pre-forked server processes "
-                          "(default: $REPRO_WORKERS, capped)")
+    srv.add_argument("--workers", type=int, default=1,
+                     help="pre-forked server processes, each with its own "
+                          "event loop and service (default: 1)")
     srv.add_argument("--async", dest="use_async", action="store_true",
-                     help="serve from an asyncio event loop instead of a "
-                          "thread per request")
+                     help="accepted for compatibility: the asyncio front "
+                          "end is the default and only one")
     srv.add_argument("--cache-shards", type=int, default=8,
                      help="decision-cache shard count (1 = single-lock LRU)")
     srv.add_argument("--cache-dir", type=Path, default=None,
@@ -428,38 +427,21 @@ def _cmd_list(_args) -> int:
 
 def _cmd_serve(args) -> int:
     from .service import DecisionService
+    from .service.aserver import serve_async
 
-    announce = lambda msg: print(msg, file=sys.stderr, flush=True)
-    if args.use_async:
-        # --workers means server processes here; each forked worker
-        # builds its own service (and its own default dispatch pool).
-        from .service.aserver import serve_async
+    def factory() -> DecisionService:
+        # Each pre-forked worker builds its own service after the fork.
+        return DecisionService(
+            cache_capacity=args.cache_capacity,
+            cache_shards=args.cache_shards,
+            max_batch_size=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            max_queue_depth=args.max_queue_depth,
+            cache_dir=args.cache_dir,
+        )
 
-        def factory() -> DecisionService:
-            return DecisionService(
-                cache_capacity=args.cache_capacity,
-                cache_shards=args.cache_shards,
-                max_batch_size=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
-                max_queue_depth=args.max_queue_depth,
-                cache_dir=args.cache_dir,
-            )
-
-        serve_async(args.host, args.port, factory,
-                    workers=args.workers or 1, announce=announce)
-        return 0
-    from .service.server import serve
-
-    service = DecisionService(
-        cache_capacity=args.cache_capacity,
-        cache_shards=args.cache_shards,
-        max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_queue_depth=args.max_queue_depth,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-    )
-    serve(args.host, args.port, service, announce=announce)
+    serve_async(args.host, args.port, factory, workers=args.workers,
+                announce=lambda msg: print(msg, file=sys.stderr, flush=True))
     return 0
 
 

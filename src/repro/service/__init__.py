@@ -3,12 +3,12 @@
 The serving subsystem: the paper's schedulers, wrapped as an online
 decision API.  A request — application set, platform, scheduler name —
 is canonicalized and fingerprinted (:mod:`.protocol`); repeats are
-answered from an in-memory LRU decision cache (:mod:`.cache`);
+answered from the tiered decision cache (:mod:`repro.cache`);
 concurrent distinct requests coalesce into batches (:mod:`.batcher`)
-dispatched on a worker pool over the scheduler registry
+that the batcher's one thread evaluates over the scheduler registry
 (:mod:`.dispatcher`).  The transport-agnostic core
-(:class:`DecisionService`) is fronted by a stdlib HTTP JSON API
-(:mod:`.server`: ``/v1/allocate``, ``/v1/schedulers``, ``/metrics``)
+(:class:`DecisionService`) is fronted by one asyncio HTTP JSON API
+(:mod:`.aserver`: ``/v1/allocate``, ``/v1/schedulers``, ``/metrics``)
 with a thin client (:mod:`.client`) and the ``repro serve`` /
 ``repro request`` CLI verbs.
 
@@ -31,7 +31,6 @@ Quickstart::
 
 from .aserver import AsyncServerThread, serve_async
 from .batcher import QueueFullError, RequestBatcher
-from .cache import CacheStats, DecisionCache, ShardedDecisionCache
 from .client import ServiceClient, ServiceError
 from .core import DecisionService
 from .dispatcher import Dispatcher, RequestError, compute_decision
@@ -44,15 +43,12 @@ from .protocol import (
     parse_platform,
     request_from_payload,
 )
-from .server import make_server, serve
 
 __all__ = [
     "AllocationDecision",
     "AllocationRequest",
     "AllocationResponse",
     "AsyncServerThread",
-    "CacheStats",
-    "DecisionCache",
     "DecisionService",
     "Dispatcher",
     "Gauge",
@@ -62,12 +58,9 @@ __all__ = [
     "RequestError",
     "ServiceClient",
     "ServiceError",
-    "ShardedDecisionCache",
     "canonical_json",
     "compute_decision",
-    "make_server",
     "parse_platform",
     "request_from_payload",
-    "serve",
     "serve_async",
 ]

@@ -1,11 +1,26 @@
-"""asyncio HTTP front end: the high-QPS serving path.
+"""asyncio HTTP front end: the service's one transport.
 
-The threaded front end (:mod:`repro.service.server`) spends a thread
-per in-flight request; at thousands of requests per second the
-interpreter drowns in context switches before the schedulers do any
-work.  This module serves the same contract — ``POST /v1/allocate``,
-``GET /v1/schedulers``, ``GET /metrics``, ``GET /healthz``, same JSON
-bodies and error shapes — from a single event loop:
+Endpoints
+---------
+``POST /v1/allocate``
+    Body: a JSON allocation request (see
+    :func:`repro.service.protocol.request_from_payload`) —
+    ``applications`` (list of application objects), ``platform``
+    (preset name, preset + overrides, or explicit parameters),
+    ``scheduler`` (registry name), optional ``seed``.  Answers with
+    the decision plus serving metadata; malformed input gets a 400
+    with a JSON ``error`` body, overload a 503 with ``Retry-After``.
+``GET /v1/schedulers``
+    The scheduler registry with metadata (name, randomized,
+    description, provenance), sorted by name.
+``GET /metrics``
+    All serving counters in Prometheus text exposition format
+    (``repro_decisions_total``, ``repro_decision_cache_hits`` ...);
+    append ``?format=json`` for the raw mapping.
+``GET /healthz``
+    Liveness probe.
+
+Everything runs on one event loop, with no thread per request:
 
 * Connections are ``asyncio.Protocol`` instances with a hand-rolled
   (request-sized, not general) HTTP/1.1 parser: no stream readers, no
@@ -17,11 +32,11 @@ bodies and error shapes — from a single event loop:
   (the hit still counts in the aggregate cache and decision counters).
 * Misses parse, canonicalize, and await
   :meth:`~repro.service.core.DecisionService.allocate_async` — the
-  event loop feeds the same coalescing batcher the threaded front end
-  uses, so concurrent distinct requests still batch onto the
-  dispatcher pool.  Per-connection response order is preserved by an
-  outbox that interleaves ready bytes with pending tasks.
-* Multi-worker mode (``repro serve --async --workers N``) pre-forks:
+  event loop feeds the coalescing batcher, so concurrent distinct
+  requests batch onto the dispatcher, which evaluates them on the
+  batcher's thread.  Per-connection response order is preserved by
+  an outbox that interleaves ready bytes with pending tasks.
+* Multi-worker mode (``repro serve --workers N``) pre-forks:
   the parent binds the listening socket once (so ``port 0`` works and
   no ``SO_REUSEPORT`` support is assumed) and each child accepts from
   the shared socket on its own event loop with its own
@@ -49,8 +64,8 @@ from ..types import ReproError
 from .batcher import QueueFullError
 from .core import DecisionService
 from .dispatcher import RequestError
-from .protocol import request_from_payload, response_bytes
-from .server import MAX_BODY_BYTES, render_metrics_text
+from .metrics import render_metrics_text
+from .protocol import MAX_BODY_BYTES, request_from_payload, response_bytes
 
 __all__ = ["AsyncDecisionServer", "AsyncServerThread", "serve_async"]
 
@@ -237,6 +252,10 @@ class _HttpProtocol(asyncio.Protocol):
                 try:
                     length = int(field)
                 except ValueError:
+                    length = -1
+                if length < 0:
+                    # The body's extent is unknown: reading on would
+                    # parse its bytes as the next request, so close.
                     self._emit(_error(400, "bad Content-Length"))
                     self._close_after_flush()
                     return
@@ -335,13 +354,13 @@ async def _serve_on_socket(sock: socket.socket,
 def serve_async(host: str = "127.0.0.1", port: int = 8765,
                 service_factory: Callable[[], DecisionService] | None = None,
                 *, workers: int = 1, announce=None) -> None:
-    """Blocking asyncio serve loop (the ``repro serve --async`` entry).
+    """Blocking asyncio serve loop (the ``repro serve`` entry point).
 
     The listening socket is bound once, *before* any fork, so ``port
     0`` reports a single real port and worker processes share one
     accept queue (the portable alternative to ``SO_REUSEPORT``).  Each
-    worker builds its service after the fork — thread pools and event
-    loops never cross a fork boundary.
+    worker builds its service after the fork — batcher threads and
+    event loops never cross a fork boundary.
     """
     factory = service_factory or DecisionService
     if workers < 1:

@@ -1,12 +1,14 @@
 """Request batcher: coalesce concurrent requests into dispatch batches.
 
-Under load, many HTTP handler threads hit the service at once.  The
-batcher is the funnel between them and the dispatcher: each caller
-enqueues ``(request, future)`` and blocks on the future; a single
-collector thread drains the queue into batches — up to
-``max_batch_size`` requests, waiting at most ``max_wait_s`` after the
-first arrival for stragglers — and hands each batch to the dispatcher,
-fanning the per-request results back out to the futures.
+Under load, many connections hit the service at once.  The batcher is
+the funnel between them and the dispatcher: each caller enqueues
+``(request, future)`` and waits on the future (the event loop awaits
+it, an in-process caller blocks); a single collector thread drains
+the queue into batches — up to ``max_batch_size`` requests, waiting
+at most ``max_wait_s`` after the first arrival for stragglers — and
+evaluates each batch through the dispatcher on that same thread,
+fanning the per-request results back out to the futures.  It is the
+service's one evaluating thread.
 
 Two requests with the same fingerprint inside one batching window are
 *coalesced*: the decision is computed once and resolves both futures
@@ -19,7 +21,7 @@ application's finish time for machine-level efficiency.
 Queueing is bounded: with ``max_queue_depth`` set, a submit that finds
 that many requests already waiting raises :class:`QueueFullError`
 (carrying a retry hint) instead of growing the queue without limit —
-the HTTP front ends translate it into ``503`` + ``Retry-After`` so
+the HTTP front end translates it into ``503`` + ``Retry-After`` so
 overload sheds load at the edge instead of collecting latency debt.
 
 The collector thread is a daemon and additionally wakes on shutdown;

@@ -1,7 +1,7 @@
 """The transport-agnostic decision service.
 
-:class:`DecisionService` is the object every front end (the HTTP
-server, the CLI, tests, benchmarks) talks to.  One call —
+:class:`DecisionService` is the object everything talks to: the
+HTTP front end, the CLI, tests and benchmarks.  One call —
 :meth:`~DecisionService.allocate` — runs the full serving path:
 
 1. canonicalize + fingerprint the request (:mod:`.protocol`),
@@ -9,7 +9,8 @@ server, the CLI, tests, benchmarks) talks to.  One call —
    then (when a cache directory is configured) the persistent disk
    tier (:mod:`repro.cache`),
 3. otherwise enqueue into the coalescing batcher (:mod:`.batcher`),
-   which dispatches batches onto the worker pool (:mod:`.dispatcher`),
+   whose thread evaluates each batch through the dispatcher
+   (:mod:`.dispatcher`),
 4. store the fresh decision and stamp serving metadata (latency,
    batch size, hit/coalesced flags) onto the response.
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 import asyncio
 import threading
 from time import perf_counter
-from typing import Mapping
 
 from ..cache import (
     DecisionDiskTier,
@@ -38,7 +38,6 @@ from .protocol import (
     AllocationDecision,
     AllocationRequest,
     AllocationResponse,
-    request_from_payload,
 )
 
 __all__ = ["DecisionService"]
@@ -58,9 +57,9 @@ class DecisionService:
         Decision-cache size (entries).
     cache_shards : int
         Shard count for the decision cache.  The default (8) uses the
-        fingerprint-sharded :class:`~repro.service.cache.ShardedDecisionCache`;
-        ``1`` selects the original single-lock strict-LRU
-        :class:`~repro.service.cache.DecisionCache`.
+        fingerprint-sharded :class:`~repro.cache.ShardedClockCache`;
+        ``1`` selects the single-lock strict-LRU
+        :class:`~repro.cache.LRUCache`.
     max_batch_size : int
         Largest batch the batcher dispatches at once.
     max_wait_ms : float
@@ -70,9 +69,7 @@ class DecisionService:
         Batcher backpressure limit — submissions beyond this many
         queued requests raise
         :class:`~repro.service.batcher.QueueFullError` (the HTTP
-        layers answer 503 + ``Retry-After``).  None = unbounded.
-    workers : int, optional
-        Dispatcher pool size (default: engine's worker resolution).
+        front end answers 503 + ``Retry-After``).  None = unbounded.
     cache_dir : str | Path, optional
         Directory for the persistent decision tier.  When set (or when
         ``REPRO_CACHE_DIR`` is in the environment), every fresh
@@ -91,7 +88,6 @@ class DecisionService:
         max_batch_size: int = 16,
         max_wait_ms: float = 2.0,
         max_queue_depth: int | None = None,
-        workers: int | None = None,
         cache_dir=None,
     ):
         if max_wait_ms < 0:
@@ -103,7 +99,7 @@ class DecisionService:
             encode=AllocationDecision.canonical_bytes,
             decode=AllocationDecision.from_payload,
         )
-        self.dispatcher = Dispatcher(workers=workers)
+        self.dispatcher = Dispatcher()
         self.batcher = RequestBatcher(
             self.dispatcher.evaluate,
             max_batch_size=max_batch_size,
@@ -165,7 +161,7 @@ class DecisionService:
 
     async def allocate_async(self, request: AllocationRequest,
                              ) -> AllocationResponse:
-        """Serve one request from an event loop (the async front end).
+        """Serve one request from an event loop (the HTTP front end).
 
         The fingerprint and the cache probe run inline (they are
         sub-millisecond); only the batcher future is awaited, so the
@@ -178,14 +174,10 @@ class DecisionService:
         with self._lock:
             self._errors += 1
 
-    def allocate_payload(self, payload: Mapping) -> AllocationResponse:
-        """Decode a wire payload and serve it (the HTTP/CLI entry point)."""
-        return self.allocate(request_from_payload(payload))
-
     def note_bytecache_hit(self, latency_s: float) -> None:
         """Account a decision served by a front end's L0 byte cache.
 
-        The async server short-circuits byte-identical repeat bodies
+        The HTTP front end short-circuits byte-identical repeat bodies
         before they are even parsed; the decision still came from
         memory on this service's behalf, so the aggregate counters
         (decisions, cache hits, latency) must include it.
@@ -234,15 +226,14 @@ class DecisionService:
             out[f"decision_cache.{name}"] = value
         for name, value in self.batcher.stats().as_dict().items():
             out[f"batcher.{name}"] = value
-        out["dispatcher.workers"] = self.dispatcher.workers
+        out["dispatcher.workers"] = 1  # batches run on the batcher thread
         out["dispatcher.inflight"] = self.dispatcher.inflight.value
         return out
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Shut down the batcher and the worker pool."""
+        """Shut down the batcher thread."""
         self.batcher.close()
-        self.dispatcher.close()
 
     def __enter__(self) -> "DecisionService":
         return self

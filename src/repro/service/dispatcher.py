@@ -1,4 +1,4 @@
-"""Decision computation: evaluate allocation requests on a worker pool.
+"""Decision computation: turn allocation request batches into decisions.
 
 This is the service's bridge to the scheduling machinery built in the
 earlier layers: a request names a strategy in the scheduler registry
@@ -8,38 +8,27 @@ workload and platform, and packages the resulting schedule's
 ``(procs, cache, times)`` into an immutable
 :class:`~repro.service.protocol.AllocationDecision`.
 
-Batches are evaluated on a shared :class:`ThreadPoolExecutor`.  The
-schedulers are numpy-heavy and release the GIL for most of their
-runtime, so threads capture most of the available parallelism without
-the fork/pickling constraints of the experiment engine's process
-backend — and the pool size honors the same ``REPRO_WORKERS``
-environment knob through the engine's
-:func:`~repro.experiments.engine.resolve_workers`.  Deduplication is
-the batcher's job (it coalesces identical fingerprints before
-dispatch), so a batch reaching :meth:`Dispatcher.evaluate` contains
-only distinct requests and the dispatcher spends no time re-hashing
-them on the latency-bound path.
+Batches are evaluated inline on the calling thread — the batcher's
+collector thread — with no pool behind it: schedulers with a
+vectorized ``batch_fn`` take their whole group in one call, the rest
+run one after another.  Deduplication is the batcher's job (it
+coalesces identical fingerprints before dispatch), so a batch reaching
+:meth:`Dispatcher.evaluate` contains only distinct requests and the
+dispatcher spends no time re-hashing them on the latency-bound path.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 
 from ..core.registry import get_entry
-from ..experiments.engine import resolve_workers
 from ..types import ReproError
 from .metrics import Gauge
 from .protocol import AllocationDecision, AllocationRequest
 
 __all__ = ["compute_decision", "Dispatcher", "RequestError"]
-
-#: Cap on the default pool size — decision batches are small and
-#: latency-bound; drowning a small batch in threads helps nothing.
-_MAX_DEFAULT_WORKERS = 8
 
 
 class RequestError(ReproError):
@@ -104,25 +93,19 @@ def compute_decision(request: AllocationRequest) -> AllocationDecision:
     return _decision_from_schedule(request, entry.name, schedule)
 
 
+def _compute_or_error(request: AllocationRequest,
+                      ) -> AllocationDecision | Exception:
+    try:
+        return compute_decision(request)
+    except Exception as exc:
+        return exc
+
+
 class Dispatcher:
-    """A worker pool turning request batches into decision lists.
+    """Turns request batches into decision lists on the calling thread."""
 
-    Parameters
-    ----------
-    workers : int, optional
-        Pool size; defaults to ``REPRO_WORKERS`` (the experiment
-        engine's knob) capped at 8, or the CPU count when smaller.
-    """
-
-    def __init__(self, workers: int | None = None):
-        if workers is None:
-            workers = min(resolve_workers(None), _MAX_DEFAULT_WORKERS)
-            if not os.environ.get("REPRO_WORKERS"):
-                workers = min(workers, os.cpu_count() or 1)
-        self.workers = resolve_workers(workers)
+    def __init__(self) -> None:
         self.inflight = Gauge()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-dispatch")
 
     def evaluate(self, requests: Sequence[AllocationRequest],
                  keys: Sequence[str] | None = None,
@@ -132,8 +115,8 @@ class Dispatcher:
         Requests naming a scheduler with a vectorized ``batch_fn`` are
         coalesced into one structure-of-arrays batch call per scheduler
         (bit-identical to per-request evaluation, each request keeping
-        its own seed-derived generator); the rest go one-per-thread to
-        the pool.  A failing request (unknown scheduler, infeasible
+        its own seed-derived generator); the rest are evaluated one by
+        one, in order.  A failing request (unknown scheduler, infeasible
         model input) yields its exception *in place* rather than
         poisoning the batch — concurrent callers coalesced onto other
         slots must still get their answers, so a failing batch call
@@ -159,18 +142,11 @@ class Dispatcher:
 
     def _evaluate(self, requests: Sequence[AllocationRequest],
                   ) -> list[AllocationDecision | Exception]:
-        def _one(req: AllocationRequest) -> AllocationDecision | Exception:
-            try:
-                return compute_decision(req)
-            except Exception as exc:
-                return exc
-
         if len(requests) == 1:
-            return [_one(requests[0])]
+            return [_compute_or_error(requests[0])]
 
         out: list[AllocationDecision | Exception | None] = [None] * len(requests)
         groups: dict[str, list[int]] = {}
-        scalar_idx: list[int] = []
         for i, req in enumerate(requests):
             try:
                 entry = get_entry(req.scheduler)
@@ -179,14 +155,10 @@ class Dispatcher:
             if entry is not None and entry.batch_fn is not None:
                 groups.setdefault(entry.name, []).append(i)
             else:
-                scalar_idx.append(i)
-
-        scalar_results = (
-            self._pool.map(_one, [requests[i] for i in scalar_idx])
-            if scalar_idx else ())
+                out[i] = _compute_or_error(req)
         for name, idxs in groups.items():
             if len(idxs) == 1:
-                out[idxs[0]] = _one(requests[idxs[0]])
+                out[idxs[0]] = _compute_or_error(requests[idxs[0]])
                 continue
             entry = get_entry(name)
             group = [requests[i] for i in idxs]
@@ -199,16 +171,5 @@ class Dispatcher:
             except Exception:
                 # Per-request evaluation isolates the failing slot(s).
                 for i, req in zip(idxs, group):
-                    out[i] = _one(req)
-        for i, result in zip(scalar_idx, scalar_results):
-            out[i] = result
+                    out[i] = _compute_or_error(req)
         return out
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False)
-
-    def __enter__(self) -> "Dispatcher":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -21,15 +21,23 @@ serving layer shares:
 
 Both are cheap enough for the per-request hot path: one lock acquire
 and a couple of integer updates per observation.
+
+:func:`render_metrics_text` renders the service's flat counter mapping
+(plus its latency histogram) in Prometheus text exposition format —
+the body of ``GET /metrics``.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-__all__ = ["LatencyHistogram", "Gauge", "LATENCY_BUCKETS"]
+if TYPE_CHECKING:
+    from .core import DecisionService
+
+__all__ = ["LatencyHistogram", "Gauge", "LATENCY_BUCKETS",
+           "render_metrics_text"]
 
 #: Default latency bucket bounds in seconds: log-spaced, x2 per step,
 #: 100 µs .. ~6.6 s (17 bounds; the implicit +Inf bucket catches the rest).
@@ -169,3 +177,28 @@ class LatencyHistogram:
         yield f'{name}_bucket{{le="+Inf"}} {total}'
         yield f"{name}_sum {total_s:.10g}"
         yield f"{name}_count {total}"
+
+
+def _prometheus_name(key: str) -> str:
+    """``decision_cache.hit_rate`` -> ``repro_decision_cache_hit_rate``."""
+    return "repro_" + key.replace(".", "_").replace("-", "_")
+
+
+def render_metrics_text(metrics: dict[str, float],
+                        service: "DecisionService | None" = None) -> str:
+    """Prometheus text exposition of the service counter mapping.
+
+    With *service*, the request-latency histogram is appended as a
+    native Prometheus histogram (``_bucket{le=...}``/``_sum``/
+    ``_count`` series) alongside the gauge-rendered counters.
+    """
+    lines = []
+    for key in sorted(metrics):
+        name = _prometheus_name(key)
+        lines.append(f"# TYPE {name} gauge")
+        value = float(metrics[key])
+        lines.append(f"{name} {value:.10g}")
+    if service is not None:
+        lines.extend(
+            service.latency.prometheus_lines("repro_request_latency_seconds"))
+    return "\n".join(lines) + "\n"

@@ -52,10 +52,14 @@ __all__ = [
     "response_bytes",
     "parse_platform",
     "PROTOCOL_VERSION",
+    "MAX_BODY_BYTES",
 ]
 
 #: Version of the wire form (the ``version`` key of a canonical payload).
 PROTOCOL_VERSION = 1
+
+#: Refuse request bodies beyond this size (1 MiB ~ thousands of apps).
+MAX_BODY_BYTES = 1 << 20
 
 #: Leads every fingerprinted byte string; change it whenever the binary
 #: layout below changes, so old and new keys can never collide.
@@ -343,7 +347,7 @@ def response_bytes(request_id: str, decision: AllocationDecision, *,
                    latency_ms: float | None = None) -> bytes:
     """The JSON body of a 200 answer, built around the decision's bytes.
 
-    Both front ends answer with these bytes; ``json.loads`` of them
+    The HTTP front end answers with these bytes; ``json.loads`` of them
     equals :meth:`AllocationResponse.to_payload`.  With *latency_ms*
     None the body stops just after ``"latency_ms":`` — the async front
     end's replay prefix, completed per hit with the fresh latency and

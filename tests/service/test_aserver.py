@@ -1,10 +1,12 @@
-"""Async front end: golden equivalence with the threaded server.
+"""HTTP front end: golden equivalence with in-process evaluation.
 
-Both front ends serve the same contract from the same
-:class:`DecisionService` machinery; these tests drive them side by
-side over a golden request suite (decisions, error shapes, metrics)
-and exercise the async-only machinery (byte-level L0 cache, pipelined
-connections, backpressure 503s).
+The server answers from the same machinery a caller reaches in
+process; these tests hold its wire answers to
+:func:`~repro.service.compute_decision`, the scheduler registry and
+the exceptions an in-process :meth:`DecisionService.allocate` raises
+over a golden request suite (decisions, error shapes), and exercise
+the transport itself (byte-level L0 cache, pipelined connections,
+hostile framing, backpressure 503s).
 """
 
 from __future__ import annotations
@@ -18,28 +20,22 @@ import urllib.request
 
 import pytest
 
-from repro.service import DecisionService, ServiceClient, ServiceError
+from repro.core.registry import entries
+from repro.service import (
+    DecisionService,
+    ServiceClient,
+    ServiceError,
+    compute_decision,
+    request_from_payload,
+)
 from repro.service import protocol
 from repro.service.aserver import AsyncDecisionServer, AsyncServerThread
-from repro.service.server import make_server
+from repro.types import ReproError
 
 
 def _service() -> DecisionService:
     return DecisionService(cache_capacity=64, max_batch_size=8,
-                           max_wait_ms=1.0, workers=2)
-
-
-@pytest.fixture
-def threaded_url():
-    server = make_server(service=_service())
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    server.service.close()
-    thread.join(5)
+                           max_wait_ms=1.0)
 
 
 @pytest.fixture
@@ -79,27 +75,39 @@ GOLDEN_ERRORS = [
 ]
 
 
+def _in_process_error(body: bytes) -> str:
+    """The message an in-process evaluation of *body* fails with."""
+    with DecisionService(max_wait_ms=0.0) as service:
+        try:
+            service.allocate(request_from_payload(json.loads(body)))
+        except json.JSONDecodeError as exc:
+            return f"invalid JSON: {exc}"
+        except ReproError as exc:
+            return str(exc)
+    raise AssertionError(f"{body!r} evaluated without error")
+
+
 class TestGoldenEquivalence:
-    def test_decisions_match_threaded_server(self, threaded_url, async_url):
+    def test_decisions_match_compute_decision(self, async_url):
         for payload in GOLDEN_PAYLOADS:
-            body = json.dumps(payload).encode()
-            t_status, t_resp = _post_raw(threaded_url, body)
-            a_status, a_resp = _post_raw(async_url, body)
-            assert (t_status, a_status) == (200, 200)
-            assert a_resp["decision"] == t_resp["decision"]
-            assert a_resp["request_id"] == t_resp["request_id"]
+            status, resp = _post_raw(async_url, json.dumps(payload).encode())
+            request = request_from_payload(payload)
+            want = json.loads(json.dumps(compute_decision(request).to_payload()))
+            assert status == 200
+            assert resp["decision"] == want
+            assert resp["request_id"] == request.fingerprint()
 
-    def test_error_shapes_match(self, threaded_url, async_url):
+    def test_error_shapes_match(self, async_url):
         for body, expected_status in GOLDEN_ERRORS:
-            t_status, t_resp = _post_raw(threaded_url, body)
-            a_status, a_resp = _post_raw(async_url, body)
-            assert t_status == a_status == expected_status
-            assert a_resp["error"] == t_resp["error"]
+            status, resp = _post_raw(async_url, body)
+            assert status == expected_status
+            assert resp["error"] == _in_process_error(body)
 
-    def test_schedulers_endpoint_matches(self, threaded_url, async_url):
-        t_list = ServiceClient(threaded_url).schedulers()
-        a_list = ServiceClient(async_url).schedulers()
-        assert a_list == t_list
+    def test_schedulers_endpoint_matches(self, async_url):
+        want = [{"name": e.name, "randomized": e.randomized,
+                 "description": e.description, "provenance": e.provenance}
+                for e in entries()]
+        assert ServiceClient(async_url).schedulers() == want
 
     def test_unknown_endpoint_404(self, async_url):
         with pytest.raises(ServiceError) as info:
@@ -113,6 +121,23 @@ class TestGoldenEquivalence:
         status, resp = _post_raw(async_url, b"")
         assert status == 400
         assert "empty" in resp["error"]
+
+    def test_negative_content_length_400_and_close(self, async_url):
+        # A negative length must not leave part of the header in the
+        # buffer to be parsed as the pipelined request behind it.
+        host, port = async_url.removeprefix("http://").split(":")
+        wire = (b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: -5\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(wire)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        assert received.count(b"HTTP/1.1 ") == 1
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body) == {"error": "bad Content-Length"}
 
 
 class TestAsyncServing:
@@ -212,8 +237,7 @@ class TestOneEncoding:
         encode = protocol.canonical_bytes
         monkeypatch.setattr(protocol, "canonical_bytes",
                             lambda payload: encodes.append(1) or encode(payload))
-        service = DecisionService(cache_dir=tmp_path, max_wait_ms=0.0,
-                                  workers=1)
+        service = DecisionService(cache_dir=tmp_path, max_wait_ms=0.0)
         server = AsyncDecisionServer(service)
         body = json.dumps(GOLDEN_PAYLOADS[0]).encode()
         try:
@@ -237,9 +261,9 @@ class TestOneEncoding:
                 again["latency_ms"]) == (True, False, 0, 0.5)
 
     def test_body_decodes_to_the_payload(self):
-        with DecisionService(max_wait_ms=0.0, workers=1) as service:
+        with DecisionService(max_wait_ms=0.0) as service:
             for payload in GOLDEN_PAYLOADS:
-                response = service.allocate_payload(payload)
+                response = service.allocate(request_from_payload(payload))
                 assert json.loads(response.to_bytes()) == response.to_payload()
 
 
@@ -257,24 +281,6 @@ class TestBackpressure:
         assert info.value.status == 503
         assert info.value.retry_after_s is not None
         assert info.value.retry_after_s > 0
-
-    def test_503_on_threaded_server_too(self):
-        server = make_server(
-            service=DecisionService(max_queue_depth=0, max_wait_ms=0.0))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            with pytest.raises(ServiceError) as info:
-                ServiceClient(f"http://{host}:{port}").allocate(
-                    [{"work": 321.0}], "taihulight")
-            assert info.value.status == 503
-            assert info.value.retry_after_s is not None
-        finally:
-            server.shutdown()
-            server.server_close()
-            server.service.close()
-            thread.join(5)
 
     def test_rejections_counted(self, saturated_url):
         client = ServiceClient(saturated_url)

@@ -113,35 +113,35 @@ class TestDispatcherRequestError:
         })
 
     def test_model_failure_wrapped_with_fingerprint(self):
-        with Dispatcher(workers=2) as dispatcher:
-            good = self._request("dominant-minratio")
-            requests = [good]
-            out = dispatcher.evaluate(requests, keys=["fp-good"])
-            assert not isinstance(out[0], Exception)
+        dispatcher = Dispatcher()
+        good = self._request("dominant-minratio")
+        requests = [good]
+        out = dispatcher.evaluate(requests, keys=["fp-good"])
+        assert not isinstance(out[0], Exception)
 
-            # an unknown scheduler fails inside evaluation with a
-            # ReproError; with keys supplied it must come back tagged
-            bad = dataclasses.replace(good, scheduler="no-such-strategy")
-            out = dispatcher.evaluate([good, bad], keys=["fp-a", "fp-b"])
-            assert not isinstance(out[0], Exception)
-            assert isinstance(out[1], RequestError)
-            assert out[1].request_id == "fp-b"
-            assert out[1].scheduler == "no-such-strategy"
-            assert isinstance(out[1].__cause__, ReproError)
-            payload = out[1].to_payload()
-            assert payload["request_id"] == "fp-b"
-            assert payload["scheduler"] == "no-such-strategy"
+        # an unknown scheduler fails inside evaluation with a
+        # ReproError; with keys supplied it must come back tagged
+        bad = dataclasses.replace(good, scheduler="no-such-strategy")
+        out = dispatcher.evaluate([good, bad], keys=["fp-a", "fp-b"])
+        assert not isinstance(out[0], Exception)
+        assert isinstance(out[1], RequestError)
+        assert out[1].request_id == "fp-b"
+        assert out[1].scheduler == "no-such-strategy"
+        assert isinstance(out[1].__cause__, ReproError)
+        payload = out[1].to_payload()
+        assert payload["request_id"] == "fp-b"
+        assert payload["scheduler"] == "no-such-strategy"
 
     def test_without_keys_errors_stay_bare(self):
-        with Dispatcher(workers=2) as dispatcher:
-            good = self._request("dominant-minratio")
-            bad = dataclasses.replace(good, scheduler="no-such-strategy")
-            out = dispatcher.evaluate([good, bad])
-            assert isinstance(out[1], ReproError)
-            assert not isinstance(out[1], RequestError)
+        dispatcher = Dispatcher()
+        good = self._request("dominant-minratio")
+        bad = dataclasses.replace(good, scheduler="no-such-strategy")
+        out = dispatcher.evaluate([good, bad])
+        assert isinstance(out[1], ReproError)
+        assert not isinstance(out[1], RequestError)
 
     def test_inflight_gauge_settles(self):
-        with Dispatcher(workers=2) as dispatcher:
-            dispatcher.evaluate([self._request("dominant-minratio")],
-                                keys=["fp"])
-            assert dispatcher.inflight.value == 0
+        dispatcher = Dispatcher()
+        dispatcher.evaluate([self._request("dominant-minratio")],
+                            keys=["fp"])
+        assert dispatcher.inflight.value == 0

@@ -6,19 +6,19 @@ import threading
 
 import pytest
 
-from repro.service.cache import DecisionCache
+from repro.cache import LRUCache
 from repro.types import ModelError
 
 
 class TestLRU:
     def test_get_put_roundtrip(self):
-        cache = DecisionCache(capacity=4)
+        cache = LRUCache(capacity=4)
         assert cache.get("k") is None
         cache.put("k", 42)
         assert cache.get("k") == 42
 
     def test_capacity_eviction_is_lru(self):
-        cache = DecisionCache(capacity=2)
+        cache = LRUCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")        # refresh 'a' -> 'b' is now least recent
@@ -28,7 +28,7 @@ class TestLRU:
         assert cache.get("c") == 3
 
     def test_put_refreshes_recency(self):
-        cache = DecisionCache(capacity=2)
+        cache = LRUCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)    # re-insert refreshes
@@ -37,7 +37,7 @@ class TestLRU:
         assert cache.get("a") == 10
 
     def test_len_and_clear(self):
-        cache = DecisionCache(capacity=8)
+        cache = LRUCache(capacity=8)
         for i in range(5):
             cache.put(str(i), i)
         assert len(cache) == 5
@@ -47,7 +47,7 @@ class TestLRU:
         assert cache.stats().misses == 0 and cache.stats().evictions == 0
 
     def test_peek_does_not_touch(self):
-        cache = DecisionCache(capacity=2)
+        cache = LRUCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.peek("a") == 1     # no recency refresh, no counter
@@ -58,12 +58,12 @@ class TestLRU:
 
     def test_capacity_validation(self):
         with pytest.raises(ModelError):
-            DecisionCache(capacity=0)
+            LRUCache(capacity=0)
 
 
 class TestCounters:
     def test_hits_misses_evictions(self):
-        cache = DecisionCache(capacity=2)
+        cache = LRUCache(capacity=2)
         cache.get("x")                  # miss
         cache.put("a", 1)
         cache.put("b", 2)
@@ -78,17 +78,17 @@ class TestCounters:
         assert stats.hit_rate == pytest.approx(0.5)
 
     def test_hit_rate_zero_without_traffic(self):
-        assert DecisionCache(4).stats().hit_rate == 0.0
+        assert LRUCache(4).stats().hit_rate == 0.0
 
     def test_as_dict_keys(self):
-        d = DecisionCache(4).stats().as_dict()
+        d = LRUCache(4).stats().as_dict()
         assert set(d) == {"hits", "misses", "evictions", "size", "capacity",
                           "hit_rate"}
 
 
 class TestThreadSafety:
     def test_concurrent_put_get(self):
-        cache = DecisionCache(capacity=64)
+        cache = LRUCache(capacity=64)
         errors: list[Exception] = []
 
         def worker(base: int):

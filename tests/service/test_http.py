@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
-import threading
 import urllib.request
 
 import pytest
 
 from repro.machine import taihulight
-from repro.service import DecisionService, ServiceClient, ServiceError, make_server
-from repro.service.server import render_metrics_text
+from repro.service import (
+    AsyncServerThread,
+    DecisionService,
+    ServiceClient,
+    ServiceError,
+)
+from repro.service.metrics import render_metrics_text
 from repro.types import ReproError
 from repro.workloads import npb6
 
@@ -18,21 +22,15 @@ from repro.workloads import npb6
 @pytest.fixture(scope="module")
 def server():
     service = DecisionService(cache_capacity=64, max_batch_size=4,
-                              max_wait_ms=1.0, workers=2)
-    httpd = make_server("127.0.0.1", 0, service)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield httpd
-    httpd.shutdown()
-    httpd.server_close()
+                              max_wait_ms=1.0)
+    with AsyncServerThread(service) as httpd:
+        yield httpd
     service.close()
-    thread.join(timeout=5)
 
 
 @pytest.fixture(scope="module")
 def client(server):
-    host, port = server.server_address[:2]
-    return ServiceClient(f"http://{host}:{port}")
+    return ServiceClient(server.url)
 
 
 class TestAllocateEndpoint:
@@ -70,18 +68,16 @@ class TestAllocateEndpoint:
         assert err.value.status == 400
 
     def test_invalid_json_is_400(self, server):
-        host, port = server.server_address[:2]
         req = urllib.request.Request(
-            f"http://{host}:{port}/v1/allocate", data=b"not json{",
+            server.url + "/v1/allocate", data=b"not json{",
             headers={"Content-Type": "application/json"}, method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
         assert err.value.code == 400
 
     def test_empty_body_is_400(self, server):
-        host, port = server.server_address[:2]
         req = urllib.request.Request(
-            f"http://{host}:{port}/v1/allocate", data=b"", method="POST")
+            server.url + "/v1/allocate", data=b"", method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
         assert err.value.code == 400
@@ -106,8 +102,7 @@ class TestOtherEndpoints:
         assert "batcher.batches" in metrics
 
     def test_metrics_prometheus_text(self, server):
-        host, port = server.server_address[:2]
-        with urllib.request.urlopen(f"http://{host}:{port}/metrics") as resp:
+        with urllib.request.urlopen(server.url + "/metrics") as resp:
             assert resp.headers["Content-Type"].startswith("text/plain")
             text = resp.read().decode()
         assert "# TYPE repro_decisions_total gauge" in text

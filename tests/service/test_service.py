@@ -9,7 +9,12 @@ import pytest
 
 from repro.core import get_scheduler
 from repro.machine import taihulight
-from repro.service import AllocationRequest, DecisionService, compute_decision
+from repro.service import (
+    AllocationRequest,
+    DecisionService,
+    compute_decision,
+    request_from_payload,
+)
 from repro.service import dispatcher as dispatcher_mod
 from repro.types import ModelError
 from repro.workloads import npb6, npb_synth
@@ -27,7 +32,7 @@ def request6():
 @pytest.fixture
 def service():
     with DecisionService(cache_capacity=32, max_batch_size=4,
-                         max_wait_ms=1.0, workers=2) as svc:
+                         max_wait_ms=1.0) as svc:
         yield svc
 
 
@@ -101,8 +106,7 @@ class TestServing:
 
     def test_concurrent_identical_requests_coalesce(self, request6):
         # A generous linger window so both threads land in one batch.
-        with DecisionService(max_batch_size=2, max_wait_ms=1000.0,
-                             workers=2) as svc:
+        with DecisionService(max_batch_size=2, max_wait_ms=1000.0) as svc:
             barrier = threading.Barrier(2)
             responses = []
             lock = threading.Lock()
@@ -131,8 +135,7 @@ class TestServing:
                               platform=taihulight())
             for _ in range(3)
         ]
-        with DecisionService(max_batch_size=3, max_wait_ms=1000.0,
-                             workers=2) as svc:
+        with DecisionService(max_batch_size=3, max_wait_ms=1000.0) as svc:
             barrier = threading.Barrier(3)
             sizes = []
             lock = threading.Lock()
@@ -176,12 +179,12 @@ class TestServing:
         assert resp.latency_ms > 0
         assert service.metrics()["decisions.latency_seconds_total"] > 0
 
-    def test_allocate_payload(self, service):
-        resp = service.allocate_payload({
+    def test_allocate_wire_payload(self, service):
+        resp = service.allocate(request_from_payload({
             "applications": [{"work": 1e9, "access_freq": 0.5,
                               "miss_rate": 0.01}],
             "platform": "taihulight",
-        })
+        }))
         assert resp.decision.procs == (256.0,)
 
     def test_knob_validation(self):

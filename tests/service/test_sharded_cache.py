@@ -7,11 +7,11 @@ import threading
 
 import pytest
 
-from repro.service.cache import (
+from repro.cache import (
     CacheStats,
-    DecisionCache,
+    LRUCache,
     ShardedCacheStats,
-    ShardedDecisionCache,
+    ShardedClockCache,
 )
 from repro.types import ModelError
 
@@ -22,7 +22,7 @@ def fingerprints(n: int) -> list[str]:
 
 class TestSemantics:
     def test_get_put_roundtrip(self):
-        cache = ShardedDecisionCache(capacity=256, shards=8)
+        cache = ShardedClockCache(capacity=256, shards=8)
         keys = fingerprints(10)
         for i, key in enumerate(keys):
             cache.put(key, i)
@@ -32,14 +32,14 @@ class TestSemantics:
         assert "missing" not in cache
 
     def test_miss_returns_none_and_counts(self):
-        cache = ShardedDecisionCache(capacity=256, shards=8)
+        cache = ShardedClockCache(capacity=256, shards=8)
         assert cache.get("nope") is None
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 1
         assert stats.hit_rate == 0.0
 
     def test_peek_does_not_count(self):
-        cache = ShardedDecisionCache(capacity=256, shards=8)
+        cache = ShardedClockCache(capacity=256, shards=8)
         cache.put("k", 1)
         assert cache.peek("k") == 1
         assert cache.peek("absent") is None
@@ -47,14 +47,14 @@ class TestSemantics:
         assert stats.hits == 0 and stats.misses == 0
 
     def test_put_refresh_overwrites(self):
-        cache = ShardedDecisionCache(capacity=256, shards=8)
+        cache = ShardedClockCache(capacity=256, shards=8)
         cache.put("k", 1)
         cache.put("k", 2)
         assert cache.get("k") == 2
         assert len(cache) == 1
 
     def test_get_many_values_and_counters(self):
-        cache = ShardedDecisionCache(capacity=256, shards=8)
+        cache = ShardedClockCache(capacity=256, shards=8)
         keys = fingerprints(8)
         for i, key in enumerate(keys[:5]):
             cache.put(key, i)
@@ -64,7 +64,7 @@ class TestSemantics:
         assert stats.hits == 5 and stats.misses == 3
 
     def test_clear_keeps_counters(self):
-        cache = ShardedDecisionCache(capacity=256, shards=8)
+        cache = ShardedClockCache(capacity=256, shards=8)
         cache.put("k", 1)
         cache.get("k")
         cache.clear()
@@ -72,44 +72,44 @@ class TestSemantics:
         assert cache.stats().hits == 1
 
     def test_count_hit_feeds_aggregate(self):
-        cache = ShardedDecisionCache(capacity=256, shards=8)
+        cache = ShardedClockCache(capacity=256, shards=8)
         cache.count_hit()
         cache.count_hit()
         assert cache.stats().hits == 2
 
     def test_stats_shape_matches_single_lock_plus_shards(self):
-        sharded = ShardedDecisionCache(capacity=256, shards=8).stats()
-        single = DecisionCache(capacity=256).stats()
+        sharded = ShardedClockCache(capacity=256, shards=8).stats()
+        single = LRUCache(capacity=256).stats()
         assert isinstance(sharded, ShardedCacheStats)
         assert isinstance(sharded, CacheStats)
         assert set(sharded.as_dict()) == set(single.as_dict()) | {"shards"}
 
     def test_validation(self):
         with pytest.raises(ModelError):
-            ShardedDecisionCache(capacity=0)
+            ShardedClockCache(capacity=0)
         with pytest.raises(ModelError):
-            ShardedDecisionCache(capacity=16, shards=0)
+            ShardedClockCache(capacity=16, shards=0)
 
 
 class TestShardGeometry:
     def test_shard_count_rounds_to_power_of_two(self):
-        assert ShardedDecisionCache(capacity=1024, shards=5).shards == 8
-        assert ShardedDecisionCache(capacity=1024, shards=8).shards == 8
+        assert ShardedClockCache(capacity=1024, shards=5).shards == 8
+        assert ShardedClockCache(capacity=1024, shards=8).shards == 8
 
     def test_tiny_cache_degrades_to_one_shard(self):
         # Exact eviction counts must stay deterministic for tiny
         # caches, so sharding backs off below a useful shard size.
-        assert ShardedDecisionCache(capacity=2, shards=8).shards == 1
-        assert ShardedDecisionCache(capacity=16, shards=8).shards == 1
+        assert ShardedClockCache(capacity=2, shards=8).shards == 1
+        assert ShardedClockCache(capacity=16, shards=8).shards == 1
 
     def test_per_shard_capacities_sum_to_total(self):
-        cache = ShardedDecisionCache(capacity=1001, shards=8)
+        cache = ShardedClockCache(capacity=1001, shards=8)
         assert sum(cache._caps) == 1001
 
 
 class TestEviction:
     def test_capacity_is_respected(self):
-        cache = ShardedDecisionCache(capacity=128, shards=8)
+        cache = ShardedClockCache(capacity=128, shards=8)
         keys = fingerprints(500)
         for i, key in enumerate(keys):
             cache.put(key, i)
@@ -119,7 +119,7 @@ class TestEviction:
         assert stats.evictions == 500 - stats.size
 
     def test_single_shard_evicts_fifo_like_lru(self):
-        cache = ShardedDecisionCache(capacity=2, shards=1)
+        cache = ShardedClockCache(capacity=2, shards=1)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("c", 3)
@@ -128,7 +128,7 @@ class TestEviction:
         assert cache.stats().evictions == 1
 
     def test_second_chance_spares_referenced_entries(self):
-        cache = ShardedDecisionCache(capacity=2, shards=1)
+        cache = ShardedClockCache(capacity=2, shards=1)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # reference "a": it survives the next eviction
@@ -137,7 +137,7 @@ class TestEviction:
         assert cache.peek("b") is None
 
     def test_eviction_terminates_when_everything_is_hot(self):
-        cache = ShardedDecisionCache(capacity=4, shards=1)
+        cache = ShardedClockCache(capacity=4, shards=1)
         for key in "abcd":
             cache.put(key, key)
         for key in "abcd":
@@ -151,7 +151,7 @@ class TestConcurrency:
         """N threads x K shards: hits + misses == exact lookup count."""
         nthreads, per_thread = 8, 5_000
         keys = fingerprints(256)
-        cache = ShardedDecisionCache(capacity=512, shards=8)
+        cache = ShardedClockCache(capacity=512, shards=8)
         for i, key in enumerate(keys):
             cache.put(key, i)
         barrier = threading.Barrier(nthreads)
@@ -184,7 +184,7 @@ class TestConcurrency:
     def test_get_many_counters_exact_under_threads(self):
         nthreads, bursts_per_thread, burst = 8, 200, 64
         keys = fingerprints(256)
-        cache = ShardedDecisionCache(capacity=512, shards=8)
+        cache = ShardedClockCache(capacity=512, shards=8)
         for i, key in enumerate(keys[:128]):
             cache.put(key, i)
         chunks = [keys[i:i + burst] for i in range(0, len(keys), burst)]
@@ -209,7 +209,7 @@ class TestConcurrency:
     def test_concurrent_put_get_no_lost_entries(self):
         nthreads = 8
         keys = fingerprints(512)
-        cache = ShardedDecisionCache(capacity=1024, shards=8)
+        cache = ShardedClockCache(capacity=1024, shards=8)
         barrier = threading.Barrier(nthreads)
 
         def worker(tid: int):

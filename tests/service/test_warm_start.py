@@ -35,8 +35,7 @@ def service_factory():
 
     yield build
     for service in services:
-        service.batcher.close()
-        service.dispatcher.close()
+        service.close()
 
 
 class TestWarmStart:

@@ -171,27 +171,35 @@ class TestCommands:
         assert "REPRO_CACHE_DIR" in capsys.readouterr().err
 
     def test_request_against_live_server(self, capsys):
-        import threading
+        from repro.service import AsyncServerThread, DecisionService
 
-        from repro.service import DecisionService, make_server
-
-        service = DecisionService(max_wait_ms=0.5, workers=2)
-        server = make_server("127.0.0.1", 0, service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address[:2]
-            url = f"http://{host}:{port}"
-            assert main(["request", "--url", url, "--napps", "4",
+        with AsyncServerThread(DecisionService(max_wait_ms=0.5)) as server:
+            assert main(["request", "--url", server.url, "--napps", "4",
                          "--repeat", "2"]) == 0
             captured = capsys.readouterr()
-            assert "makespan" in captured.out
-            assert "decision-cache hit" in captured.err
+            server.service.close()
+        assert "makespan" in captured.out
+        assert "decision-cache hit" in captured.err
+
+    @pytest.mark.parametrize("argv, workers", [
+        (["serve"], 1),
+        (["serve", "--async", "--workers", "2"], 2),
+    ])
+    def test_serve_runs_the_async_front_end(self, monkeypatch, argv, workers):
+        import repro.service.aserver as aserver
+
+        calls = []
+        monkeypatch.setattr(
+            aserver, "serve_async",
+            lambda host, port, factory, **kw: calls.append((port, factory, kw)))
+        assert main(argv + ["--port", "0", "--max-queue-depth", "3"]) == 0
+        [(port, factory, kw)] = calls
+        assert port == 0 and kw["workers"] == workers
+        service = factory()
+        try:
+            assert service.batcher.max_queue_depth == 3
         finally:
-            server.shutdown()
-            server.server_close()
             service.close()
-            thread.join(timeout=5)
 
     def test_request_unreachable_server(self):
         from repro.types import ReproError
