@@ -4,8 +4,7 @@ The paper's co-schedulers are deterministic functions of a canonical
 spec, which makes caching the biggest lever at every layer — and every
 layer caches through this package:
 
-* the decision service's in-memory serving tier
-  (:class:`LRUCache` or :class:`ShardedClockCache`),
+* the decision service's in-memory serving tier (:class:`LRUCache`),
 * the experiment engine's content-addressed on-disk result store
   (:class:`repro.experiments.cache.ResultCache` rides
   :class:`ContentAddressedStore`),
@@ -15,22 +14,16 @@ layer caches through this package:
 Layout::
 
     TieredCache                          (tiered.py)
-      ├── memory tier: LRUCache | ShardedClockCache   (memory.py)
-      └── disk tier:   DecisionDiskTier               (disk.py)
+      ├── memory tier: LRUCache          (memory.py)
+      └── disk tier:   DecisionDiskTier  (disk.py)
                          └── ContentAddressedStore
 
-Backends are a construction choice (:func:`make_memory_backend`), not
-a class hierarchy callers must know about; the seam deliberately
-leaves room for a shared-memory or external-KV backend with the same
-get/put/stats contract.  Counters are uniform everywhere
-(:mod:`repro.cache.stats`): hits + misses equals the exact number of
-lookups on every backend and every tier, and ``/metrics`` and
-``repro cache info`` render any of them identically.
+Counters are uniform everywhere (:mod:`repro.cache.stats`): hits +
+misses equals the exact number of lookups on every tier, and
+``/metrics`` and ``repro cache info`` render any of them identically.
 
-Shard assignment and content addressing are **bit-stable across
-processes** — derived from SHA-256 fingerprint bits
-(:func:`stable_shard_index`), never from Python's per-process
-randomized ``hash()``.
+Content addressing is **bit-stable across processes** — keys are
+SHA-256 digests, never Python's per-process randomized ``hash()``.
 """
 
 from .disk import (
@@ -41,13 +34,8 @@ from .disk import (
     PruneReport,
     resolve_cache_dir,
 )
-from .memory import (
-    LRUCache,
-    ShardedClockCache,
-    make_memory_backend,
-    stable_shard_index,
-)
-from .stats import CacheStats, ShardedCacheStats, TieredCacheStats
+from .memory import LRUCache
+from .stats import CacheStats, TieredCacheStats
 from .tiered import TieredCache
 
 __all__ = [
@@ -58,11 +46,7 @@ __all__ = [
     "DecisionDiskTier",
     "LRUCache",
     "PruneReport",
-    "ShardedCacheStats",
-    "ShardedClockCache",
     "TieredCache",
     "TieredCacheStats",
-    "make_memory_backend",
     "resolve_cache_dir",
-    "stable_shard_index",
 ]

@@ -257,17 +257,6 @@ class DecisionDiskTier:
         self.store.touch(path)
         return payload
 
-    def peek(self, key: str) -> dict[str, Any] | None:
-        """Like :meth:`get` but without refreshing recency."""
-        if not self._is_safe_key(key):
-            return None
-        path = self.path_for(key)
-        try:
-            payload = json.loads(path.read_bytes())
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
     def put(self, key: str, payload: bytes | dict[str, Any]) -> bool:
         """Persist *payload* under *key* (atomic); False on failure.
 

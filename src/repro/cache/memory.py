@@ -1,68 +1,26 @@
-"""In-memory cache backends: single-lock LRU and fingerprint-sharded CLOCK.
+"""The in-memory tier of :mod:`repro.cache`: a single-lock LRU map.
 
-These are the memory tiers of :mod:`repro.cache`.  Both serve the same
-contract — bounded capacity, O(1) thread-safe operations, exact
-hit/miss/eviction counters (see :mod:`repro.cache.stats`) — and differ
-only in how they pay for concurrency:
-
-:class:`LRUCache`
-    One lock, strict least-recently-used eviction.  Every operation —
-    hits included — serializes on the lock, which is fine at modest
-    concurrency and gives exactly reproducible eviction order.
-
-:class:`ShardedClockCache`
-    Keys spread over K independent shards, each with its own lock and
-    its own second-chance (CLOCK) eviction ring, so concurrent traffic
-    on distinct shards never serializes.  Hits touch only a reference
-    flag (no reordering), and :meth:`~ShardedClockCache.get_many`
-    probes a whole key batch lock-free, folding the burst's hit/miss
-    tally into the counters under a single lock acquisition.
-
-Shard assignment is derived from the *key's own bits*
-(:func:`stable_shard_index`), never from Python's per-process
-randomized ``hash()``: keys are typically SHA-256 hex fingerprints, so
-the leading bits are already uniform, and the assignment is identical
-in every process and across restarts.  That stability is the contract
-a shard map shared between pre-forked workers depends on — with
-``hash()``, each worker would scatter the same fingerprint onto a
-different shard and cross-process hit rates would silently collapse.
+:class:`LRUCache` holds a bounded number of entries and evicts the
+least-recently-used one when full.  Every operation takes one lock, so
+the counters (see :mod:`repro.cache.stats`) are exact — hits + misses
+equals the number of lookups — and the eviction order is exactly
+reproducible.  The decision service touches it from each process's
+event-loop thread; the lock keeps an instance safe wherever else it
+is shared between threads.
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
 from collections import OrderedDict
-from typing import Generic, Optional, Sequence, TypeVar
+from typing import Generic, Optional, TypeVar
 
 from ..types import ModelError
-from .stats import CacheStats, ShardedCacheStats
+from .stats import CacheStats
 
-__all__ = ["LRUCache", "ShardedClockCache", "make_memory_backend",
-           "stable_shard_index"]
+__all__ = ["LRUCache"]
 
 V = TypeVar("V")
-
-#: Smallest per-shard capacity worth having: below this the shard
-#: count is rounded down (a 2-entry cache gets 1 shard, not 8).
-_MIN_SHARD_CAPACITY = 16
-
-
-def stable_shard_index(key: str, mask: int) -> int:
-    """Shard index from the key's own bits — stable across processes.
-
-    Keys are normally SHA-256 hex fingerprints, so the first 8 hex
-    digits are 32 uniformly distributed bits; masking them is both the
-    cheapest and the most portable uniform hash available.  Non-hex
-    keys (tests, ad-hoc callers) fall back to CRC-32, which is equally
-    process-independent.  Never use builtin ``hash()`` here: its
-    per-process randomization (PYTHONHASHSEED) silently breaks any
-    assignment that must agree between processes or survive a restart.
-    """
-    try:
-        return int(key[:8], 16) & mask
-    except ValueError:
-        return zlib.crc32(key.encode("utf-8", "surrogatepass")) & mask
 
 
 class LRUCache(Generic[V]):
@@ -97,27 +55,6 @@ class LRUCache(Generic[V]):
             self._entries.move_to_end(key)
             self._hits += 1
             return value
-
-    def get_many(self, keys: Sequence[str]) -> list[Optional[V]]:
-        """Probe a key batch under one lock acquisition.
-
-        Same hit/miss/recency semantics as per-key :meth:`get`, paid
-        for with a single lock round-trip per burst.
-        """
-        out: list[Optional[V]] = []
-        with self._lock:
-            entries = self._entries
-            for key in keys:
-                try:
-                    value = entries[key]
-                except KeyError:
-                    self._misses += 1
-                    out.append(None)
-                    continue
-                entries.move_to_end(key)
-                self._hits += 1
-                out.append(value)
-        return out
 
     def peek(self, key: str) -> Optional[V]:
         """Like :meth:`get` but without touching recency or counters."""
@@ -170,178 +107,3 @@ class LRUCache(Generic[V]):
                 size=len(self._entries),
                 capacity=self.capacity,
             )
-
-
-class ShardedClockCache(Generic[V]):
-    """Fingerprint-sharded cache: per-shard locks, batch probes.
-
-    Keys map onto one of ``shards`` independent shards through
-    :func:`stable_shard_index` — a pure function of the key bits, so a
-    key lands on the same shard in every process, across restarts, for
-    the cache's whole lifetime (the consistent assignment a shared
-    shard map requires).  Each shard owns a lock, a dict, and a
-    second-chance (CLOCK) eviction ring: a hit sets the entry's
-    reference flag instead of reordering a linked list, so the hit
-    path mutates nothing another thread must observe in order.
-
-    Concurrency contract:
-
-    * :meth:`get` and :meth:`put` take only their shard's lock —
-      traffic on distinct shards never serializes.
-    * :meth:`get_many` probes a whole key batch *lock-free* (CPython
-      dict reads are safe against concurrent locked writers) and then
-      folds the batch's hit/miss tally into the counters under one
-      lock — one acquisition per burst instead of one per key.
-    * All counters are updated under a lock (no benign-race drops):
-      hits + misses always equals the exact number of lookups.
-
-    Eviction is per-shard second-chance, which approximates LRU: a
-    referenced entry gets one trip around the ring before it can be
-    evicted.  Counter *semantics* (hits, misses, evictions, size,
-    capacity, hit_rate) are identical to :class:`LRUCache`.
-    """
-
-    def __init__(self, capacity: int = 1024, shards: int = 8):
-        if capacity < 1:
-            raise ModelError(f"cache capacity must be >= 1, got {capacity}")
-        if shards < 1:
-            raise ModelError(f"shard count must be >= 1, got {shards}")
-        self.capacity = int(capacity)
-        # Power-of-two shard count for mask-based selection.  Small
-        # caches round the shard count down so every shard keeps a
-        # useful capacity: sharding exists to split lock traffic, and
-        # a near-empty shard only distorts eviction behavior (exact
-        # eviction counts stay deterministic on a single shard).
-        nshards = 1
-        while nshards < shards:
-            nshards <<= 1
-        while nshards > 1 and self.capacity < nshards * _MIN_SHARD_CAPACITY:
-            nshards >>= 1
-        self.shards = nshards
-        self._mask = self.shards - 1
-        # Per-shard capacities sum exactly to the configured capacity.
-        base, extra = divmod(self.capacity, self.shards)
-        self._caps = [base + (1 if i < extra else 0)
-                      for i in range(self.shards)]
-        self._dicts: list[dict[str, list]] = [dict() for _ in range(self.shards)]
-        self._locks = [threading.Lock() for _ in range(self.shards)]
-        self._hits = [0] * self.shards
-        self._misses = [0] * self.shards
-        self._evictions = [0] * self.shards
-        # Batch-probe tallies (get_many) fold in here, one lock per burst.
-        self._agg_lock = threading.Lock()
-        self._agg_hits = 0
-        self._agg_misses = 0
-
-    # -- single-key operations ---------------------------------------------
-    def get(self, key: str) -> Optional[V]:
-        """Return the cached value or None; counts a hit or a miss."""
-        i = stable_shard_index(key, self._mask)
-        with self._locks[i]:
-            entry = self._dicts[i].get(key)
-            if entry is None:
-                self._misses[i] += 1
-                return None
-            entry[1] = True
-            self._hits[i] += 1
-            return entry[0]
-
-    def get_many(self, keys: Sequence[str]) -> list[Optional[V]]:
-        """Probe a key batch lock-free; one counter tally per call.
-
-        This is the bulk path batch producers use: per key it is a
-        dict probe plus a reference-flag store, with no lock at all;
-        the exact hit/miss counts fold into the aggregate counters
-        under a single lock acquisition at the end.
-        """
-        dicts = self._dicts
-        mask = self._mask
-        out: list[Optional[V]] = []
-        append = out.append
-        misses = 0
-        for key in keys:
-            entry = dicts[stable_shard_index(key, mask)].get(key)
-            if entry is None:
-                misses += 1
-                append(None)
-            else:
-                entry[1] = True
-                append(entry[0])
-        with self._agg_lock:
-            self._agg_hits += len(out) - misses
-            self._agg_misses += misses
-        return out
-
-    def peek(self, key: str) -> Optional[V]:
-        """Like :meth:`get` but without touching recency or counters."""
-        entry = self._dicts[stable_shard_index(key, self._mask)].get(key)
-        return entry[0] if entry is not None else None
-
-    def put(self, key: str, value: V) -> None:
-        """Insert (or refresh) *key*; second-chance eviction when full."""
-        i = stable_shard_index(key, self._mask)
-        d = self._dicts[i]
-        with self._locks[i]:
-            entry = d.get(key)
-            if entry is not None:
-                entry[0] = value
-                entry[1] = True
-                return
-            cap = self._caps[i]
-            scans = 0
-            while len(d) >= cap:
-                # CLOCK hand: the oldest entry gets a second chance if
-                # it was referenced since its last trip; the scan bound
-                # guarantees an eviction even when everything is hot.
-                old_key = next(iter(d))
-                old = d.pop(old_key)
-                if old[1] and scans <= len(d):
-                    old[1] = False
-                    d[old_key] = old
-                    scans += 1
-                else:
-                    self._evictions[i] += 1
-            d[key] = [value, False]
-
-    def count_hit(self) -> None:
-        """Record a front-cache (L0) hit in the aggregate counters."""
-        with self._agg_lock:
-            self._agg_hits += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept — they are lifetime totals)."""
-        for i in range(self.shards):
-            with self._locks[i]:
-                self._dicts[i].clear()
-
-    def __len__(self) -> int:
-        return sum(len(d) for d in self._dicts)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._dicts[stable_shard_index(key, self._mask)]
-
-    def stats(self) -> ShardedCacheStats:
-        """Aggregate counter snapshot across every shard."""
-        with self._agg_lock:
-            hits = self._agg_hits
-            misses = self._agg_misses
-        return ShardedCacheStats(
-            hits=hits + sum(self._hits),
-            misses=misses + sum(self._misses),
-            evictions=sum(self._evictions),
-            size=len(self),
-            capacity=self.capacity,
-            shards=self.shards,
-        )
-
-
-def make_memory_backend(capacity: int = 1024, shards: int = 8):
-    """Pick the memory tier: sharding is a backend choice, not a class.
-
-    ``shards <= 1`` selects the single-lock strict-LRU backend (exact,
-    deterministic eviction order); anything larger selects the
-    fingerprint-sharded CLOCK backend (the high-concurrency choice).
-    """
-    if shards > 1:
-        return ShardedClockCache(capacity, shards=shards)
-    return LRUCache(capacity)

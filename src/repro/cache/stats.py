@@ -1,22 +1,22 @@
-"""Uniform cache counter snapshots shared by every tier and backend.
+"""Uniform cache counter snapshots shared by every tier.
 
-Every cache in the system — the in-memory serving tiers, the sharded
-backend, the tiered memory-over-disk composition — reports itself
-through the same counter vocabulary: ``hits``, ``misses``,
-``evictions``, ``size``, ``capacity``, and the derived ``hit_rate``.
+Every cache in the system — the in-memory serving tier and the tiered
+memory-over-disk composition — reports itself through the same
+counter vocabulary: ``hits``, ``misses``, ``evictions``, ``size``,
+``capacity``, and the derived ``hit_rate``.
 That uniformity is what lets ``/metrics`` and ``repro cache info``
 render any cache identically, and what keeps the counter-exactness
-tests (hits + misses == lookups, always) meaningful across backends.
+tests (hits + misses == lookups, always) meaningful across tiers.
 
-:class:`CacheStats` is the base snapshot; :class:`ShardedCacheStats`
-adds the shard count; :class:`TieredCacheStats` adds the disk-tier
-counters (``disk_hits``, ``disk_entries``, ``disk_bytes``) without
-renaming or displacing any base key — metric names are an interface.
+:class:`CacheStats` is the base snapshot; :class:`TieredCacheStats`
+adds the disk-tier counters (``disk_hits``, ``disk_entries``,
+``disk_bytes``) without renaming or displacing any base key — metric
+names are an interface.
 """
 
 from __future__ import annotations
 
-__all__ = ["CacheStats", "ShardedCacheStats", "TieredCacheStats"]
+__all__ = ["CacheStats", "TieredCacheStats"]
 
 
 class CacheStats:
@@ -58,48 +58,27 @@ class CacheStats:
                 f"size={self.size}/{self.capacity})")
 
 
-class ShardedCacheStats(CacheStats):
-    """Aggregate :class:`CacheStats` plus the shard count."""
-
-    __slots__ = ("shards",)
-
-    def __init__(self, hits: int, misses: int, evictions: int,
-                 size: int, capacity: int, shards: int):
-        super().__init__(hits, misses, evictions, size, capacity)
-        self.shards = shards
-
-    def as_dict(self) -> dict[str, float]:
-        out = super().as_dict()
-        out["shards"] = self.shards
-        return out
-
-
 class TieredCacheStats(CacheStats):
     """Memory-tier counters folded with the disk tier's.
 
     ``hits`` includes decisions promoted from the disk tier (a lookup
     answered from *any* tier is a hit), so ``hits + misses`` still
     equals the exact number of lookups; ``disk_hits`` says how many of
-    those hits came off disk.  ``shards`` is present only when the
-    memory backend is sharded, mirroring the memory-only stats shape.
+    those hits came off disk.
     """
 
-    __slots__ = ("shards", "disk_hits", "disk_entries", "disk_bytes")
+    __slots__ = ("disk_hits", "disk_entries", "disk_bytes")
 
     def __init__(self, hits: int, misses: int, evictions: int,
-                 size: int, capacity: int, *, shards: int | None = None,
-                 disk_hits: int = 0, disk_entries: int = 0,
-                 disk_bytes: int = 0):
+                 size: int, capacity: int, *, disk_hits: int = 0,
+                 disk_entries: int = 0, disk_bytes: int = 0):
         super().__init__(hits, misses, evictions, size, capacity)
-        self.shards = shards
         self.disk_hits = disk_hits
         self.disk_entries = disk_entries
         self.disk_bytes = disk_bytes
 
     def as_dict(self) -> dict[str, float]:
         out = super().as_dict()
-        if self.shards is not None:
-            out["shards"] = self.shards
         out["disk_hits"] = self.disk_hits
         out["disk_entries"] = self.disk_entries
         out["disk_bytes"] = self.disk_bytes

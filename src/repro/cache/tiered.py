@@ -1,8 +1,7 @@
 """TieredCache: one cache, two tiers, one set of counters.
 
 The composition the rest of the system talks to: a bounded in-memory
-tier (:mod:`repro.cache.memory` — single-lock LRU or fingerprint-
-sharded CLOCK, a backend choice) over an optional content-addressed
+LRU tier (:mod:`repro.cache.memory`) over an optional content-addressed
 disk tier (:mod:`repro.cache.disk`).  Lookups probe memory first; a
 memory miss falls through to disk, and a disk hit is decoded, promoted
 into the memory tier, and *re-counted as a hit* — a lookup answered
@@ -18,16 +17,17 @@ payload; with the identity default the tier stores plain payload
 dicts.  A decode failure (stale format) is a miss, never an error.
 
 Without a disk tier the composition is transparent: every operation
-forwards to the memory backend and :meth:`TieredCache.stats` returns
-the backend's own snapshot — bit-identical counters, same metric keys.
+forwards to the memory tier and :meth:`TieredCache.stats` returns its
+own snapshot — bit-identical counters, same metric keys.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Generic, Optional, Sequence, TypeVar
+from typing import Any, Callable, Generic, Optional, TypeVar
 
 from .disk import DecisionDiskTier
+from .memory import LRUCache
 from .stats import CacheStats, TieredCacheStats
 
 __all__ = ["TieredCache"]
@@ -40,10 +40,9 @@ class TieredCache(Generic[V]):
 
     Parameters
     ----------
-    memory
-        A memory backend (:class:`~repro.cache.memory.LRUCache` or
-        :class:`~repro.cache.memory.ShardedClockCache`; anything with
-        the same get/put/stats contract works).
+    memory : LRUCache
+        The memory tier (:class:`~repro.cache.memory.LRUCache`;
+        anything with its get/put/count_hit/stats contract works).
     disk : DecisionDiskTier, optional
         The persistent tier; None (default) disables persistence and
         makes this a transparent wrapper.
@@ -53,7 +52,8 @@ class TieredCache(Generic[V]):
         default.
     """
 
-    def __init__(self, memory, *, disk: DecisionDiskTier | None = None,
+    def __init__(self, memory: LRUCache, *,
+                 disk: DecisionDiskTier | None = None,
                  encode: Callable[[V], bytes | dict[str, Any]] | None = None,
                  decode: Callable[[dict[str, Any]], V] | None = None):
         self.memory = memory
@@ -64,18 +64,17 @@ class TieredCache(Generic[V]):
         self._disk_hits = 0
         self._store_errors = 0
 
-    # -- pass-through geometry ---------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return self.memory.capacity
-
-    @property
-    def shards(self) -> int | None:
-        return getattr(self.memory, "shards", None)
-
     # -- lookups ------------------------------------------------------------
-    def _from_disk(self, key: str) -> Optional[V]:
-        """Disk probe on a memory miss: decode, promote, re-count."""
+    def get(self, key: str) -> Optional[V]:
+        """Probe memory, then disk; counts exactly one hit or miss.
+
+        A disk hit is decoded, promoted into memory and re-counted as
+        a hit (the memory tier already counted the lookup as a miss;
+        :meth:`stats` reclassifies it).
+        """
+        value = self.memory.get(key)
+        if value is not None or self.disk is None:
+            return value
         payload = self.disk.get(key)
         if payload is None:
             return None
@@ -84,45 +83,9 @@ class TieredCache(Generic[V]):
         except Exception:
             return None  # stale or foreign entry: a miss, not an error
         self.memory.put(key, value)
-        # The memory tier already counted this lookup as a miss; the
-        # tier aggregate reclassifies it (see stats()).
         with self._lock:
             self._disk_hits += 1
         return value
-
-    def get(self, key: str) -> Optional[V]:
-        """Probe memory, then disk; counts exactly one hit or miss."""
-        value = self.memory.get(key)
-        if value is not None or self.disk is None:
-            return value
-        return self._from_disk(key)
-
-    def get_many(self, keys: Sequence[str]) -> list[Optional[V]]:
-        """Bulk probe: the memory tier's batch path, disk on the misses.
-
-        The memory probe keeps its backend's amortized counting (one
-        tally per burst on the sharded backend); only the misses pay a
-        disk lookup, which is cheap next to recomputing a decision.
-        """
-        out = self.memory.get_many(keys)
-        if self.disk is not None:
-            for i, value in enumerate(out):
-                if value is None:
-                    out[i] = self._from_disk(keys[i])
-        return out
-
-    def peek(self, key: str) -> Optional[V]:
-        """Value without touching recency or counters, either tier."""
-        value = self.memory.peek(key)
-        if value is not None or self.disk is None:
-            return value
-        payload = self.disk.peek(key)
-        if payload is None:
-            return None
-        try:
-            return self._decode(payload) if self._decode else payload
-        except Exception:
-            return None
 
     # -- writes --------------------------------------------------------------
     def put(self, key: str, value: V) -> None:
@@ -153,23 +116,11 @@ class TieredCache(Generic[V]):
         """Record a hit served on this cache's behalf by a front cache."""
         self.memory.count_hit()
 
-    def clear(self) -> None:
-        """Drop the *memory* tier (the disk tier persists by design)."""
-        self.memory.clear()
-
-    def __len__(self) -> int:
-        return len(self.memory)
-
-    def __contains__(self, key: str) -> bool:
-        if key in self.memory:
-            return True
-        return self.disk is not None and key in self.disk
-
     # -- introspection -------------------------------------------------------
     def stats(self) -> CacheStats:
         """Counter snapshot; tier-aware but key-compatible.
 
-        Without a disk tier this is exactly the memory backend's
+        Without a disk tier this is exactly the memory tier's
         snapshot.  With one, lookups the memory tier counted as misses
         but the disk tier answered are reclassified as hits
         (``hits + misses`` still equals the exact lookup count) and
@@ -188,7 +139,6 @@ class TieredCache(Generic[V]):
             evictions=mem.evictions,
             size=mem.size,
             capacity=mem.capacity,
-            shards=getattr(mem, "shards", None),
             disk_hits=disk_hits,
             disk_entries=disk_entries,
             disk_bytes=disk_bytes,

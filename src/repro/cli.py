@@ -152,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--async", dest="use_async", action="store_true",
                      help="accepted for compatibility: the asyncio front "
                           "end is the default and only one")
-    srv.add_argument("--cache-shards", type=int, default=8,
-                     help="decision-cache shard count (1 = single-lock LRU)")
     srv.add_argument("--cache-dir", type=Path, default=None,
                      help="persistent decision-cache directory for "
                           "cross-restart warm starts "
@@ -433,7 +431,6 @@ def _cmd_serve(args) -> int:
         # Each pre-forked worker builds its own service after the fork.
         return DecisionService(
             cache_capacity=args.cache_capacity,
-            cache_shards=args.cache_shards,
             max_batch_size=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             max_queue_depth=args.max_queue_depth,

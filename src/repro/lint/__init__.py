@@ -4,7 +4,8 @@ The reproduction stakes its claims on contracts no single test can
 patrol exhaustively: bit-identical results across serial and fork-pool
 backends, per-cell RNG discipline (every policy at a grid cell faces
 the identical arrival/fault stream), fingerprints stable across
-processes and restarts, and lock discipline in the sharded caches.
+processes and restarts, and lock discipline in the caches and the
+service pipeline.
 Each contract has already produced a real bug fixed by hand —
 per-process ``hash()`` shard scatter, memory-address ``repr`` inside
 ``spec_fingerprint``, a silently swallowed plot exception — and each

@@ -1,7 +1,7 @@
 """Concurrency rules: lock discipline in lock-owning classes.
 
-The sharded caches and the service pipeline are the only parts of the
-system where two threads share mutable state; their contract (exact
+The caches and the service pipeline are the only parts of the system
+where two threads share mutable state; their contract (exact
 ``hits + misses == lookups``, no torn entries) survives only as long
 as every mutation of guarded state happens under the owning lock.
 """

@@ -142,9 +142,9 @@ class UnstableHashRule(Rule):
     The PR 8 shard-scatter bug: ``hash(fingerprint) % nshards`` gave
     every pre-forked worker a *different* shard assignment for the same
     key (PYTHONHASHSEED randomizes str hashing per process), silently
-    collapsing the cross-process hit rate.  Derive placement from the
-    key's own bits (``stable_shard_index``) or a real digest
-    (``hashlib``), never from ``hash()``.  ``__hash__``
+    collapsing the cross-process hit rate.  Derive placement from a
+    real digest (``hashlib``) or that digest's own bits, never from
+    ``hash()``.  ``__hash__``
     implementations delegating to ``hash(...)`` are exempt — they
     define in-process hashing, not cross-process placement.
     """
@@ -165,8 +165,8 @@ class UnstableHashRule(Rule):
             yield self.finding(
                 ctx, node,
                 "builtin hash() is randomized per process for str/bytes; "
-                "use stable_shard_index or hashlib for anything that must "
-                "agree across processes or restarts")
+                "use a hashlib digest (or its own bits) for anything that "
+                "must agree across processes or restarts")
 
 
 @register

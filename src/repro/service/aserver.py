@@ -69,7 +69,7 @@ from .protocol import MAX_BODY_BYTES, request_from_payload, response_bytes
 
 __all__ = ["AsyncDecisionServer", "AsyncServerThread", "serve_async"]
 
-#: Refuse header blocks beyond this size (we only read two headers).
+#: Refuse header blocks beyond this size (we read only framing headers).
 _MAX_HEADER_BYTES = 16 << 10
 
 _JSON_CT = b"application/json; charset=utf-8"
@@ -231,37 +231,39 @@ class _HttpProtocol(asyncio.Protocol):
             header_end = buf.find(b"\r\n\r\n")
             if header_end < 0:
                 if len(buf) > _MAX_HEADER_BYTES:
-                    self._emit(_error(400, "header block too large"))
-                    self._close_after_flush()
+                    self._reject(400, "header block too large")
                 return
-            header = bytes(buf[:header_end])
-            line_end = header.find(b"\r\n")
-            request_line = header if line_end < 0 else header[:line_end]
-            parts = request_line.split()
+            lines = bytes(buf[:header_end]).split(b"\r\n")
+            parts = lines[0].split()
             if len(parts) < 2:
-                self._emit(_error(400, "malformed request line"))
-                self._close_after_flush()
+                self._reject(400, "malformed request line")
                 return
             method, target = parts[0], parts[1]
-            lower = header.lower()
-            length = 0
-            idx = lower.find(b"content-length:")
-            if idx >= 0:
-                end = lower.find(b"\r\n", idx)
-                field = lower[idx + 15:end if end >= 0 else len(lower)]
-                try:
-                    length = int(field)
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    # The body's extent is unknown: reading on would
-                    # parse its bytes as the next request, so close.
-                    self._emit(_error(400, "bad Content-Length"))
-                    self._close_after_flush()
+            length = None
+            close = False
+            for line in lines[1:]:
+                name, _, value = line.partition(b":")
+                name = name.strip().lower()
+                if name == b"content-length":
+                    value = value.strip()
+                    # ASCII digits only (int() would take "+5", "1_0"
+                    # and, past 4300 digits, raise), given once: else
+                    # the body's extent is unknown and reading on
+                    # would parse its bytes as the next request.
+                    if (length is not None or not value.isdigit()
+                            or len(value) > 18):
+                        self._reject(400, "bad Content-Length")
+                        return
+                    length = int(value)
+                elif name == b"transfer-encoding":
+                    self._reject(400, "Transfer-Encoding is not supported")
                     return
+                elif name == b"connection":
+                    close = b"close" in [
+                        token.strip() for token in value.lower().split(b",")]
+            length = length or 0
             if length > MAX_BODY_BYTES:
-                self._emit(_error(413, f"body exceeds {MAX_BODY_BYTES} bytes"))
-                self._close_after_flush()
+                self._reject(413, f"body exceeds {MAX_BODY_BYTES} bytes")
                 return
             total = header_end + 4 + length
             if len(buf) < total:
@@ -269,7 +271,7 @@ class _HttpProtocol(asyncio.Protocol):
             body = bytes(buf[header_end + 4:total])
             del buf[:total]
             self._route(method, target, body)
-            if b"connection: close" in lower:
+            if close:
                 self._close_after_flush()
                 return
 
@@ -332,6 +334,11 @@ class _HttpProtocol(asyncio.Protocol):
         if self._closing and transport is not None:
             transport.close()
 
+    def _reject(self, status: int, message: str) -> None:
+        """Answer a request whose framing is unusable, then close."""
+        self._emit(_error(status, message))
+        self._close_after_flush()
+
     def _close_after_flush(self) -> None:
         self._closing = True
         if not self._outbox and self.transport is not None:
@@ -360,7 +367,8 @@ def serve_async(host: str = "127.0.0.1", port: int = 8765,
     0`` reports a single real port and worker processes share one
     accept queue (the portable alternative to ``SO_REUSEPORT``).  Each
     worker builds its service after the fork — batcher threads and
-    event loops never cross a fork boundary.
+    event loops never cross a fork boundary.  SIGTERM or ^C to the
+    parent stops and reaps every worker.
     """
     factory = service_factory or DecisionService
     if workers < 1:
@@ -382,24 +390,31 @@ def serve_async(host: str = "127.0.0.1", port: int = 8765,
         finally:
             sock.close()
         return
+    # SIGTERM unwinds the parent like ^C, through the finally below
+    # that stops and reaps every child; each child restores the
+    # default handler, so the parent's SIGTERM simply ends it.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     pids = []
-    for _ in range(workers):
-        pid = os.fork()
-        if pid == 0:  # child: serve until killed
-            try:
-                asyncio.run(_serve_on_socket(sock, factory()))
-            except KeyboardInterrupt:
-                pass
-            finally:
-                os._exit(0)
-        pids.append(pid)
-    sock.close()
     try:
+        for _ in range(workers):
+            pid = os.fork()
+            if pid == 0:  # child: serve until killed
+                try:
+                    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                    asyncio.run(_serve_on_socket(sock, factory()))
+                except KeyboardInterrupt:
+                    pass
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        sock.close()
         for pid in pids:
             os.waitpid(pid, 0)
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
+    except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
+        sock.close()
         for pid in pids:
             try:
                 os.kill(pid, signal.SIGTERM)

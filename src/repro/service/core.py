@@ -5,9 +5,9 @@ HTTP front end, the CLI, tests and benchmarks.  One call —
 :meth:`~DecisionService.allocate` — runs the full serving path:
 
 1. canonicalize + fingerprint the request (:mod:`.protocol`),
-2. answer from the tiered decision cache on a repeat — memory first,
-   then (when a cache directory is configured) the persistent disk
-   tier (:mod:`repro.cache`),
+2. answer from the tiered decision cache on a repeat — the in-memory
+   LRU tier first, then (when a cache directory is configured) the
+   persistent disk tier (:mod:`repro.cache`),
 3. otherwise enqueue into the coalescing batcher (:mod:`.batcher`),
    whose thread evaluates each batch through the dispatcher
    (:mod:`.dispatcher`),
@@ -26,8 +26,8 @@ from time import perf_counter
 
 from ..cache import (
     DecisionDiskTier,
+    LRUCache,
     TieredCache,
-    make_memory_backend,
     resolve_cache_dir,
 )
 from ..types import ModelError
@@ -54,12 +54,8 @@ class DecisionService:
     Parameters
     ----------
     cache_capacity : int
-        Decision-cache size (entries).
-    cache_shards : int
-        Shard count for the decision cache.  The default (8) uses the
-        fingerprint-sharded :class:`~repro.cache.ShardedClockCache`;
-        ``1`` selects the single-lock strict-LRU
-        :class:`~repro.cache.LRUCache`.
+        Size (entries) of the in-memory
+        :class:`~repro.cache.LRUCache` decision tier.
     max_batch_size : int
         Largest batch the batcher dispatches at once.
     max_wait_ms : float
@@ -84,7 +80,6 @@ class DecisionService:
         self,
         *,
         cache_capacity: int = 1024,
-        cache_shards: int = 8,
         max_batch_size: int = 16,
         max_wait_ms: float = 2.0,
         max_queue_depth: int | None = None,
@@ -94,7 +89,7 @@ class DecisionService:
             raise ModelError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         disk_dir = resolve_cache_dir(cache_dir)
         self.cache = TieredCache(
-            make_memory_backend(cache_capacity, shards=cache_shards),
+            LRUCache(cache_capacity),
             disk=DecisionDiskTier(disk_dir) if disk_dir is not None else None,
             encode=AllocationDecision.canonical_bytes,
             decode=AllocationDecision.from_payload,
@@ -224,6 +219,7 @@ class DecisionService:
             out[f"latency.{name}"] = value
         for name, value in self.cache.stats().as_dict().items():
             out[f"decision_cache.{name}"] = value
+        out["decision_cache.shards"] = 1  # one LRU memory tier
         for name, value in self.batcher.stats().as_dict().items():
             out[f"batcher.{name}"] = value
         out["dispatcher.workers"] = 1  # batches run on the batcher thread

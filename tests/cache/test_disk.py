@@ -73,7 +73,6 @@ class TestDecisionDiskTier:
         assert tier.put(key, {"makespan": 1.5, "names": ["x"]})
         assert key in tier
         assert tier.get(key) == {"makespan": 1.5, "names": ["x"]}
-        assert tier.peek(key) == {"makespan": 1.5, "names": ["x"]}
         assert len(tier.entries()) == 1
         assert tier.size_bytes() > 0
 

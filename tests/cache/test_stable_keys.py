@@ -1,14 +1,12 @@
-"""Cross-process stability of cache keys and shard assignment.
+"""Cross-process stability of cache keys.
 
 The whole point of content addressing is that two processes agree on
 the name of the same work.  Python's builtin ``hash()`` is randomized
 per process (PYTHONHASHSEED), so anything derived from it silently
-disagrees across processes — which is exactly how the original
-sharded cache scattered identical fingerprints onto different shards,
-and how ``repr()`` of nested code objects (memory addresses) made
-spec fingerprints unique per process.  These tests run the actual
-key derivations in subprocesses with *different* hash seeds and
-assert bit-identical answers.
+disagrees across processes — which is how ``repr()`` of nested code
+objects (memory addresses) once made spec fingerprints unique per
+process.  These tests run the actual key derivation in subprocesses
+with *different* hash seeds and assert bit-identical answers.
 """
 
 from __future__ import annotations
@@ -18,17 +16,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.cache import stable_shard_index
-
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-#: Probe run in a fresh interpreter: prints one line per derived key.
+#: Probe run in a fresh interpreter: prints the spec fingerprint.
 #: The factory deliberately nests a lambda (a code object in
 #: ``co_consts``) — the exact shape whose repr used to embed a memory
 #: address and break fingerprint stability.
 _PROBE = """
 import numpy as np
-from repro.cache import stable_shard_index
 from repro.experiments import Experiment, spec_fingerprint
 from repro.machine import taihulight
 from repro.workloads import npb_synth
@@ -50,8 +45,6 @@ exp = Experiment(
     seed=7,
 )
 print(spec_fingerprint(exp))
-for key in ("0a1b2c3d" + "e" * 56, "deadbeef", "plain-key", "k", ""):
-    print(stable_shard_index(key, 7))
 """
 
 
@@ -68,40 +61,12 @@ def _run_probe(hashseed: str) -> str:
 
 
 class TestCrossProcessStability:
-    def test_fingerprints_and_shards_survive_hash_randomization(self):
-        """Two interpreters with different hash seeds agree on every key."""
+    def test_fingerprints_survive_hash_randomization(self):
+        """Two interpreters with different hash seeds agree on the key."""
         out1 = _run_probe("1")
         out2 = _run_probe("2")
         assert out1 == out2
-        lines = out1.strip().splitlines()
-        # First line is a SHA-256 hex spec fingerprint.
-        assert len(lines[0]) == 64
-        int(lines[0], 16)
-
-    def test_parent_agrees_on_shard_assignment(self):
-        """The assignment in *this* process matches the subprocesses'."""
-        out = _run_probe("3").strip().splitlines()
-        keys = ("0a1b2c3d" + "e" * 56, "deadbeef", "plain-key", "k", "")
-        assert [int(x) for x in out[1:]] == [
-            stable_shard_index(key, 7) for key in keys]
-
-
-class TestStableShardIndex:
-    def test_hex_prefix_bits(self):
-        assert stable_shard_index("deadbeef" + "0" * 56, 0xF) == 0xDEADBEEF & 0xF
-        assert stable_shard_index("00000000", 0xFF) == 0
-
-    def test_non_hex_falls_back_deterministically(self):
-        a = stable_shard_index("not-hex-at-all", 7)
-        assert a == stable_shard_index("not-hex-at-all", 7)
-        assert 0 <= a <= 7
-
-    def test_distributes_over_shards(self):
-        import hashlib
-
-        mask = 7
-        seen = {
-            stable_shard_index(hashlib.sha256(str(i).encode()).hexdigest(), mask)
-            for i in range(256)
-        }
-        assert seen == set(range(8))
+        # The probe prints one SHA-256 hex spec fingerprint.
+        fingerprint = out1.strip()
+        assert len(fingerprint) == 64
+        int(fingerprint, 16)

@@ -9,10 +9,8 @@ import pytest
 from repro.cache import (
     DecisionDiskTier,
     LRUCache,
-    ShardedClockCache,
     TieredCache,
     TieredCacheStats,
-    make_memory_backend,
 )
 
 
@@ -20,26 +18,23 @@ def _hexkey(i: int) -> str:
     return f"{i:064x}"
 
 
-def _tiered(tmp_path, *, capacity=8, shards=1):
-    return TieredCache(
-        make_memory_backend(capacity, shards=shards),
-        disk=DecisionDiskTier(tmp_path),
-    )
+def _tiered(tmp_path, *, capacity=8):
+    return TieredCache(LRUCache(capacity), disk=DecisionDiskTier(tmp_path))
 
 
 class TestMemoryOnlyTransparency:
     """Without a disk tier the wrapper must be invisible."""
 
-    def test_stats_are_the_backend_snapshot(self):
-        for backend in (LRUCache(4), ShardedClockCache(64, shards=4)):
-            tiered = TieredCache(backend)
-            tiered.put(_hexkey(1), "v")
-            assert tiered.get(_hexkey(1)) == "v"
-            assert tiered.get(_hexkey(2)) is None
-            # Bit-identical counters and keys: same as_dict the backend
-            # would produce on its own — no disk_* keys appear.
-            assert tiered.stats().as_dict() == backend.stats().as_dict()
-            assert "disk_hits" not in tiered.stats().as_dict()
+    def test_stats_are_the_memory_tier_snapshot(self):
+        memory = LRUCache(4)
+        tiered = TieredCache(memory)
+        tiered.put(_hexkey(1), "v")
+        assert tiered.get(_hexkey(1)) == "v"
+        assert tiered.get(_hexkey(2)) is None
+        # Bit-identical counters and keys: same as_dict the memory tier
+        # would produce on its own — no disk_* keys appear.
+        assert tiered.stats().as_dict() == memory.stats().as_dict()
+        assert "disk_hits" not in tiered.stats().as_dict()
 
     def test_counter_exactness(self):
         tiered = TieredCache(LRUCache(4))
@@ -52,11 +47,6 @@ class TestMemoryOnlyTransparency:
         st = tiered.stats()
         assert st.hits + st.misses == lookups
 
-    def test_geometry_passthrough(self):
-        assert TieredCache(LRUCache(4)).capacity == 4
-        assert TieredCache(LRUCache(4)).shards is None
-        assert TieredCache(ShardedClockCache(64, shards=4)).shards == 4
-
 
 class TestDiskPromotion:
     def test_cross_instance_warm_start(self, tmp_path):
@@ -66,7 +56,7 @@ class TestDiskPromotion:
         # A brand-new memory tier over the same directory: the very
         # first lookup is a hit, served and promoted from disk.
         fresh = _tiered(tmp_path)
-        assert len(fresh) == 0
+        assert fresh.stats().size == 0
         assert fresh.get(_hexkey(1)) == {"answer": 42}
         st = fresh.stats()
         assert isinstance(st, TieredCacheStats)
@@ -82,14 +72,14 @@ class TestDiskPromotion:
         st = tiered.stats()
         assert (st.hits, st.misses) == (0, 1)
 
-    def test_get_many_promotes_disk_hits(self, tmp_path):
+    def test_get_promotes_disk_hits(self, tmp_path):
         warm = _tiered(tmp_path)
         for i in range(4):
             warm.put(_hexkey(i), {"i": i})
         fresh = _tiered(tmp_path)
         keys = [_hexkey(i) for i in range(6)]
-        assert fresh.get_many(keys) == [{"i": 0}, {"i": 1}, {"i": 2},
-                                        {"i": 3}, None, None]
+        assert [fresh.get(k) for k in keys] == [{"i": 0}, {"i": 1}, {"i": 2},
+                                                {"i": 3}, None, None]
         st = fresh.stats()
         assert st.hits + st.misses == len(keys)
         assert (st.hits, st.misses, st.disk_hits) == (4, 2, 4)
@@ -105,23 +95,14 @@ class TestDiskPromotion:
         st = tiered.stats()
         assert st.hits + st.misses == lookups
 
-    def test_clear_drops_memory_not_disk(self, tmp_path):
-        tiered = _tiered(tmp_path)
+    def test_memory_eviction_falls_back_to_disk(self, tmp_path):
+        tiered = _tiered(tmp_path, capacity=1)
         tiered.put(_hexkey(1), {"v": 1})
-        tiered.clear()
-        assert len(tiered) == 0
-        assert _hexkey(1) in tiered  # still on disk
+        tiered.put(_hexkey(2), {"v": 2})  # evicts key 1 from memory
+        assert tiered.memory.peek(_hexkey(1)) is None
+        assert _hexkey(1) in tiered.disk  # still on disk
         assert tiered.get(_hexkey(1)) == {"v": 1}
         assert tiered.stats().disk_hits == 1
-
-    def test_peek_is_counter_free(self, tmp_path):
-        warm = _tiered(tmp_path)
-        warm.put(_hexkey(1), {"v": 1})
-        fresh = _tiered(tmp_path)
-        assert fresh.peek(_hexkey(1)) == {"v": 1}
-        assert fresh.peek(_hexkey(2)) is None
-        st = fresh.stats()
-        assert (st.hits, st.misses, st.disk_hits) == (0, 0, 0)
 
     def test_decode_failure_is_a_miss(self, tmp_path):
         def boom(payload):
@@ -135,9 +116,37 @@ class TestDiskPromotion:
         st = fresh.stats()
         assert (st.hits, st.misses) == (0, 1)
 
+    def test_put_writes_through_to_disk(self, tmp_path):
+        tiered = _tiered(tmp_path)
+        tiered.put(_hexkey(3), {"v": 3})
+        assert tiered.memory.peek(_hexkey(3)) == {"v": 3}
+        assert _hexkey(3) in tiered.disk
+        st = tiered.stats()
+        assert st.disk_entries == 1 and st.disk_bytes > 0
+        assert tiered.store_errors == 0
+
+    def test_encode_failure_is_counted_and_still_served(self, tmp_path):
+        def boom(value):
+            raise ValueError("unencodable")
+
+        tiered = TieredCache(LRUCache(4), disk=DecisionDiskTier(tmp_path),
+                             encode=boom)
+        tiered.put(_hexkey(1), {"v": 1})
+        assert tiered.store_errors == 1
+        assert tiered.get(_hexkey(1)) == {"v": 1}
+        assert _hexkey(1) not in tiered.disk
+
+    def test_count_hit_reaches_memory_tier(self, tmp_path):
+        tiered = _tiered(tmp_path)
+        tiered.count_hit()
+        tiered.get(_hexkey(5))
+        st = tiered.stats()
+        assert (st.hits, st.misses, st.disk_hits) == (1, 1, 0)
+        assert tiered.memory.stats().hits == 1
+
     def test_metrics_keys_are_additive_only(self, tmp_path):
-        plain = TieredCache(make_memory_backend(8, shards=4)).stats().as_dict()
-        tiered = _tiered(tmp_path, shards=4).stats().as_dict()
+        plain = TieredCache(LRUCache(8)).stats().as_dict()
+        tiered = _tiered(tmp_path).stats().as_dict()
         assert set(plain) <= set(tiered)
         assert set(tiered) - set(plain) == {
             "disk_hits", "disk_entries", "disk_bytes"}
@@ -146,28 +155,29 @@ class TestDiskPromotion:
 class TestEvictionDeterminism:
     """The same operation sequence always leaves the same cache."""
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_replay_is_identical(self, tmp_path, shards):
+    @pytest.mark.parametrize("disk", [False, True])
+    def test_replay_is_identical(self, tmp_path, disk):
         def replay(cache):
             for i in range(200):
-                cache.put(_hexkey(i * 7 % 60), i)
+                cache.put(_hexkey(i * 7 % 60), {"i": i})
                 cache.get(_hexkey(i * 3 % 60))
             return sorted(
-                (k, cache.peek(k))
+                (k, cache.memory.peek(k))
                 for k in (_hexkey(j) for j in range(60))
-                if cache.peek(k) is not None
+                if cache.memory.peek(k) is not None
             )
 
-        a = replay(TieredCache(make_memory_backend(32, shards=shards)))
-        b = replay(TieredCache(make_memory_backend(32, shards=shards)))
-        assert a == b
-        sa = TieredCache(make_memory_backend(32, shards=shards))
-        replay(sa)
+        def fresh(name):
+            return TieredCache(
+                LRUCache(32),
+                disk=DecisionDiskTier(tmp_path / name) if disk else None)
+
+        assert replay(fresh("a")) == replay(fresh("b"))
 
 
 class TestThreadedExactness:
     def test_hammer(self, tmp_path):
-        tiered = _tiered(tmp_path, capacity=16, shards=4)
+        tiered = _tiered(tmp_path, capacity=16)
         lookups_per_thread = 300
         nthreads = 8
 

@@ -13,10 +13,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
+import selectors
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +61,35 @@ def _post_raw(url: str, body: bytes) -> tuple[int, dict]:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _exchange(url: str, wire: bytes, count: int | None = None,
+              ) -> list[tuple[bytes, bytes]]:
+    """Send raw *wire* bytes on one connection; collect the responses.
+
+    Reads ``(head, body)`` pairs until *count* arrived or, with no
+    *count*, until the server closes the connection.
+    """
+    host, port = url.removeprefix("http://").split(":")
+    responses: list[tuple[bytes, bytes]] = []
+    buf = b""
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(wire)
+        while count is None or len(responses) < count:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            buf += chunk
+            while (head_end := buf.find(b"\r\n\r\n")) >= 0:
+                head = buf[:head_end]
+                length = int(re.search(rb"(?i)content-length: *(\d+)",
+                                       head).group(1))
+                total = head_end + 4 + length
+                if len(buf) < total:
+                    break
+                responses.append((head, buf[head_end + 4:total]))
+                buf = buf[total:]
+    return responses
 
 
 GOLDEN_PAYLOADS = [
@@ -139,6 +176,59 @@ class TestGoldenEquivalence:
         assert head.startswith(b"HTTP/1.1 400")
         assert json.loads(body) == {"error": "bad Content-Length"}
 
+    @pytest.mark.parametrize("framing, error", [
+        (b"Content-Length: 1_0", "bad Content-Length"),
+        (b"Content-Length: +5", "bad Content-Length"),
+        (b"Content-Length: 0x5", "bad Content-Length"),
+        (b"Content-Length:", "bad Content-Length"),
+        (b"Content-Length: " + b"9" * 5000, "bad Content-Length"),
+        (b"Content-Length: 5\r\nContent-Length: 5", "bad Content-Length"),
+        (b"Transfer-Encoding: chunked", "Transfer-Encoding is not supported"),
+        (b"Transfer-Encoding: chunked\r\nContent-Length: 5",
+         "Transfer-Encoding is not supported"),
+    ], ids=["underscore", "plus", "hex", "empty", "5000-digits",
+            "duplicate", "chunked", "chunked-with-length"])
+    def test_bad_framing_400_and_close(self, async_url, framing, error):
+        # Whatever follows a request whose body extent is unknown must
+        # not be parsed as the next request: one 400, then the close.
+        wire = (b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n" + framing
+                + b"\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        responses = _exchange(async_url, wire)
+        assert len(responses) == 1
+        head, body = responses[0]
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body) == {"error": error}
+
+    def test_header_value_naming_content_length_is_not_framing(
+            self, async_url):
+        body = json.dumps(GOLDEN_PAYLOADS[0]).encode()
+        wire = (b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n"
+                b"X-Note: content-length: 5\r\n"
+                b"Content-Length:  " + str(len(body)).encode() + b" \r\n"
+                b"\r\n" + body
+                + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        (head, reply), (health_head, health) = _exchange(async_url, wire, 2)
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(reply)["decision"] == compute_decision(
+            request_from_payload(GOLDEN_PAYLOADS[0])).to_payload()
+        assert health_head.startswith(b"HTTP/1.1 200")
+        assert json.loads(health) == {"status": "ok"}
+
+    @pytest.mark.parametrize("header, answered", [
+        (b"Connection: close", 1),
+        (b"connection:  Keep-Alive, CLOSE", 1),
+        (b"X-Note: connection: close", 2),
+        (b"Connection: keep-alive", 2),
+    ])
+    def test_connection_close_matched_by_name(self, async_url, header,
+                                              answered):
+        one = b"GET /healthz HTTP/1.1\r\nHost: t\r\n" + header + b"\r\n\r\n"
+        two = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        responses = _exchange(async_url, one + two, 2)
+        assert [head[:12] for head, _ in responses] == (
+            [b"HTTP/1.1 200"] * answered)
+
 
 class TestAsyncServing:
     def test_repeat_is_cache_hit_with_fresh_latency(self, async_url):
@@ -173,35 +263,15 @@ class TestAsyncServing:
         assert "repro_batcher_queue_depth" in text
 
     def test_pipelined_requests_answered_in_order(self, async_url):
-        host, port = async_url.removeprefix("http://").split(":")
         bodies = [json.dumps(p).encode() for p in GOLDEN_PAYLOADS[:3]]
         wire = b"".join(
             b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n"
             b"Content-Type: application/json\r\n"
             b"Content-Length: " + str(len(b)).encode() + b"\r\n\r\n" + b
             for b in bodies)
-        with socket.create_connection((host, int(port)), timeout=30) as sock:
-            sock.sendall(wire)
-            sock.settimeout(30)
-            buf = b""
-            responses = []
-            while len(responses) < 3:
-                chunk = sock.recv(65536)
-                assert chunk, "connection closed early"
-                buf += chunk
-                while True:
-                    head_end = buf.find(b"\r\n\r\n")
-                    if head_end < 0:
-                        break
-                    head = buf[:head_end].lower()
-                    idx = head.find(b"content-length:")
-                    end = head.find(b"\r\n", idx)
-                    length = int(head[idx + 15:end if end > 0 else None])
-                    total = head_end + 4 + length
-                    if len(buf) < total:
-                        break
-                    responses.append(json.loads(buf[head_end + 4:total]))
-                    buf = buf[total:]
+        responses = [json.loads(body)
+                     for _, body in _exchange(async_url, wire, 3)]
+        assert len(responses) == 3, "connection closed early"
         # responses come back in request order, matched by fingerprint
         expected = [_post_raw(async_url, b)[1]["request_id"] for b in bodies]
         assert [r["request_id"] for r in responses] == expected
@@ -288,3 +358,69 @@ class TestBackpressure:
             with pytest.raises(ServiceError):
                 client.allocate([{"work": 55.0}], "taihulight")
         assert client.metrics()["batcher.rejected"] == 3
+
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _announced_url(proc: subprocess.Popen, timeout: float = 60.0) -> str:
+    """The URL a ``repro serve`` subprocess announces on stderr."""
+    deadline = time.monotonic() + timeout
+    with selectors.DefaultSelector() as sel:
+        sel.register(proc.stderr, selectors.EVENT_READ)
+        while time.monotonic() < deadline:
+            if not sel.select(deadline - time.monotonic()):
+                break
+            line = proc.stderr.readline()
+            if not line:
+                break
+            if "listening on " in line:
+                return line.rsplit("listening on ", 1)[1].strip()
+    raise AssertionError("repro serve announced no URL")
+
+
+class TestPreforkShutdown:
+    def test_sigterm_to_parent_stops_every_worker(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [_SRC, env.get("PYTHONPATH")]))
+        env.pop("REPRO_CACHE_DIR", None)
+        # Its own session, so cleanup can reach leftover children.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "2",
+             "--port", "0"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True)
+        try:
+            url = _announced_url(proc)
+            for _ in range(200):
+                try:
+                    with urllib.request.urlopen(url + "/healthz",
+                                                timeout=5) as resp:
+                        if resp.status == 200:
+                            break
+                except OSError:
+                    time.sleep(0.05)
+            else:
+                raise AssertionError("server never became healthy")
+            proc.send_signal(signal.SIGTERM)
+            returncode = proc.wait(timeout=10)
+            host, port = url.removeprefix("http://").split(":")
+            deadline = time.monotonic() + 5.0
+            while True:
+                try:
+                    socket.create_connection((host, int(port)),
+                                             timeout=1).close()
+                except ConnectionRefusedError:
+                    break  # no worker holds the shared socket any more
+                assert time.monotonic() < deadline, (
+                    "a worker still accepts connections after SIGTERM")
+                time.sleep(0.05)
+            assert returncode == 0
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)
+            proc.stderr.close()

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import pytest
 
 from repro.cache import LRUCache
 from repro.types import ModelError
+
+
+def fingerprints(n: int) -> list[str]:
+    return [hashlib.sha256(str(i).encode()).hexdigest() for i in range(n)]
 
 
 class TestLRU:
@@ -60,6 +65,42 @@ class TestLRU:
         with pytest.raises(ModelError):
             LRUCache(capacity=0)
 
+    def test_miss_returns_none_and_counts(self):
+        cache = LRUCache(capacity=4)
+        assert cache.get("nope") is None
+        stats = cache.stats()
+        assert stats.hits == 0 and stats.misses == 1
+        assert stats.hit_rate == 0.0
+
+    def test_put_refresh_overwrites_in_place(self):
+        cache = LRUCache(capacity=4)
+        cache.put("k", 1)
+        cache.put("k", 2)
+        assert cache.get("k") == 2
+        assert len(cache) == 1
+        assert cache.stats().evictions == 0
+
+    def test_contains_is_counter_free(self):
+        cache = LRUCache(capacity=4)
+        keys = fingerprints(3)
+        for i, key in enumerate(keys):
+            cache.put(key, i)
+        assert all(k in cache for k in keys)
+        assert "missing" not in cache
+        stats = cache.stats()
+        assert stats.hits == 0 and stats.misses == 0
+
+    def test_clear_keeps_counters(self):
+        cache = LRUCache(capacity=4)
+        cache.put("k", 1)
+        cache.get("k")
+        cache.get("absent")
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.get("k") is None
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (1, 2)
+
 
 class TestCounters:
     def test_hits_misses_evictions(self):
@@ -79,6 +120,49 @@ class TestCounters:
 
     def test_hit_rate_zero_without_traffic(self):
         assert LRUCache(4).stats().hit_rate == 0.0
+
+    def test_count_hit_feeds_aggregate(self):
+        cache = LRUCache(capacity=4)
+        cache.count_hit()
+        cache.count_hit()
+        cache.get("absent")
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (2, 1)
+        assert stats.size == 0
+
+    def test_capacity_is_respected(self):
+        cache = LRUCache(capacity=128)
+        keys = fingerprints(500)
+        for i, key in enumerate(keys):
+            cache.put(key, i)
+        stats = cache.stats()
+        assert stats.size == 128
+        # every insert beyond capacity evicted exactly one entry
+        assert stats.evictions == 500 - 128
+        # and the survivors are the 128 most recent inserts
+        assert all(k in cache for k in keys[-128:])
+        assert not any(k in cache for k in keys[:-128])
+
+    def test_eviction_terminates_when_everything_is_hot(self):
+        cache = LRUCache(capacity=4)
+        for key in "abcd":
+            cache.put(key, key)
+        for key in "abcd":
+            cache.get(key)
+        cache.put("e", "e")   # still evicts the least recent: 'a'
+        assert len(cache) == 4
+        assert "a" not in cache and "e" in cache
+
+    def test_stats_is_a_snapshot(self):
+        cache = LRUCache(capacity=4)
+        cache.put("k", 1)
+        before = cache.stats()
+        cache.get("k")
+        cache.get("absent")
+        cache.put("j", 2)
+        assert (before.hits, before.misses, before.size) == (0, 0, 1)
+        after = cache.stats()
+        assert (after.hits, after.misses, after.size) == (1, 1, 2)
 
     def test_as_dict_keys(self):
         d = LRUCache(4).stats().as_dict()
@@ -109,3 +193,80 @@ class TestThreadSafety:
         stats = cache.stats()
         assert stats.size <= 64
         assert stats.lookups == 8 * 500
+
+    def test_counters_exact_under_thread_hammer(self):
+        """N threads on one lock: hits + misses == exact lookup count."""
+        keys = fingerprints(256)
+        nthreads, per_thread = 8, 8 * len(keys)
+        cache = LRUCache(capacity=512)
+        for i, key in enumerate(keys[:128]):
+            cache.put(key, i)
+        barrier = threading.Barrier(nthreads)
+        errors: list[object] = []
+
+        def worker(tid: int):
+            local = keys[tid:] + keys[:tid]
+            try:
+                barrier.wait()
+                for i in range(per_thread):
+                    key = local[i % len(local)]
+                    value = cache.get(key)
+                    if value is not None and keys[value] != key:
+                        errors.append((key, value))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        stats = cache.stats()
+        assert stats.hits + stats.misses == nthreads * per_thread
+        # nothing was inserted during the run: half the keyspace is
+        # present, and each thread cycles over all of it whole times
+        assert stats.hits == stats.misses
+
+    def test_concurrent_put_get_no_lost_entries(self):
+        nthreads = 8
+        keys = fingerprints(512)
+        cache = LRUCache(capacity=1024)
+        barrier = threading.Barrier(nthreads)
+
+        def worker(tid: int):
+            barrier.wait()
+            for _ in range(3):
+                for i, key in enumerate(keys):
+                    if i % nthreads == tid:
+                        cache.put(key, i)
+                    else:
+                        cache.get(key)
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        # capacity was never exceeded, so every key must be present
+        assert all(cache.peek(k) == i for i, k in enumerate(keys))
+        assert cache.stats().evictions == 0
+
+    def test_concurrent_count_hit_is_exact(self):
+        nthreads, per_thread = 8, 1_000
+        cache = LRUCache(capacity=4)
+        barrier = threading.Barrier(nthreads)
+
+        def worker():
+            barrier.wait()
+            for _ in range(per_thread):
+                cache.count_hit()
+
+        threads = [threading.Thread(target=worker) for _ in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert cache.stats().hits == nthreads * per_thread
