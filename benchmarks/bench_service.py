@@ -1,11 +1,12 @@
-"""Decision-service throughput: cold vs warm vs disk-warm vs batched.
+"""Decision-service throughput (cold vs warm vs disk-warm vs batched)
+and lone-miss latency.
 
 Four serving regimes over the same repeated-request workload
 (``N_REQUESTS`` distinct allocation questions, ``NAPPS`` applications
 each):
 
 * **cold** — sequential requests against an empty decision cache:
-  every request pays the scheduler compute (plus the batcher linger).
+  every request pays the scheduler compute.
 * **warm** — the identical request stream again: every request is a
   decision-cache hit; no scheduler runs at all.  The acceptance bar
   for the subsystem is warm >= 10x cold throughput, asserted here.
@@ -19,6 +20,16 @@ each):
   requests coalesce into batches the batcher thread evaluates,
   which is how the service actually meets traffic.
 
+One latency ratio is gated too: **lone miss ÷ compute**.  For each of
+``LONE_MISS_REQUESTS`` novel ``LONE_MISS_NAPPS``-application
+requests, an in-process :meth:`DecisionService.allocate` on an idle,
+memory-only service is timed against a bare
+:func:`~repro.service.compute_decision` of the same request; the gate
+is the median of those per-request ratios (pairing cancels the
+machine's speed drifting during the run), and must be at most
+``LONE_MISS_OVER_COMPUTE``.  It is a ratio, so it holds on any
+machine: it measures what the serving path adds to the scheduler.
+
 Run under pytest (``pytest benchmarks/bench_service.py``) for
 pytest-benchmark timing rows, or standalone
 (``PYTHONPATH=src python benchmarks/bench_service.py``) for the plain
@@ -27,14 +38,17 @@ table.
 
 from __future__ import annotations
 
+import os
+import statistics
 import sys
 import threading
 from time import perf_counter
 
 import numpy as np
 
+from repro.cache.disk import CACHE_DIR_ENV
 from repro.machine import taihulight
-from repro.service import AllocationRequest, DecisionService
+from repro.service import AllocationRequest, DecisionService, compute_decision
 from repro.workloads import npb_synth
 
 #: Distinct questions in the workload; the warm phase repeats them all.
@@ -50,6 +64,13 @@ WARM_OVER_COLD = 10.0
 #: Cross-restart bar: serving from the disk tier must still dwarf
 #: recomputation (a JSON read is not a scheduler run).
 DISK_WARM_OVER_COLD = 5.0
+
+#: Lone-miss bar: what the serving path adds to an idle-service miss
+#: is at most one more scheduler compute.
+LONE_MISS_OVER_COMPUTE = 2.0
+LONE_MISS_REQUESTS = 200
+LONE_MISS_NAPPS = 16
+LONE_MISS_WARMUP = 20
 
 
 def build_requests() -> list[AllocationRequest]:
@@ -93,6 +114,46 @@ def run_concurrent(service: DecisionService,
     return perf_counter() - start, responses
 
 
+def lone_miss_ratio(n: int = LONE_MISS_REQUESTS) -> float:
+    """Median over *n* novel requests of ``allocate`` ÷ ``compute_decision``.
+
+    Each request is built twice with the same applications — a request
+    memoizes its workload, so neither timing may reuse the other's —
+    and which copy is timed first alternates from request to request.
+    The service is memory-only (``REPRO_CACHE_DIR`` is ignored), so
+    the ratio is the queue, the thread hand-offs and the bookkeeping,
+    not the disk.
+    """
+    rng = np.random.default_rng(2018)
+    saved = os.environ.pop(CACHE_DIR_ENV, None)
+    try:
+        service = DecisionService(max_batch_size=16)
+    finally:
+        if saved is not None:
+            os.environ[CACHE_DIR_ENV] = saved
+    ratios = []
+    with service:
+        for i in range(LONE_MISS_WARMUP + n):
+            apps = tuple(npb_synth(LONE_MISS_NAPPS, rng))
+            bare, served = (
+                AllocationRequest(applications=apps, platform=taihulight(),
+                                  scheduler="dominant-minratio")
+                for _ in range(2))
+            timings = {}
+            for side in (("compute", "allocate") if i % 2
+                         else ("allocate", "compute")):
+                start = perf_counter()
+                if side == "compute":
+                    compute_decision(bare)
+                else:
+                    response = service.allocate(served)
+                timings[side] = perf_counter() - start
+            assert not response.cache_hit
+            if i >= LONE_MISS_WARMUP:
+                ratios.append(timings["allocate"] / timings["compute"])
+    return statistics.median(ratios)
+
+
 def report() -> None:
     print()
     print(f"decision-service throughput ({N_REQUESTS} requests, "
@@ -107,6 +168,10 @@ def report() -> None:
         print(f"  disk-warm/cold ratio: "
               f"{RESULTS['disk-warm'] / RESULTS['cold']:.1f}x "
               f"(bar: {DISK_WARM_OVER_COLD:.0f}x)")
+    if "lone-miss" in RESULTS:
+        print(f"  lone miss / compute: {RESULTS['lone-miss']:.2f}x "
+              f"(median of {LONE_MISS_REQUESTS} paired requests; "
+              f"bar: <= {LONE_MISS_OVER_COMPUTE:.1f}x)")
 
 
 # -- pytest entry points ---------------------------------------------------
@@ -125,7 +190,7 @@ if pytest is not None:
 
     @pytest.fixture(scope="module")
     def service():
-        with DecisionService(max_batch_size=16, max_wait_ms=1.0) as svc:
+        with DecisionService(max_batch_size=16) as svc:
             yield svc
 
     def test_cold_sequential(benchmark, service, requests_):
@@ -152,12 +217,12 @@ if pytest is not None:
         cache_dir = tmp_path_factory.mktemp("decision-cache")
         # Warm the persistent tier, then throw the service (and its
         # memory tier) away — the restart.
-        with DecisionService(max_batch_size=16, max_wait_ms=1.0,
+        with DecisionService(max_batch_size=16,
                              cache_dir=cache_dir) as warmer:
             for request in requests_:
                 warmer.allocate(request)
 
-        with DecisionService(max_batch_size=16, max_wait_ms=1.0,
+        with DecisionService(max_batch_size=16,
                              cache_dir=cache_dir) as restarted:
             def run():
                 elapsed, responses = run_sequential(restarted, requests_)
@@ -176,7 +241,7 @@ if pytest is not None:
                 f"{DISK_WARM_OVER_COLD:.0f}x bar")
 
     def test_batched_concurrent(benchmark, requests_):
-        with DecisionService(max_batch_size=16, max_wait_ms=5.0) as fresh:
+        with DecisionService(max_batch_size=16) as fresh:
             def run():
                 elapsed, responses = run_concurrent(fresh, requests_)
                 assert all(r is not None for r in responses)
@@ -185,7 +250,13 @@ if pytest is not None:
                 RESULTS["batched"] = len(requests_) / elapsed
 
             benchmark.pedantic(run, iterations=1, rounds=1)
+
+    def test_lone_miss_over_compute():
+        RESULTS["lone-miss"] = lone_miss_ratio()
         report()
+        assert RESULTS["lone-miss"] <= LONE_MISS_OVER_COMPUTE, (
+            f"lone miss {RESULTS['lone-miss']:.2f}x compute: above the "
+            f"{LONE_MISS_OVER_COMPUTE:.1f}x bar")
 
 
 # -- standalone entry point ------------------------------------------------
@@ -195,7 +266,7 @@ def main() -> int:
 
     requests = build_requests()
     with tempfile.TemporaryDirectory() as cache_dir:
-        with DecisionService(max_batch_size=16, max_wait_ms=1.0,
+        with DecisionService(max_batch_size=16,
                              cache_dir=cache_dir) as svc:
             elapsed, responses = run_sequential(svc, requests)
             assert not any(r.cache_hit for r in responses)
@@ -204,15 +275,16 @@ def main() -> int:
             assert all(r.cache_hit for r in responses)
             RESULTS["warm"] = len(requests) / elapsed
         # Restart: fresh memory tier, same cache directory.
-        with DecisionService(max_batch_size=16, max_wait_ms=1.0,
+        with DecisionService(max_batch_size=16,
                              cache_dir=cache_dir) as svc:
             elapsed, responses = run_sequential(svc, requests)
             assert all(r.cache_hit for r in responses)
             assert svc.cache.stats().disk_hits == len(requests)
             RESULTS["disk-warm"] = len(requests) / elapsed
-    with DecisionService(max_batch_size=16, max_wait_ms=5.0) as svc:
+    with DecisionService(max_batch_size=16) as svc:
         elapsed, _ = run_concurrent(svc, requests)
         RESULTS["batched"] = len(requests) / elapsed
+    RESULTS["lone-miss"] = lone_miss_ratio()
     report()
     if RESULTS["warm"] < WARM_OVER_COLD * RESULTS["cold"]:
         print(f"FAIL: warm throughput below {WARM_OVER_COLD:.0f}x cold",
@@ -221,6 +293,10 @@ def main() -> int:
     if RESULTS["disk-warm"] < DISK_WARM_OVER_COLD * RESULTS["cold"]:
         print(f"FAIL: disk-warm throughput below "
               f"{DISK_WARM_OVER_COLD:.0f}x cold", file=sys.stderr)
+        return 1
+    if RESULTS["lone-miss"] > LONE_MISS_OVER_COMPUTE:
+        print(f"FAIL: lone miss above {LONE_MISS_OVER_COMPUTE:.1f}x the "
+              f"scheduler compute", file=sys.stderr)
         return 1
     return 0
 

@@ -268,9 +268,6 @@ class DecisionDiskTier:
         data = payload if isinstance(payload, bytes) else canonical_bytes(payload)
         return self.store.write_atomic(self.path_for(key), data)
 
-    def __contains__(self, key: str) -> bool:
-        return self._is_safe_key(key) and self.path_for(key).exists()
-
     def entries(self) -> list[Path]:
         return self.store.entries()
 

@@ -73,19 +73,6 @@ class LRUCache(Generic[V]):
                 self._evictions += 1
             self._entries[key] = value
 
-    def clear(self) -> None:
-        """Drop every entry (counters are kept — they are lifetime totals)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
     def count_hit(self) -> None:
         """Record a hit served on the cache's behalf by a front cache.
 

@@ -9,9 +9,9 @@ render any cache identically, and what keeps the counter-exactness
 tests (hits + misses == lookups, always) meaningful across tiers.
 
 :class:`CacheStats` is the base snapshot; :class:`TieredCacheStats`
-adds the disk-tier counters (``disk_hits``, ``disk_entries``,
-``disk_bytes``) without renaming or displacing any base key — metric
-names are an interface.
+adds the disk-tier counters (``disk_hits``, ``store_errors``,
+``disk_entries``, ``disk_bytes``) without renaming or displacing any
+base key — metric names are an interface.
 """
 
 from __future__ import annotations
@@ -64,22 +64,26 @@ class TieredCacheStats(CacheStats):
     ``hits`` includes decisions promoted from the disk tier (a lookup
     answered from *any* tier is a hit), so ``hits + misses`` still
     equals the exact number of lookups; ``disk_hits`` says how many of
-    those hits came off disk.
+    those hits came off disk.  ``store_errors`` counts disk writes that
+    failed (the value was still served from memory).
     """
 
-    __slots__ = ("disk_hits", "disk_entries", "disk_bytes")
+    __slots__ = ("disk_hits", "store_errors", "disk_entries", "disk_bytes")
 
     def __init__(self, hits: int, misses: int, evictions: int,
                  size: int, capacity: int, *, disk_hits: int = 0,
-                 disk_entries: int = 0, disk_bytes: int = 0):
+                 store_errors: int = 0, disk_entries: int = 0,
+                 disk_bytes: int = 0):
         super().__init__(hits, misses, evictions, size, capacity)
         self.disk_hits = disk_hits
+        self.store_errors = store_errors
         self.disk_entries = disk_entries
         self.disk_bytes = disk_bytes
 
     def as_dict(self) -> dict[str, float]:
         out = super().as_dict()
         out["disk_hits"] = self.disk_hits
+        out["store_errors"] = self.store_errors
         out["disk_entries"] = self.disk_entries
         out["disk_bytes"] = self.disk_bytes
         return out

@@ -101,8 +101,10 @@ class TieredCache(Generic[V]):
         if self.disk is not None:
             try:
                 payload = self._encode(value) if self._encode else value
-                self.disk.put(key, payload)
+                stored = self.disk.put(key, payload)
             except Exception:
+                stored = False
+            if not stored:
                 with self._lock:
                     self._store_errors += 1
 
@@ -132,6 +134,7 @@ class TieredCache(Generic[V]):
             return mem
         with self._lock:
             disk_hits = self._disk_hits
+            store_errors = self._store_errors
         disk_entries, disk_bytes = self.disk.footprint()
         return TieredCacheStats(
             hits=mem.hits + disk_hits,
@@ -140,6 +143,7 @@ class TieredCache(Generic[V]):
             size=mem.size,
             capacity=mem.capacity,
             disk_hits=disk_hits,
+            store_errors=store_errors,
             disk_entries=disk_entries,
             disk_bytes=disk_bytes,
         )

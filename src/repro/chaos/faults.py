@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..online.arrivals import parse_kv
 from ..simulate.kernel import EVENT_KINDS
 from ..types import ModelError
 
@@ -382,28 +383,6 @@ _SPEC_EXAMPLES = (
 )
 
 
-def _parse_kv(body: str, spec: str, allowed: dict[str, float]) -> dict[str, float]:
-    """Parse ``key=value`` float pairs, seeded with *allowed* defaults."""
-    out = dict(allowed)
-    if not body:
-        return out
-    for item in body.split(","):
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or key not in allowed:
-            raise ModelError(
-                f"bad fault spec {spec!r}: unknown or malformed field {item!r} "
-                f"(known: {', '.join(allowed)})"
-            )
-        try:
-            out[key] = float(value)
-        except ValueError:
-            raise ModelError(
-                f"bad fault spec {spec!r}: {key} needs a number, got {value!r}"
-            ) from None
-    return out
-
-
 def _require(fields: dict[str, float], spec: str, *names: str) -> None:
     for name in names:
         if math.isnan(fields[name]):
@@ -428,9 +407,9 @@ def parse_fault_spec(spec: str) -> FaultSpec:
         kind, _, body = segment.strip().partition(":")
         kind = kind.lower()
         if kind == "churn":
-            f = _parse_kv(body, spec, {"period": math.nan, "drop": 0.25,
-                                       "min": 0.25, "max": 1.0,
-                                       "start": math.nan})
+            f = parse_kv(body, spec, {"period": math.nan, "drop": 0.25,
+                                      "min": 0.25, "max": 1.0,
+                                      "start": math.nan}, "fault")
             _require(f, spec, "period")
             sources.append(ProcessorChurn(
                 period=f["period"], drop=f["drop"], min_frac=f["min"],
@@ -438,16 +417,17 @@ def parse_fault_spec(spec: str) -> FaultSpec:
                 start=None if math.isnan(f["start"]) else f["start"],
             ))
         elif kind == "crash":
-            f = _parse_kv(body, spec, {"hazard": math.nan, "delay": math.nan,
-                                       "lost": 1.0, "start": 0.0})
+            f = parse_kv(body, spec, {"hazard": math.nan, "delay": math.nan,
+                                      "lost": 1.0, "start": 0.0}, "fault")
             _require(f, spec, "hazard", "delay")
             sources.append(CrashRestart(
                 hazard=f["hazard"], delay=f["delay"], lost=f["lost"],
                 start=f["start"],
             ))
         elif kind == "preempt":
-            f = _parse_kv(body, spec, {"period": math.nan, "duration": math.nan,
-                                       "victims": 1.0, "start": math.nan})
+            f = parse_kv(body, spec, {"period": math.nan, "duration": math.nan,
+                                      "victims": 1.0, "start": math.nan},
+                         "fault")
             _require(f, spec, "period", "duration")
             victims = int(f["victims"])
             if victims != f["victims"]:
@@ -459,7 +439,7 @@ def parse_fault_spec(spec: str) -> FaultSpec:
                 start=None if math.isnan(f["start"]) else f["start"],
             ))
         elif kind == "classes":
-            f = _parse_kv(body, spec, {"count": 2.0, "share": 0.25})
+            f = parse_kv(body, spec, {"count": 2.0, "share": 0.25}, "fault")
             count = int(f["count"])
             if count != f["count"]:
                 raise ModelError(

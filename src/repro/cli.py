@@ -144,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="decision-cache entries (LRU beyond this)")
     srv.add_argument("--max-batch", type=int, default=16,
                      help="largest request batch dispatched at once")
-    srv.add_argument("--max-wait-ms", type=float, default=2.0,
-                     help="linger time filling a batch before dispatch")
     srv.add_argument("--workers", type=int, default=1,
                      help="pre-forked server processes, each with its own "
                           "event loop and service (default: 1)")
@@ -432,7 +430,6 @@ def _cmd_serve(args) -> int:
         return DecisionService(
             cache_capacity=args.cache_capacity,
             max_batch_size=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             max_queue_depth=args.max_queue_depth,
             cache_dir=args.cache_dir,
         )

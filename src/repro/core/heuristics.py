@@ -171,7 +171,7 @@ def dominant_partition(
 
     Returns the boolean mask of ``IC``.  Applications with zero weight
     (``w*f*d == 0`` — they cannot profit from cache) are evicted first
-    unconditionally; they would otherwise linger with ratio ``inf``
+    unconditionally; they would otherwise stay in with ratio ``inf``
     while contributing nothing.
     """
     weights = cache_weights(workload, platform)

@@ -200,8 +200,13 @@ _SPEC_EXAMPLES = (
 )
 
 
-def _parse_kv(body: str, spec: str, allowed: dict[str, float]) -> dict[str, float]:
-    """Parse ``key=value`` float pairs, seeded with *allowed* defaults."""
+def parse_kv(body: str, spec: str, allowed: dict[str, float],
+              what: str = "arrival") -> dict[str, float]:
+    """Parse ``key=value`` float pairs, seeded with *allowed* defaults.
+
+    *what* names the spec kind in error messages (``arrival``,
+    ``fault``).
+    """
     out = dict(allowed)
     if not body:
         return out
@@ -210,14 +215,14 @@ def _parse_kv(body: str, spec: str, allowed: dict[str, float]) -> dict[str, floa
         key = key.strip()
         if not sep or key not in allowed:
             raise ModelError(
-                f"bad arrival spec {spec!r}: unknown or malformed field {item!r} "
+                f"bad {what} spec {spec!r}: unknown or malformed field {item!r} "
                 f"(known: {', '.join(allowed)})"
             )
         try:
             out[key] = float(value)
         except ValueError:
             raise ModelError(
-                f"bad arrival spec {spec!r}: {key} needs a number, got {value!r}"
+                f"bad {what} spec {spec!r}: {key} needs a number, got {value!r}"
             ) from None
     return out
 
@@ -231,16 +236,16 @@ def parse_arrival_spec(spec: str) -> ArrivalSource:
     kind, _, body = spec.strip().partition(":")
     kind = kind.lower()
     if kind == "batch":
-        fields = _parse_kv(body, spec, {"at": 0.0})
+        fields = parse_kv(body, spec, {"at": 0.0})
         return BatchSource(at=fields["at"])
     if kind == "constant":
-        fields = _parse_kv(body, spec, {"period": math.nan, "start": 0.0})
+        fields = parse_kv(body, spec, {"period": math.nan, "start": 0.0})
         if math.isnan(fields["period"]):
             raise ModelError(f"bad arrival spec {spec!r}: constant needs period=P")
         return ConstantRate(period=fields["period"], start=fields["start"])
     if kind == "poisson":
-        fields = _parse_kv(body, spec,
-                           {"rate": math.nan, "burst": 0.0, "period": math.inf})
+        fields = parse_kv(body, spec,
+                          {"rate": math.nan, "burst": 0.0, "period": math.inf})
         if math.isnan(fields["rate"]):
             raise ModelError(f"bad arrival spec {spec!r}: poisson needs rate=R")
         return PoissonProcess(rate=fields["rate"], burst=fields["burst"],

@@ -3,10 +3,11 @@
 The serving subsystem: the paper's schedulers, wrapped as an online
 decision API.  A request — application set, platform, scheduler name —
 is canonicalized and fingerprinted (:mod:`.protocol`); repeats are
-answered from the tiered decision cache (:mod:`repro.cache`);
-concurrent distinct requests coalesce into batches (:mod:`.batcher`)
-that the batcher's one thread evaluates over the scheduler registry
-(:mod:`.dispatcher`).  The transport-agnostic core
+answered from the tiered decision cache (:mod:`repro.cache`); misses
+queue at the batcher (:mod:`.batcher`), whose one thread evaluates
+what is queued whenever it is free over the scheduler registry
+(:mod:`.dispatcher`), and a request identical to one in flight rides
+on it.  The transport-agnostic core
 (:class:`DecisionService`) is fronted by one asyncio HTTP JSON API
 (:mod:`.aserver`: ``/v1/allocate``, ``/v1/schedulers``, ``/metrics``)
 with a thin client (:mod:`.client`) and the ``repro serve`` /

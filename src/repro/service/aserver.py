@@ -32,10 +32,10 @@ Everything runs on one event loop, with no thread per request:
   (the hit still counts in the aggregate cache and decision counters).
 * Misses parse, canonicalize, and await
   :meth:`~repro.service.core.DecisionService.allocate_async` — the
-  event loop feeds the coalescing batcher, so concurrent distinct
-  requests batch onto the dispatcher, which evaluates them on the
-  batcher's thread.  Per-connection response order is preserved by
-  an outbox that interleaves ready bytes with pending tasks.
+  event loop feeds the batcher, whose one thread evaluates what is
+  queued whenever it is free (a request identical to one in flight
+  rides on it).  Per-connection response order is preserved by an
+  outbox that interleaves ready bytes with pending tasks.
 * Multi-worker mode (``repro serve --workers N``) pre-forks:
   the parent binds the listening socket once (so ``port 0`` works and
   no ``SO_REUSEPORT`` support is assumed) and each child accepts from
@@ -137,9 +137,6 @@ class _ByteCache:
         entries_.put(body, response_bytes(
             response.request_id, response.decision,
             cache_hit=True, coalesced=False, batch_size=0))
-
-    def __len__(self) -> int:
-        return len(self._entries) if self._entries is not None else 0
 
 
 class AsyncDecisionServer:

@@ -1,54 +1,55 @@
-"""Request batcher: coalesce concurrent requests into dispatch batches.
+"""Request batcher: turn concurrent requests into dispatch batches.
 
 Under load, many connections hit the service at once.  The batcher is
 the funnel between them and the dispatcher: each caller enqueues
-``(request, future)`` and waits on the future (the event loop awaits
-it, an in-process caller blocks); a single collector thread drains
-the queue into batches — up to ``max_batch_size`` requests, waiting
-at most ``max_wait_s`` after the first arrival for stragglers — and
-evaluates each batch through the dispatcher on that same thread,
-fanning the per-request results back out to the futures.  It is the
-service's one evaluating thread.
+``(request, key)`` and waits on the returned future (the event loop
+awaits it, an in-process caller blocks); a single collector thread
+takes whatever is queued the moment it is free — up to
+``max_batch_size`` requests, with no timer — and evaluates that batch
+through the dispatcher on the same thread, fanning the per-request
+results back out to the futures.  It is the service's one evaluating
+thread, so batches form on their own: requests that arrive while one
+batch computes queue up and become the next, and a lone request on an
+idle service is dispatched at once.
 
-Two requests with the same fingerprint inside one batching window are
-*coalesced*: the decision is computed once and resolves both futures
-(the second caller's response is flagged ``coalesced``).  A lone
-request on an idle service pays at most ``max_wait_s`` of extra
-latency — the knob trades single-request latency for batch
-throughput, exactly like the paper's co-scheduling trades a single
-application's finish time for machine-level efficiency.
+A request whose fingerprint is already queued or being evaluated is
+*coalesced*: it rides on that computation instead of queueing again,
+and its response is flagged ``coalesced``.  A rider adds no queue
+depth and is never shed.
 
 Queueing is bounded: with ``max_queue_depth`` set, a submit that finds
-that many requests already waiting raises :class:`QueueFullError`
-(carrying a retry hint) instead of growing the queue without limit —
-the HTTP front end translates it into ``503`` + ``Retry-After`` so
-overload sheds load at the edge instead of collecting latency debt.
+that many distinct requests already waiting raises
+:class:`QueueFullError` (carrying a retry hint) instead of growing the
+queue without limit — the HTTP front end translates it into ``503`` +
+``Retry-After`` so overload sheds load at the edge instead of
+collecting latency debt.
 
 The collector thread is a daemon and additionally wakes on shutdown;
-``close()`` drains cleanly and cancels what it cannot serve.
+``close()`` stops new submissions and serves every request already
+accepted before the thread exits.
 """
 
 from __future__ import annotations
 
-import inspect
 import queue
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from time import monotonic
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..types import ModelError
 from .protocol import AllocationDecision, AllocationRequest
 
 __all__ = ["RequestBatcher", "BatchItem", "BatcherStats", "QueueFullError"]
 
+#: Backoff hint (seconds) carried by :class:`QueueFullError`.
+RETRY_AFTER_S = 0.05
+
 
 class QueueFullError(ModelError):
     """The batcher queue is at ``max_queue_depth`` — shed this request.
 
-    ``retry_after_s`` is the server's backoff hint: roughly the time
-    the batcher needs to drain one dispatch window.
+    ``retry_after_s`` is the server's backoff hint.
     """
 
     def __init__(self, depth: int, max_depth: int, retry_after_s: float):
@@ -65,23 +66,26 @@ _SHUTDOWN = object()
 
 @dataclass
 class BatchItem:
-    """One enqueued request and where its answer goes.
+    """One distinct enqueued request and where its answer goes.
 
-    ``future`` resolves to ``(decision, batch_size, coalesced)`` so the
-    service layer can stamp serving metadata onto the response.
+    Each waiter future resolves to ``(decision, batch_size,
+    coalesced)`` so the service layer can stamp serving metadata onto
+    the response; the first waiter is the submitter, the rest are
+    riders.
     """
 
     request: AllocationRequest
     key: str
-    future: "Future[tuple[AllocationDecision, int, bool]]" = field(
-        default_factory=Future)
+    waiters: "list[Future[tuple[AllocationDecision, int, bool]]]" = field(
+        default_factory=lambda: [Future()])
 
 
 class BatcherStats:
     """Lifetime batching counters (snapshot, no lock needed to read).
 
-    ``queue_depth`` is the one instantaneous gauge in the set: requests
-    accepted but not yet handed to the dispatcher at snapshot time.
+    ``requests`` counts callers and ``coalesced`` the riders among
+    them.  ``queue_depth`` is the one instantaneous gauge in the set:
+    distinct requests accepted but not yet evaluated at snapshot time.
     """
 
     __slots__ = ("batches", "requests", "coalesced", "max_batch_seen",
@@ -118,59 +122,44 @@ class RequestBatcher:
     Parameters
     ----------
     evaluate : callable
-        Batch evaluator — ``evaluate(requests)`` returning one
-        decision (or exception) per request, positionally.  Normally
+        Batch evaluator — ``evaluate(requests, keys=keys)`` returning
+        one decision (or exception) per request, positionally; *keys*
+        are the requests' fingerprints.  Normally
         :meth:`repro.service.dispatcher.Dispatcher.evaluate`.
     max_batch_size : int
-        Hard cap on requests per dispatched batch.
-    max_wait_s : float
-        How long the collector lingers after the first request of a
-        window, hoping to fill the batch.  0 disables lingering
-        (every request dispatches immediately with whatever else is
-        already queued).
+        Hard cap on distinct requests per dispatched batch.
     max_queue_depth : int, optional
-        Backpressure limit: a submit that finds this many requests
-        already accepted-but-undispatched raises
-        :class:`QueueFullError`.  None (the default) keeps the
-        historical unbounded queue.
+        Backpressure limit: a submit of a new fingerprint that finds
+        this many distinct requests already accepted-but-unevaluated
+        raises :class:`QueueFullError`.  None (the default) keeps the
+        queue unbounded.
     """
 
     def __init__(
         self,
-        evaluate: Callable[[Sequence[AllocationRequest]],
-                           "list[AllocationDecision | Exception]"],
+        evaluate: Callable[..., "list[AllocationDecision | Exception]"],
         *,
         max_batch_size: int = 16,
-        max_wait_s: float = 0.002,
         max_queue_depth: int | None = None,
     ):
         if max_batch_size < 1:
             raise ModelError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_s < 0:
-            raise ModelError(f"max_wait_s must be >= 0, got {max_wait_s}")
         if max_queue_depth is not None and max_queue_depth < 0:
             raise ModelError(
                 f"max_queue_depth must be >= 0, got {max_queue_depth}")
         self.evaluate = evaluate
-        # Evaluators that accept a ``keys`` argument get the request
-        # fingerprints too, so per-request failures can carry them.
-        try:
-            self._evaluate_wants_keys = (
-                "keys" in inspect.signature(evaluate).parameters)
-        except (TypeError, ValueError):  # builtins, odd callables
-            self._evaluate_wants_keys = False
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_s)
         self.max_queue_depth = (
             None if max_queue_depth is None else int(max_queue_depth))
         self._queue: "queue.Queue[BatchItem | object]" = queue.Queue()
         self._closed = False
         self._lock = threading.Lock()
+        # Queued or being-evaluated requests by fingerprint.
+        self._pending: dict[str, BatchItem] = {}
         self._batches = 0
         self._requests = 0
         self._coalesced = 0
         self._max_batch_seen = 0
-        self._depth = 0
         self._rejected = 0
         self._collector = threading.Thread(
             target=self._run, name="repro-batcher", daemon=True)
@@ -181,41 +170,41 @@ class RequestBatcher:
                ) -> "Future[tuple[AllocationDecision, int, bool]]":
         """Enqueue *request*; returns the future carrying its decision.
 
-        Raises :class:`QueueFullError` when the backpressure limit is
-        reached and :class:`~repro.types.ModelError` after close().
+        A *key* already queued or being evaluated rides on that
+        computation.  Raises :class:`QueueFullError` when the
+        backpressure limit is reached and
+        :class:`~repro.types.ModelError` after close().
         """
-        item = BatchItem(request=request, key=key)
         # The closed-check and the put must be atomic against close():
-        # otherwise an item can slip in after the collector's final
-        # drain and its caller blocks on the future forever.
+        # otherwise an item can slip in behind the shutdown sentinel
+        # and its caller blocks on the future forever.
         with self._lock:
             if self._closed:
                 raise ModelError("batcher is closed")
-            if (self.max_queue_depth is not None
-                    and self._depth >= self.max_queue_depth):
+            item = self._pending.get(key)
+            if item is not None:
+                future: Future = Future()
+                item.waiters.append(future)
+                return future
+            depth = len(self._pending)
+            if self.max_queue_depth is not None and depth >= self.max_queue_depth:
                 self._rejected += 1
-                # Hint: one linger window plus a dispatch round.
-                raise QueueFullError(self._depth, self.max_queue_depth,
-                                     retry_after_s=max(0.05, 2 * self.max_wait_s))
-            self._depth += 1
+                raise QueueFullError(depth, self.max_queue_depth,
+                                     retry_after_s=RETRY_AFTER_S)
+            item = self._pending[key] = BatchItem(request=request, key=key)
             self._queue.put(item)
-        return item.future
+        return item.waiters[0]
 
     # -- collector side ----------------------------------------------------
     def _collect_batch(self) -> list[BatchItem] | None:
-        """Block for the first item, linger for stragglers; None on shutdown."""
+        """Block for the first item, take what else is queued; None on shutdown."""
         first = self._queue.get()
         if first is _SHUTDOWN:
             return None
         batch = [first]
-        deadline = monotonic() + self.max_wait_s
         while len(batch) < self.max_batch_size:
-            remaining = deadline - monotonic()
             try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
@@ -227,65 +216,46 @@ class RequestBatcher:
         return batch
 
     def _run(self) -> None:
-        while True:
-            batch = self._collect_batch()
-            if batch is None:
-                break
+        # close() posts the sentinel after the last request it accepts,
+        # so every accepted request, riders included, is served first.
+        while (batch := self._collect_batch()) is not None:
             self._serve(batch)
-        # Shutdown: fail whatever is still queued with a clean error
-        # (cancel() would surface as CancelledError, which callers
-        # would report as an internal failure rather than a shutdown).
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if isinstance(item, BatchItem):
-                item.future.set_exception(ModelError("batcher is closed"))
 
     def _serve(self, batch: list[BatchItem]) -> None:
-        """Dispatch one batch: dedup by key, evaluate, fan back out."""
-        firsts: dict[str, int] = {}
-        unique: list[AllocationRequest] = []
-        unique_keys: list[str] = []
-        for item in batch:
-            if item.key not in firsts:
-                firsts[item.key] = len(unique)
-                unique.append(item.request)
-                unique_keys.append(item.key)
+        """Evaluate one batch and resolve every waiter of every item."""
         try:
-            if self._evaluate_wants_keys:
-                results = self.evaluate(unique, keys=unique_keys)
-            else:
-                results = self.evaluate(unique)
-            if len(results) != len(unique):  # defensive: broken evaluator
+            results = self.evaluate([item.request for item in batch],
+                                    keys=[item.key for item in batch])
+            if len(results) != len(batch):  # defensive: broken evaluator
                 raise ModelError(
                     f"evaluator returned {len(results)} results for "
-                    f"{len(unique)} requests")
+                    f"{len(batch)} requests")
         except Exception as exc:  # total failure: everyone hears about it
-            results = [exc] * len(unique)
+            results = [exc] * len(batch)
         with self._lock:
+            # From here on a repeat of these keys queues afresh.
+            for item in batch:
+                del self._pending[item.key]
+            callers = sum(len(item.waiters) for item in batch)
             self._batches += 1
-            self._requests += len(batch)
-            self._coalesced += len(batch) - len(unique)
-            self._max_batch_seen = max(self._max_batch_seen, len(batch))
-            self._depth -= len(batch)
-        seen: set[str] = set()
-        for item in batch:
-            result = results[firsts[item.key]]
-            coalesced = item.key in seen
-            seen.add(item.key)
-            if isinstance(result, Exception):
-                item.future.set_exception(result)
-            else:
-                item.future.set_result((result, len(unique), coalesced))
+            self._requests += callers
+            self._coalesced += callers - len(batch)
+            self._max_batch_seen = max(self._max_batch_seen, callers)
+        for item, result in zip(batch, results):
+            for i, future in enumerate(item.waiters):
+                if not future.set_running_or_notify_cancel():
+                    continue  # its caller gave up; the others still hear
+                if isinstance(result, Exception):
+                    future.set_exception(result)
+                else:
+                    future.set_result((result, len(batch), i > 0))
 
     # -- lifecycle ---------------------------------------------------------
     def stats(self) -> BatcherStats:
         with self._lock:
             return BatcherStats(self._batches, self._requests,
                                 self._coalesced, self._max_batch_seen,
-                                queue_depth=self._depth,
+                                queue_depth=len(self._pending),
                                 rejected=self._rejected)
 
     def close(self, timeout: float = 5.0) -> None:

@@ -8,11 +8,13 @@ HTTP front end, the CLI, tests and benchmarks.  One call —
 2. answer from the tiered decision cache on a repeat — the in-memory
    LRU tier first, then (when a cache directory is configured) the
    persistent disk tier (:mod:`repro.cache`),
-3. otherwise enqueue into the coalescing batcher (:mod:`.batcher`),
-   whose thread evaluates each batch through the dispatcher
-   (:mod:`.dispatcher`),
-4. store the fresh decision and stamp serving metadata (latency,
-   batch size, hit/coalesced flags) onto the response.
+3. otherwise submit to the batcher (:mod:`.batcher`), whose one
+   thread evaluates what is queued whenever it is free through the
+   dispatcher (:mod:`.dispatcher`); a request identical to one in
+   flight rides on it,
+4. store the fresh decision (once, by the first caller) and stamp
+   serving metadata (latency, batch size, hit/coalesced flags) onto
+   the response.
 
 The service also aggregates every layer's counters into one
 ``metrics()`` mapping — the single source for ``/metrics``.
@@ -30,7 +32,6 @@ from ..cache import (
     TieredCache,
     resolve_cache_dir,
 )
-from ..types import ModelError
 from .batcher import RequestBatcher
 from .dispatcher import Dispatcher
 from .metrics import Gauge, LatencyHistogram
@@ -58,14 +59,13 @@ class DecisionService:
         :class:`~repro.cache.LRUCache` decision tier.
     max_batch_size : int
         Largest batch the batcher dispatches at once.
-    max_wait_ms : float
-        Linger time for filling a batch, in milliseconds (the HTTP
-        and CLI layers expose milliseconds; internals use seconds).
     max_queue_depth : int, optional
         Batcher backpressure limit — submissions beyond this many
-        queued requests raise
+        distinct queued requests raise
         :class:`~repro.service.batcher.QueueFullError` (the HTTP
-        front end answers 503 + ``Retry-After``).  None = unbounded.
+        front end answers 503 + ``Retry-After``); a request identical
+        to one in flight rides on it and is never shed.  None =
+        unbounded.
     cache_dir : str | Path, optional
         Directory for the persistent decision tier.  When set (or when
         ``REPRO_CACHE_DIR`` is in the environment), every fresh
@@ -81,12 +81,9 @@ class DecisionService:
         *,
         cache_capacity: int = 1024,
         max_batch_size: int = 16,
-        max_wait_ms: float = 2.0,
         max_queue_depth: int | None = None,
         cache_dir=None,
     ):
-        if max_wait_ms < 0:
-            raise ModelError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         disk_dir = resolve_cache_dir(cache_dir)
         self.cache = TieredCache(
             LRUCache(cache_capacity),
@@ -98,7 +95,6 @@ class DecisionService:
         self.batcher = RequestBatcher(
             self.dispatcher.evaluate,
             max_batch_size=max_batch_size,
-            max_wait_s=max_wait_ms / 1000.0,
             max_queue_depth=max_queue_depth,
         )
         self.latency = LatencyHistogram()
@@ -137,7 +133,8 @@ class DecisionService:
             except Exception:
                 self._count_error()
                 raise
-            self.cache.put(key, decision)
+            if not coalesced:  # riders leave the store to the first caller
+                self.cache.put(key, decision)
             return self._respond(key, decision, start,
                                  cache_hit=False, coalesced=coalesced,
                                  batch_size=batch_size)

@@ -11,8 +11,8 @@ workload and platform, and packages the resulting schedule's
 Batches are evaluated inline on the calling thread — the batcher's
 collector thread — with no pool behind it: schedulers with a
 vectorized ``batch_fn`` take their whole group in one call, the rest
-run one after another.  Deduplication is the batcher's job (it
-coalesces identical fingerprints before dispatch), so a batch reaching
+run one after another.  Deduplication is the batcher's job (a request
+identical to one in flight rides on it), so a batch reaching
 :meth:`Dispatcher.evaluate` contains only distinct requests and the
 dispatcher spends no time re-hashing them on the latency-bound path.
 """
@@ -108,7 +108,7 @@ class Dispatcher:
         self.inflight = Gauge()
 
     def evaluate(self, requests: Sequence[AllocationRequest],
-                 keys: Sequence[str] | None = None,
+                 keys: Sequence[str],
                  ) -> list[AllocationDecision | Exception]:
         """Evaluate a batch; position *i* answers ``requests[i]``.
 
@@ -122,22 +122,20 @@ class Dispatcher:
         slots must still get their answers, so a failing batch call
         falls back to per-request evaluation of its group.
 
-        With ``keys`` (the per-request fingerprints, supplied by the
-        batcher), model failures come back as :class:`RequestError`
-        carrying the failing request's fingerprint and scheduler.
-        Non-Repro exceptions stay unwrapped — those are server bugs.
+        ``keys`` are the per-request fingerprints: model failures come
+        back as :class:`RequestError` carrying the failing request's
+        fingerprint and scheduler.  Non-Repro exceptions stay
+        unwrapped — those are server bugs.
         """
         self.inflight.inc(len(requests))
         try:
             out = self._evaluate(requests)
         finally:
             self.inflight.dec(len(requests))
-        if keys is not None:
-            for i, result in enumerate(out):
-                if (isinstance(result, ReproError)
-                        and not isinstance(result, RequestError)):
-                    out[i] = RequestError(result, keys[i],
-                                          requests[i].scheduler)
+        for i, result in enumerate(out):
+            if (isinstance(result, ReproError)
+                    and not isinstance(result, RequestError)):
+                out[i] = RequestError(result, keys[i], requests[i].scheduler)
         return out
 
     def _evaluate(self, requests: Sequence[AllocationRequest],

@@ -100,7 +100,7 @@ class TestDiskPromotion:
         tiered.put(_hexkey(1), {"v": 1})
         tiered.put(_hexkey(2), {"v": 2})  # evicts key 1 from memory
         assert tiered.memory.peek(_hexkey(1)) is None
-        assert _hexkey(1) in tiered.disk  # still on disk
+        assert tiered.disk.get(_hexkey(1)) is not None  # still on disk
         assert tiered.get(_hexkey(1)) == {"v": 1}
         assert tiered.stats().disk_hits == 1
 
@@ -120,7 +120,7 @@ class TestDiskPromotion:
         tiered = _tiered(tmp_path)
         tiered.put(_hexkey(3), {"v": 3})
         assert tiered.memory.peek(_hexkey(3)) == {"v": 3}
-        assert _hexkey(3) in tiered.disk
+        assert tiered.disk.get(_hexkey(3)) == {"v": 3}
         st = tiered.stats()
         assert st.disk_entries == 1 and st.disk_bytes > 0
         assert tiered.store_errors == 0
@@ -134,7 +134,16 @@ class TestDiskPromotion:
         tiered.put(_hexkey(1), {"v": 1})
         assert tiered.store_errors == 1
         assert tiered.get(_hexkey(1)) == {"v": 1}
-        assert _hexkey(1) not in tiered.disk
+        assert tiered.disk.get(_hexkey(1)) is None
+
+    def test_failed_disk_write_is_counted_and_still_served(self, tmp_path):
+        (tmp_path / "decisions").write_text("not a directory")
+        tiered = _tiered(tmp_path)
+        with pytest.warns(RuntimeWarning, match="could not store"):
+            tiered.put(_hexkey(1), {"v": 1})
+        assert tiered.store_errors == 1
+        assert tiered.stats().store_errors == 1
+        assert tiered.get(_hexkey(1)) == {"v": 1}
 
     def test_count_hit_reaches_memory_tier(self, tmp_path):
         tiered = _tiered(tmp_path)
@@ -149,7 +158,7 @@ class TestDiskPromotion:
         tiered = _tiered(tmp_path).stats().as_dict()
         assert set(plain) <= set(tiered)
         assert set(tiered) - set(plain) == {
-            "disk_hits", "disk_entries", "disk_bytes"}
+            "disk_hits", "store_errors", "disk_entries", "disk_bytes"}
 
 
 class TestEvictionDeterminism:

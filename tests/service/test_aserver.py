@@ -42,8 +42,7 @@ from repro.types import ReproError
 
 
 def _service() -> DecisionService:
-    return DecisionService(cache_capacity=64, max_batch_size=8,
-                           max_wait_ms=1.0)
+    return DecisionService(cache_capacity=64, max_batch_size=8)
 
 
 @pytest.fixture
@@ -114,7 +113,7 @@ GOLDEN_ERRORS = [
 
 def _in_process_error(body: bytes) -> str:
     """The message an in-process evaluation of *body* fails with."""
-    with DecisionService(max_wait_ms=0.0) as service:
+    with DecisionService() as service:
         try:
             service.allocate(request_from_payload(json.loads(body)))
         except json.JSONDecodeError as exc:
@@ -307,7 +306,7 @@ class TestOneEncoding:
         encode = protocol.canonical_bytes
         monkeypatch.setattr(protocol, "canonical_bytes",
                             lambda payload: encodes.append(1) or encode(payload))
-        service = DecisionService(cache_dir=tmp_path, max_wait_ms=0.0)
+        service = DecisionService(cache_dir=tmp_path)
         server = AsyncDecisionServer(service)
         body = json.dumps(GOLDEN_PAYLOADS[0]).encode()
         try:
@@ -331,7 +330,7 @@ class TestOneEncoding:
                 again["latency_ms"]) == (True, False, 0, 0.5)
 
     def test_body_decodes_to_the_payload(self):
-        with DecisionService(max_wait_ms=0.0) as service:
+        with DecisionService() as service:
             for payload in GOLDEN_PAYLOADS:
                 response = service.allocate(request_from_payload(payload))
                 assert json.loads(response.to_bytes()) == response.to_payload()
@@ -340,7 +339,7 @@ class TestOneEncoding:
 class TestBackpressure:
     @pytest.fixture
     def saturated_url(self):
-        service = DecisionService(max_queue_depth=0, max_wait_ms=0.0)
+        service = DecisionService(max_queue_depth=0)
         with AsyncServerThread(service) as server:
             yield server.url
 

@@ -12,6 +12,8 @@ from repro.service.dispatcher import Dispatcher, RequestError
 from repro.service.protocol import AllocationRequest, request_from_payload
 from repro.types import ModelError, ReproError
 
+from .plug import Plug
+
 
 class TestQueueFullError:
     def test_attributes_and_message(self):
@@ -30,11 +32,11 @@ class TestBatcherBackpressure:
     def test_submit_rejected_at_depth_limit(self):
         release = threading.Event()
 
-        def evaluate(reqs):
+        def evaluate(reqs, keys):
             release.wait(10)
             return ["d"] * len(reqs)
 
-        with RequestBatcher(evaluate, max_batch_size=1, max_wait_s=0.0,
+        with RequestBatcher(evaluate, max_batch_size=1,
                             max_queue_depth=2) as b:
             futures = [b.submit(f"r{i}", f"k{i}") for i in range(2)]
             # collector may have pulled one batch and be blocked in
@@ -52,16 +54,37 @@ class TestBatcherBackpressure:
         assert stats.requests == 2
 
     def test_zero_depth_rejects_everything(self):
-        with RequestBatcher(lambda reqs: ["d"] * len(reqs),
+        with RequestBatcher(lambda reqs, keys: ["d"] * len(reqs),
                             max_queue_depth=0) as b:
             for _ in range(3):
                 with pytest.raises(QueueFullError):
                     b.submit("r", "k")
         assert b.stats().rejected == 3
 
+    def test_rider_is_not_shed_at_depth_limit(self):
+        calls = []
+
+        def evaluate(reqs, keys):
+            calls.append(list(keys))
+            return ["d"] * len(reqs)
+
+        with RequestBatcher(evaluate, max_queue_depth=2) as b:
+            with Plug(b) as plug:
+                first = b.submit("r0", "k0")
+                assert b.stats().queue_depth == 2   # plug + k0: full
+                rider = b.submit("r0", "k0")        # rides, not shed
+                with pytest.raises(QueueFullError):
+                    b.submit("r1", "k1")            # a new key is shed
+                assert b.stats().queue_depth == 2
+            assert first.result(timeout=10) == ("d", 1, False)
+            assert rider.result(timeout=10) == ("d", 1, True)
+            stats = plug.stats()
+        assert calls == [["k0"]]
+        assert (stats.requests, stats.coalesced, stats.rejected) == (2, 1, 1)
+
     def test_depth_gauge_returns_to_zero(self):
-        with RequestBatcher(lambda reqs: ["d"] * len(reqs),
-                            max_batch_size=4, max_wait_s=0.0,
+        with RequestBatcher(lambda reqs, keys: ["d"] * len(reqs),
+                            max_batch_size=4,
                             max_queue_depth=64) as b:
             futures = [b.submit(f"r{i}", f"k{i}") for i in range(8)]
             for f in futures:
@@ -69,8 +92,8 @@ class TestBatcherBackpressure:
             assert b.stats().queue_depth == 0
 
     def test_unbounded_by_default(self):
-        with RequestBatcher(lambda reqs: ["d"] * len(reqs),
-                            max_batch_size=64, max_wait_s=0.0) as b:
+        with RequestBatcher(lambda reqs, keys: ["d"] * len(reqs),
+                            max_batch_size=64) as b:
             futures = [b.submit(f"r{i}", f"k{i}") for i in range(100)]
             for f in futures:
                 f.result(timeout=10)
@@ -82,26 +105,19 @@ class TestBatcherBackpressure:
 
 
 class TestKeyPassing:
-    def test_keys_forwarded_to_willing_evaluator(self):
+    def test_keys_forwarded_to_evaluator(self):
         seen = {}
 
-        def evaluate(reqs, keys=None):
+        def evaluate(reqs, keys):
             seen["keys"] = list(keys)
             return ["d"] * len(reqs)
 
-        with RequestBatcher(evaluate, max_batch_size=2, max_wait_s=30.0) as b:
-            futures = [b.submit(f"r{i}", f"k{i}") for i in range(2)]
+        with RequestBatcher(evaluate, max_batch_size=2) as b:
+            with Plug(b):
+                futures = [b.submit(f"r{i}", f"k{i}") for i in range(2)]
             for f in futures:
                 f.result(timeout=10)
         assert seen["keys"] == ["k0", "k1"]
-
-    def test_plain_evaluator_untouched(self):
-        def evaluate(reqs):
-            return ["d"] * len(reqs)
-
-        with RequestBatcher(evaluate) as b:
-            assert not b._evaluate_wants_keys
-            assert b.submit("r", "k").result(timeout=10)[0] == "d"
 
 
 class TestDispatcherRequestError:
@@ -131,14 +147,6 @@ class TestDispatcherRequestError:
         payload = out[1].to_payload()
         assert payload["request_id"] == "fp-b"
         assert payload["scheduler"] == "no-such-strategy"
-
-    def test_without_keys_errors_stay_bare(self):
-        dispatcher = Dispatcher()
-        good = self._request("dominant-minratio")
-        bad = dataclasses.replace(good, scheduler="no-such-strategy")
-        out = dispatcher.evaluate([good, bad])
-        assert isinstance(out[1], ReproError)
-        assert not isinstance(out[1], RequestError)
 
     def test_inflight_gauge_settles(self):
         dispatcher = Dispatcher()

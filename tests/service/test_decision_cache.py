@@ -38,18 +38,9 @@ class TestLRU:
         cache.put("b", 2)
         cache.put("a", 10)    # re-insert refreshes
         cache.put("c", 3)
-        assert "a" in cache and "c" in cache and "b" not in cache
+        assert cache.peek("a") == 10 and cache.peek("c") == 3
+        assert cache.peek("b") is None
         assert cache.get("a") == 10
-
-    def test_len_and_clear(self):
-        cache = LRUCache(capacity=8)
-        for i in range(5):
-            cache.put(str(i), i)
-        assert len(cache) == 5
-        cache.clear()
-        assert len(cache) == 0
-        # lifetime counters survive the clear
-        assert cache.stats().misses == 0 and cache.stats().evictions == 0
 
     def test_peek_does_not_touch(self):
         cache = LRUCache(capacity=2)
@@ -57,7 +48,7 @@ class TestLRU:
         cache.put("b", 2)
         assert cache.peek("a") == 1     # no recency refresh, no counter
         cache.put("c", 3)
-        assert "a" not in cache         # 'a' was still the LRU entry
+        assert cache.peek("a") is None  # 'a' was still the LRU entry
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 0
 
@@ -77,29 +68,8 @@ class TestLRU:
         cache.put("k", 1)
         cache.put("k", 2)
         assert cache.get("k") == 2
-        assert len(cache) == 1
+        assert cache.stats().size == 1
         assert cache.stats().evictions == 0
-
-    def test_contains_is_counter_free(self):
-        cache = LRUCache(capacity=4)
-        keys = fingerprints(3)
-        for i, key in enumerate(keys):
-            cache.put(key, i)
-        assert all(k in cache for k in keys)
-        assert "missing" not in cache
-        stats = cache.stats()
-        assert stats.hits == 0 and stats.misses == 0
-
-    def test_clear_keeps_counters(self):
-        cache = LRUCache(capacity=4)
-        cache.put("k", 1)
-        cache.get("k")
-        cache.get("absent")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("k") is None
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 2)
 
 
 class TestCounters:
@@ -140,8 +110,8 @@ class TestCounters:
         # every insert beyond capacity evicted exactly one entry
         assert stats.evictions == 500 - 128
         # and the survivors are the 128 most recent inserts
-        assert all(k in cache for k in keys[-128:])
-        assert not any(k in cache for k in keys[:-128])
+        assert all(cache.peek(k) is not None for k in keys[-128:])
+        assert all(cache.peek(k) is None for k in keys[:-128])
 
     def test_eviction_terminates_when_everything_is_hot(self):
         cache = LRUCache(capacity=4)
@@ -150,8 +120,8 @@ class TestCounters:
         for key in "abcd":
             cache.get(key)
         cache.put("e", "e")   # still evicts the least recent: 'a'
-        assert len(cache) == 4
-        assert "a" not in cache and "e" in cache
+        assert cache.stats().size == 4
+        assert cache.peek("a") is None and cache.peek("e") == "e"
 
     def test_stats_is_a_snapshot(self):
         cache = LRUCache(capacity=4)

@@ -21,8 +21,7 @@ from repro.workloads import npb6
 
 @pytest.fixture(scope="module")
 def server():
-    service = DecisionService(cache_capacity=64, max_batch_size=4,
-                              max_wait_ms=1.0)
+    service = DecisionService(cache_capacity=64, max_batch_size=4)
     with AsyncServerThread(service) as httpd:
         yield httpd
     service.close()

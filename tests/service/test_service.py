@@ -19,6 +19,8 @@ from repro.service import dispatcher as dispatcher_mod
 from repro.types import ModelError
 from repro.workloads import npb6, npb_synth
 
+from .plug import Plug
+
 
 @pytest.fixture
 def request6():
@@ -31,8 +33,7 @@ def request6():
 
 @pytest.fixture
 def service():
-    with DecisionService(cache_capacity=32, max_batch_size=4,
-                         max_wait_ms=1.0) as svc:
+    with DecisionService(cache_capacity=32, max_batch_size=4) as svc:
         yield svc
 
 
@@ -105,21 +106,22 @@ class TestServing:
         assert all(not r.cache_hit for r in responses)
 
     def test_concurrent_identical_requests_coalesce(self, request6):
-        # A generous linger window so both threads land in one batch.
-        with DecisionService(max_batch_size=2, max_wait_ms=1000.0) as svc:
-            barrier = threading.Barrier(2)
+        # The plug holds the batcher's thread, so both callers are
+        # in flight together.
+        with DecisionService(max_batch_size=2) as svc:
             responses = []
             lock = threading.Lock()
 
             def caller():
-                barrier.wait()
                 resp = svc.allocate(request6)
                 with lock:
                     responses.append(resp)
 
             threads = [threading.Thread(target=caller) for _ in range(2)]
-            for t in threads:
-                t.start()
+            with Plug(svc.batcher) as plug:
+                for t in threads:
+                    t.start()
+                plug.wait_submitted(2)
             for t in threads:
                 t.join()
             assert [r.decision for r in responses] == [responses[0].decision] * 2
@@ -128,6 +130,31 @@ class TestServing:
             assert sorted(r.coalesced for r in responses) == [False, True]
             assert svc.metrics()["batcher.coalesced"] == 1
 
+    def test_riders_store_the_decision_once(self, request6, tmp_path,
+                                            monkeypatch):
+        from repro.cache import disk as cache_disk
+
+        stored = []
+        put = cache_disk.DecisionDiskTier.put
+        monkeypatch.setattr(cache_disk.DecisionDiskTier, "put",
+                            lambda self, key, payload: stored.append(key)
+                            or put(self, key, payload))
+        with DecisionService(cache_dir=tmp_path) as svc:
+            responses = []
+            threads = [threading.Thread(
+                target=lambda: responses.append(svc.allocate(request6)))
+                for _ in range(3)]
+            with Plug(svc.batcher) as plug:
+                for t in threads:
+                    t.start()
+                plug.wait_submitted(3)
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(r.coalesced for r in responses) == [False, True, True]
+            assert svc.allocate(request6).cache_hit
+        assert stored == [request6.fingerprint()]
+
     def test_concurrent_distinct_requests_batch(self):
         rng = np.random.default_rng(1)
         reqs = [
@@ -135,20 +162,20 @@ class TestServing:
                               platform=taihulight())
             for _ in range(3)
         ]
-        with DecisionService(max_batch_size=3, max_wait_ms=1000.0) as svc:
-            barrier = threading.Barrier(3)
+        with DecisionService(max_batch_size=3) as svc:
             sizes = []
             lock = threading.Lock()
 
             def caller(req):
-                barrier.wait()
                 resp = svc.allocate(req)
                 with lock:
                     sizes.append(resp.batch_size)
 
             threads = [threading.Thread(target=caller, args=(r,)) for r in reqs]
-            for t in threads:
-                t.start()
+            with Plug(svc.batcher) as plug:
+                for t in threads:
+                    t.start()
+                plug.wait_submitted(3)
             for t in threads:
                 t.join()
             assert sizes == [3, 3, 3]
@@ -165,7 +192,7 @@ class TestServing:
 
     def test_lru_eviction_bounds_memory(self, request6):
         rng = np.random.default_rng(2)
-        with DecisionService(cache_capacity=2, max_wait_ms=0.0) as svc:
+        with DecisionService(cache_capacity=2) as svc:
             for _ in range(5):
                 svc.allocate(AllocationRequest(
                     applications=tuple(npb_synth(3, rng)),
@@ -187,6 +214,6 @@ class TestServing:
         }))
         assert resp.decision.procs == (256.0,)
 
-    def test_knob_validation(self):
-        with pytest.raises(ModelError):
-            DecisionService(max_wait_ms=-1.0)
+    def test_linger_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            DecisionService(max_wait_ms=1.0)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import DecisionService
+from repro.service import AsyncServerThread, DecisionService, ServiceClient
 from repro.service.protocol import request_from_payload
 
 _KEYS_FILE = Path(__file__).with_name("metrics_keys.txt")
@@ -81,6 +81,22 @@ class TestWarmStart:
         other["applications"][0]["work"] = 3e9  # a genuinely new request
         assert not fresh.allocate(request_from_payload(other)).cache_hit
 
+    def test_failed_disk_write_is_counted(self, tmp_path):
+        # A plain file where the decisions directory should be: every
+        # disk write fails, the answer is still served from memory.
+        (tmp_path / "decisions").write_text("not a directory")
+        with AsyncServerThread(DecisionService(cache_dir=tmp_path)) as server:
+            with pytest.warns(RuntimeWarning, match="could not store"):
+                response = server.service.allocate(
+                    request_from_payload(_payload()))
+            assert not response.cache_hit
+            assert response.decision.makespan > 0
+            assert server.service.cache.store_errors == 1
+            assert server.service.cache.stats().store_errors == 1
+            metrics = ServiceClient(server.url).metrics()
+            server.service.close()
+        assert metrics["decision_cache.store_errors"] == 1
+
 
 class TestMetricsKeyStability:
     """The committed key list is an interface: names never change."""
@@ -100,6 +116,7 @@ class TestMetricsKeyStability:
         assert committed <= live
         assert live - committed == {
             "decision_cache.disk_hits",
+            "decision_cache.store_errors",
             "decision_cache.disk_entries",
             "decision_cache.disk_bytes",
         }

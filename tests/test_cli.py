@@ -23,9 +23,15 @@ class TestParser:
     def test_serve_args(self):
         args = build_parser().parse_args(
             ["serve", "--port", "9000", "--max-batch", "8",
-             "--max-wait-ms", "5", "--cache-capacity", "64"])
+             "--cache-capacity", "64"])
         assert args.port == 9000 and args.max_batch == 8
-        assert args.max_wait_ms == 5.0 and args.cache_capacity == 64
+        assert args.cache_capacity == 64
+
+    def test_serve_rejects_the_linger_knob(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--max-wait-ms", "1"])
+        assert exc.value.code == 2
+        assert "--max-wait-ms" in capsys.readouterr().err
 
     def test_request_args(self):
         args = build_parser().parse_args(
@@ -173,7 +179,7 @@ class TestCommands:
     def test_request_against_live_server(self, capsys):
         from repro.service import AsyncServerThread, DecisionService
 
-        with AsyncServerThread(DecisionService(max_wait_ms=0.5)) as server:
+        with AsyncServerThread(DecisionService()) as server:
             assert main(["request", "--url", server.url, "--napps", "4",
                          "--repeat", "2"]) == 0
             captured = capsys.readouterr()
