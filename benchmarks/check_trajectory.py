@@ -17,8 +17,8 @@ machine fingerprint): a bench whose fresh ratio falls more than
 *above* the baseline never fail — improvements land by committing a
 regenerated record.  Committed ratios below ``--min-speedup``
 (default 1.5) are tracked but not gated: a ratio near parity (the
-batch-size-1 bench, committed deliberately to show the per-call
-overhead) measures interpreter noise, and a relative gate on it is a
+batch-size-1 bench, where both sides run the batch core on one
+instance) measures interpreter noise, and a relative gate on it is a
 coin flip.
 
 The schema checker implements the subset of JSON Schema the committed

@@ -8,12 +8,16 @@ prefix validity mask, so the cost model, the dominance machinery, the
 eviction loops, and the equal-finish solver advance a whole batch per
 NumPy call instead of per Python call.  The natural producers of such
 batches are the experiment engine's task chunks, the service's
-coalesced request batches, and the benchmark grids.
+coalesced request batches, and the benchmark grids.  The scalar
+dominant heuristics are batches of one: a single instance is packed
+without padding, as read-only views of its workload's columns, so a
+batch of one costs what the scalar path used to.
 
 Bit-identity contract
 ---------------------
 A padded row computes the **same bits** as the scalar path on the
-compressed arrays.  Three disciplines make that true:
+compressed arrays, and as the same instance in a batch of one.  Three
+disciplines make that true:
 
 * every elementwise expression is transcribed from the scalar module
   it mirrors, in the same operation order (IEEE elementwise ops are
@@ -27,7 +31,8 @@ compressed arrays.  Three disciplines make that true:
   sequential time of exactly 1.0 and zero cache weight).
 
 The golden suite (``tests/golden/test_batch_equivalence.py``) asserts
-this with ``==`` on floats over seeded ragged sweeps.
+this with ``==`` on floats over seeded ragged sweeps, against the
+frozen scalar heuristics of ``tests/golden/legacy_heuristics.py``.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ class BatchProblem:
         "instances", "counts", "valid",
         "work", "seq", "freq", "miss0", "footprint", "baseline_cache",
         "p", "cache_size", "latency_cache", "latency_memory", "alpha",
+        "_miss_coefficients",
     )
 
     def __init__(self, instances: Iterable[tuple[Workload, Platform]]):
@@ -98,36 +104,32 @@ class BatchProblem:
                     f"instance {i} must be a (Workload, Platform) pair, "
                     f"got {pair!r}")
         self.instances = pairs
-        B = len(pairs)
-        counts = np.array([wl.n for wl, _ in pairs], dtype=np.intp)
-        N = int(counts.max())
-        self.counts = counts
-        valid = np.zeros((B, N), dtype=bool)
-        cols = {name: np.full((B, N), fill) for name, fill in _PAD.items()}
-        for i, (wl, _) in enumerate(pairs):
-            n = wl.n
-            valid[i, :n] = True
-            cols["work"][i, :n] = wl.work
-            cols["seq"][i, :n] = wl.seq
-            cols["freq"][i, :n] = wl.freq
-            cols["miss0"][i, :n] = wl.miss0
-            cols["footprint"][i, :n] = wl.footprint
-            cols["baseline_cache"][i, :n] = wl.baseline_cache
-        self.valid = valid
-        for name, arr in cols.items():
-            setattr(self, name, arr)
+        self._miss_coefficients = None
+        if len(pairs) == 1:
+            # A batch of one needs no padding: its rows are (read-only)
+            # views of the workload's own columns.
+            wl, pf = pairs[0]
+            self.counts = np.array([wl.n], dtype=np.intp)
+            self.valid = np.ones((1, wl.n), dtype=bool)
+            for name in _PAD:
+                setattr(self, name, getattr(wl, name)[None, :])
+        else:
+            B = len(pairs)
+            counts = np.array([wl.n for wl, _ in pairs], dtype=np.intp)
+            self.counts = counts
+            valid = np.zeros((B, int(counts.max())), dtype=bool)
+            for name, fill in _PAD.items():
+                setattr(self, name, np.full(valid.shape, fill))
+            for i, (wl, _) in enumerate(pairs):
+                valid[i, :wl.n] = True
+                for name in _PAD:
+                    getattr(self, name)[i, :wl.n] = getattr(wl, name)
+            self.valid = valid
         self.p = np.array([pf.p for _, pf in pairs])
         self.cache_size = np.array([pf.cache_size for _, pf in pairs])
         self.latency_cache = np.array([pf.latency_cache for _, pf in pairs])
         self.latency_memory = np.array([pf.latency_memory for _, pf in pairs])
         self.alpha = np.array([pf.alpha for _, pf in pairs])
-
-    @classmethod
-    def from_instances(
-        cls, instances: Iterable[tuple[Workload, Platform]]
-    ) -> "BatchProblem":
-        """Alias constructor, matching the ``*_batch`` naming scheme."""
-        return cls(instances)
 
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:
@@ -156,10 +158,15 @@ class BatchProblem:
         """``d = m0 * (C0 / Cs)^alpha`` per cell, shape ``(B, N)``.
 
         Mirrors :meth:`repro.core.application.Workload.miss_coefficients`
-        elementwise; padding yields 0.
+        elementwise; padding yields 0.  Computed once per problem (every
+        dominance building block needs it) and returned read-only.
         """
-        return self.miss0 * pow_rowwise(
-            self.baseline_cache / self.cache_size[:, None], self.alpha)
+        if self._miss_coefficients is None:
+            d = self.miss0 * pow_rowwise(
+                self.baseline_cache / self.cache_size[:, None], self.alpha)
+            d.flags.writeable = False
+            self._miss_coefficients = d
+        return self._miss_coefficients
 
 
 def miss_rates_batch(problem: BatchProblem, cache_fractions) -> np.ndarray:

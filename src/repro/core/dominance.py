@@ -193,10 +193,16 @@ def cache_weights_batch(problem: "BatchProblem", *, work=None) -> np.ndarray:
     return pow_rowwise(base, 1.0 / (problem.alpha + 1.0))
 
 
-def dominance_ratios_batch(problem: "BatchProblem", *, work=None) -> np.ndarray:
-    """Batched :func:`dominance_ratios`: ``(B, N)`` Definition-4 ratios."""
+def dominance_ratios_batch(problem: "BatchProblem", *, work=None,
+                           weights=None) -> np.ndarray:
+    """Batched :func:`dominance_ratios`: ``(B, N)`` Definition-4 ratios.
+
+    Pass precomputed *weights* (for the same *work*) to skip
+    recomputing them.
+    """
     d = problem.miss_coefficients()
-    weights = cache_weights_batch(problem, work=work)
+    if weights is None:
+        weights = cache_weights_batch(problem, work=work)
     thresholds = pow_rowwise(d, 1.0 / problem.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = weights / thresholds

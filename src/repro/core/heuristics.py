@@ -22,8 +22,17 @@ dominant**; Algorithm 2 adds applications **while the grown subset
 remains dominant**.
 
 Once ``IC`` is chosen, the schedule is completed with the Theorem-3
-cache fractions and the equal-finish processor allocation
-(:func:`repro.core.processor_allocation.build_equal_finish_schedule`).
+cache fractions and the equal-finish processor allocation.
+
+There is one eviction loop (:func:`evict_until_dominant_batch`) and
+one growth loop (:func:`dominant_rev_partition_batch`), each advancing
+a whole :class:`~repro.core.batch.BatchProblem` per NumPy call.  The
+scalar entry points — :func:`evict_until_dominant`,
+:func:`dominant_partition`, :func:`dominant_rev_partition` and
+:func:`dominant_schedule` — run them on a batch of one, with ``[rng]``
+as its generators.  The golden suite checks every heuristic bit for
+bit against the former scalar loops, kept in
+``tests/golden/legacy_heuristics.py``.
 """
 
 from __future__ import annotations
@@ -36,17 +45,12 @@ from ..types import ModelError
 from .application import Workload
 from .batch import BatchProblem, BatchSchedule, equal_finish_allocation_batch
 from .dominance import (
-    cache_weights,
     cache_weights_batch,
-    dominance_ratios,
     dominance_ratios_batch,
-    masked_total,
     masked_totals,
-    optimal_cache_fractions,
     optimal_cache_fractions_batch,
 )
 from .platform import Platform
-from .processor_allocation import build_equal_finish_schedule
 from .schedule import Schedule
 
 __all__ = [
@@ -114,51 +118,15 @@ def evict_until_dominant(
     *choice* function among the current members) until Definition 4
     holds: every member's dominance ratio exceeds the subset's total
     weight.  Shared by :func:`dominant_partition` (full work) and the
-    online engine's remaining-work repartitioning — one eviction loop,
-    one set of boundary semantics.
+    online engine's remaining-work repartitioning.  A batch of one
+    through :func:`evict_until_dominant_batch` — one eviction loop, one
+    set of boundary semantics.
 
     Returns a new mask; the input is not mutated.
     """
-    choice_fn = make_choice(choice) if isinstance(choice, str) else choice
-    rng = rng if rng is not None else np.random.default_rng()
-
-    mask = np.asarray(mask, dtype=bool).copy()
-    # For the deterministic choices the eviction order is fixed up
-    # front: MinRatio walks the members by ascending ratio, MaxRatio by
-    # descending.  A stable sort breaks ties toward the lowest index,
-    # exactly like the per-step argmin/argmax over the shrinking
-    # candidate set — but one O(n log n) sort replaces the O(n^2)
-    # rescans.
-    walk = _eviction_walk(ratios, mask, choice_fn)
-    while mask.any():
-        total = masked_total(weights, mask)
-        violating = mask & (ratios <= total)
-        if not violating.any():
-            break
-        if walk is not None:
-            k = next(walk)
-        else:
-            candidates = np.flatnonzero(mask)
-            k = candidates[choice_fn(candidates, ratios, rng)]
-        mask[k] = False
-    return mask
-
-
-def _eviction_walk(ratios, mask, choice_fn):
-    """Presorted pick order for the deterministic choice functions.
-
-    Returns an iterator of member indices (ascending ratio for
-    MinRatio, descending for MaxRatio, ties toward the lowest index) or
-    None for choices whose picks depend on runtime state.
-    """
-    if choice_fn is _choice_minratio:
-        keys = ratios
-    elif choice_fn is _choice_maxratio:
-        keys = -ratios
-    else:
-        return None
-    members = np.flatnonzero(mask)
-    return iter(members[np.argsort(keys[members], kind="stable")])
+    return evict_until_dominant_batch(
+        np.asarray(weights)[None], np.asarray(ratios)[None],
+        np.asarray(mask, dtype=bool)[None], choice, [rng])[0]
 
 
 def dominant_partition(
@@ -172,11 +140,11 @@ def dominant_partition(
     Returns the boolean mask of ``IC``.  Applications with zero weight
     (``w*f*d == 0`` — they cannot profit from cache) are evicted first
     unconditionally; they would otherwise stay in with ratio ``inf``
-    while contributing nothing.
+    while contributing nothing.  A batch of one through
+    :func:`dominant_partition_batch`.
     """
-    weights = cache_weights(workload, platform)
-    ratios = dominance_ratios(workload, platform)
-    return evict_until_dominant(weights, ratios, weights > 0.0, choice, rng)
+    problem = BatchProblem([(workload, platform)])
+    return dominant_partition_batch(problem, choice, [rng])[0]
 
 
 def dominant_rev_partition(
@@ -189,44 +157,11 @@ def dominant_rev_partition(
 
     Candidates are drawn from the applications with positive weight;
     the growth stops at the first candidate whose addition breaks
-    Definition 4 (greedy, no backtracking — as in the paper).
+    Definition 4 (greedy, no backtracking — as in the paper).  A batch
+    of one through :func:`dominant_rev_partition_batch`.
     """
-    choice_fn = make_choice(choice) if isinstance(choice, str) else choice
-    rng = rng if rng is not None else np.random.default_rng()
-
-    weights = cache_weights(workload, platform)
-    ratios = dominance_ratios(workload, platform)
-
-    remaining = weights > 0.0
-    mask = np.zeros(workload.n, dtype=bool)
-    total = 0.0
-    walk = _eviction_walk(ratios, remaining, choice_fn)
-    if walk is not None:
-        # Deterministic choices admit candidates in presorted order
-        # (see _eviction_walk), so the whole growth is one walk.
-        for k in walk:
-            new_total = total + float(weights[k])
-            trial = mask.copy()
-            trial[k] = True
-            if np.all(ratios[trial] > new_total):
-                mask = trial
-                total = new_total
-            else:
-                break
-        return mask
-    while remaining.any():
-        candidates = np.flatnonzero(remaining)
-        k = candidates[choice_fn(candidates, ratios, rng)]
-        new_total = total + float(weights[k])
-        trial = mask.copy()
-        trial[k] = True
-        if np.all(ratios[trial] > new_total):
-            mask = trial
-            total = new_total
-            remaining[k] = False
-        else:
-            break
-    return mask
+    problem = BatchProblem([(workload, platform)])
+    return dominant_rev_partition_batch(problem, choice, [rng])[0]
 
 
 def dominant_schedule(
@@ -237,15 +172,14 @@ def dominant_schedule(
     choice: ChoiceName | ChoiceFn = "minratio",
     rng: np.random.Generator | None = None,
 ) -> Schedule:
-    """Full heuristic: partition, Theorem-3 fractions, equal-finish procs."""
-    if strategy == "dominant":
-        mask = dominant_partition(workload, platform, choice, rng)
-    elif strategy == "dominantrev":
-        mask = dominant_rev_partition(workload, platform, choice, rng)
-    else:
-        raise ModelError(f"unknown strategy {strategy!r}")
-    x = optimal_cache_fractions(workload, platform, mask) if mask.any() else np.zeros(workload.n)
-    return build_equal_finish_schedule(workload, platform, x)
+    """Full heuristic: partition, Theorem-3 fractions, equal-finish procs.
+
+    A batch of one through :func:`dominant_schedule_batch`; execution
+    times stay lazy until the schedule is asked for them.
+    """
+    problem = BatchProblem([(workload, platform)])
+    return dominant_schedule_batch(problem, strategy=strategy, choice=choice,
+                                   rngs=[rng]).schedule(0)
 
 
 def _row_rngs(rngs, B: int) -> list:
@@ -258,33 +192,37 @@ def _row_rngs(rngs, B: int) -> list:
     return rngs
 
 
-def _pick_rows(masks_rows, ratios_rows, rows, choice_fn, rngs, ratios):
-    """Per-needy-row victim/candidate pick, vectorized when possible.
+def _presorted(ratios, members, choice_fn):
+    """Per-row pick order of MinRatio / MaxRatio, or None for other choices.
 
-    For MinRatio/MaxRatio one argmin/argmax over masked-filled rows
-    reproduces the scalar pick including first-occurrence tie-breaks;
-    Random (and custom choices) consume each row's own generator with
-    exactly the calls the scalar loop would make.
+    Each row lists its *members* first, by ascending ratio (MinRatio)
+    or descending (MaxRatio) with ties toward the lowest index, then
+    the rest.  Repeated picks over a shrinking member set take the
+    members in exactly this order, so a deterministic choice needs one
+    sort per solve instead of one scan per pick.
     """
     if choice_fn is _choice_minratio:
-        k = np.argmin(np.where(masks_rows, ratios_rows, np.inf), axis=1)
+        keys = ratios
     elif choice_fn is _choice_maxratio:
-        k = np.argmax(np.where(masks_rows, ratios_rows, -np.inf), axis=1)
+        keys = -ratios
     else:
-        k = np.empty(len(rows), dtype=np.intp)
-        for j, r in enumerate(rows):
-            candidates = np.flatnonzero(masks_rows[j])
-            rng = rngs[r]
-            if rng is None:
-                rng = rngs[r] = np.random.default_rng()
-            k[j] = candidates[choice_fn(candidates, ratios[r], rng)]
-        return k
-    # Degenerate rows whose members all carry the fill value can land
-    # outside the mask; redirect to the first member (the scalar
-    # argmin/argmax over candidates would pick exactly that).
-    bad = ~masks_rows[np.arange(len(rows)), k]
-    if bad.any():
-        k = np.where(bad, masks_rows.argmax(axis=1), k)
+        return None
+    return np.lexsort((keys, ~members), axis=-1)
+
+
+def _draw_picks(members, rows, choice_fn, rngs, ratios):
+    """One pick per row in *rows* by a choice function with runtime state.
+
+    Random (and custom) choices are called per row with that row's own
+    generator, so a row draws exactly what it would draw alone.
+    """
+    k = np.empty(len(rows), dtype=np.intp)
+    for j, r in enumerate(rows):
+        candidates = np.flatnonzero(members[r])
+        rng = rngs[r]
+        if rng is None:
+            rng = rngs[r] = np.random.default_rng()
+        k[j] = candidates[choice_fn(candidates, ratios[r], rng)]
     return k
 
 
@@ -299,12 +237,13 @@ def evict_until_dominant_batch(
 
     One iteration of the outer loop advances *every* row that still
     violates Definition 4 by one eviction — subset totals, violation
-    tests, and MinRatio/MaxRatio victim picks are single NumPy calls
-    over the batch, so the Python loop runs O(max evictions) times
-    instead of O(total evictions).  Rows follow exactly the scalar
-    :func:`evict_until_dominant` trajectory (same totals, same
-    tie-breaks, same per-row rng draws), so the result is bit-identical
-    per row.
+    tests, and MinRatio/MaxRatio victim picks (from one presorted
+    order) are single NumPy calls over the batch, so the Python loop
+    runs O(max evictions) times instead of O(total evictions).  Each
+    row follows the trajectory it would follow alone (same totals, same
+    tie-breaks, same per-row rng draws), so a row's result is
+    bit-identical whatever batch it rides in;
+    :func:`evict_until_dominant` is this loop at ``B = 1``.
 
     Returns a new mask array; the input is not mutated.
     """
@@ -312,14 +251,21 @@ def evict_until_dominant_batch(
     masks = np.array(masks, dtype=bool, copy=True)
     B, _ = masks.shape
     rngs = _row_rngs(rngs, B)
+    evicted = None
     while True:
         totals = masked_totals(weights, masks)
-        violating = masks & (ratios <= totals[:, None])
-        need = violating.any(axis=1)
+        need = (masks & (ratios <= totals[:, None])).any(axis=1)
         if not need.any():
             break
         rows = np.flatnonzero(need)
-        k = _pick_rows(masks[rows], ratios[rows], rows, choice_fn, rngs, ratios)
+        if evicted is None:  # the first eviction: sort only when one is due
+            order = _presorted(ratios, masks, choice_fn)
+            evicted = np.zeros(B, dtype=np.intp)
+        if order is None:
+            k = _draw_picks(masks, rows, choice_fn, rngs, ratios)
+        else:
+            k = order[rows, evicted[rows]]
+            evicted[rows] += 1
         masks[rows, k] = False
     return masks
 
@@ -330,8 +276,13 @@ def dominant_partition_batch(
     rngs: Sequence[np.random.Generator | None] | None = None,
 ) -> np.ndarray:
     """Batched Algorithm 1: per-row ``IC`` masks, shape ``(B, N)``."""
-    weights = cache_weights_batch(problem)
-    ratios = dominance_ratios_batch(problem)
+    return _evict_partition(problem, cache_weights_batch(problem), choice,
+                            rngs)
+
+
+def _evict_partition(problem, weights, choice, rngs):
+    """:func:`dominant_partition_batch` over precomputed cache weights."""
+    ratios = dominance_ratios_batch(problem, weights=weights)
     start = (weights > 0.0) & problem.valid
     return evict_until_dominant_batch(weights, ratios, start, choice, rngs)
 
@@ -343,36 +294,60 @@ def dominant_rev_partition_batch(
 ) -> np.ndarray:
     """Batched Algorithm 2: grow per-row subsets while dominant.
 
-    Each outer iteration admits (or rejects, stopping that row) one
-    candidate per still-growing row; totals grow by the same float
-    additions as the scalar loop, so rows match bit for bit.
-    """
-    choice_fn = make_choice(choice) if isinstance(choice, str) else choice
-    weights = cache_weights_batch(problem)
-    ratios = dominance_ratios_batch(problem)
+    Each row admits its candidates (the positive-weight applications)
+    in the order its choice function picks them and stops at the first
+    whose admission breaks Definition 4, i.e. once the subset's
+    smallest ratio no longer exceeds its total weight.  The total grows
+    by one float addition per admission, in admission order, so a row
+    matches its one-row solve (:func:`dominant_rev_partition`) bit for
+    bit whatever batch it rides in.
 
+    MinRatio and MaxRatio fix the whole pick order up front, so every
+    row's running totals and running minimum ratios are one
+    accumulation along it.  Random and custom choices draw one pick per
+    row per step, so no row draws past its first rejection.
+    """
+    return _grow_partition(problem, cache_weights_batch(problem), choice,
+                           rngs)
+
+
+def _grow_partition(problem, weights, choice, rngs):
+    """:func:`dominant_rev_partition_batch` over precomputed cache weights."""
+    choice_fn = make_choice(choice) if isinstance(choice, str) else choice
+    ratios = dominance_ratios_batch(problem, weights=weights)
     remaining = (weights > 0.0) & problem.valid
     B, N = remaining.shape
     rngs = _row_rngs(rngs, B)
-    masks = np.zeros((B, N), dtype=bool)
-    totals = np.zeros(B)
-    active = remaining.any(axis=1)
-    while active.any():
-        rows = np.flatnonzero(active)
-        k = _pick_rows(remaining[rows], ratios[rows], rows, choice_fn, rngs,
-                       ratios)
-        new_totals = totals[rows] + weights[rows, k]
-        trial = masks[rows]
-        trial[np.arange(len(rows)), k] = True  # masks[rows] is a copy
-        ok = ~(trial & (ratios[rows] <= new_totals[:, None])).any(axis=1)
-        okrows = rows[ok]
-        kok = k[ok]
-        masks[okrows, kok] = True
-        totals[okrows] = new_totals[ok]
-        remaining[okrows, kok] = False
-        active[rows[~ok]] = False
-        active[okrows] = remaining[okrows].any(axis=1)
-    return masks
+    order = _presorted(ratios, remaining, choice_fn)
+    if order is not None:
+        masks = np.zeros((B, N), dtype=bool)
+        totals = np.add.accumulate(
+            np.take_along_axis(weights, order, axis=1), axis=1)
+        floors = np.minimum.accumulate(
+            np.take_along_axis(ratios, order, axis=1), axis=1)
+        ok = (floors > totals) & (
+            np.arange(N) < remaining.sum(axis=1)[:, None])
+        np.put_along_axis(masks, order, np.logical_and.accumulate(ok, axis=1),
+                          axis=1)
+        return masks
+    candidates = remaining.copy()
+    # The growing rows, each with its subset total, smallest ratio and
+    # count of candidates not yet admitted.
+    left = remaining.sum(axis=1)
+    rows = np.flatnonzero(left)
+    left = left[rows]
+    totals = np.zeros(len(rows))
+    floors = np.full(len(rows), np.inf)
+    while rows.size:
+        k = _draw_picks(remaining, rows, choice_fn, rngs, ratios)
+        totals = totals + weights[rows, k]
+        floors = np.minimum(floors, ratios[rows, k])
+        ok = floors > totals
+        remaining[rows[ok], k[ok]] = False
+        left -= 1
+        ok &= left > 0
+        rows, totals, floors, left = rows[ok], totals[ok], floors[ok], left[ok]
+    return candidates & ~remaining
 
 
 def dominant_schedule_batch(
@@ -392,12 +367,15 @@ def dominant_schedule_batch(
     alone with the corresponding rng.
     """
     if strategy == "dominant":
-        masks = dominant_partition_batch(problem, choice, rngs)
+        partition = _evict_partition
     elif strategy == "dominantrev":
-        masks = dominant_rev_partition_batch(problem, choice, rngs)
+        partition = _grow_partition
     else:
         raise ModelError(f"unknown strategy {strategy!r}")
-    x = optimal_cache_fractions_batch(problem, masks)
+    # One set of cache weights serves the partition and the fractions.
+    weights = cache_weights_batch(problem)
+    masks = partition(problem, weights, choice, rngs)
+    x = optimal_cache_fractions_batch(problem, masks, weights=weights)
     procs, _ = equal_finish_allocation_batch(problem, x)
     return BatchSchedule(problem, procs, x)
 

@@ -41,9 +41,13 @@ def pow_rowwise(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     to per-row powers through this helper: one vectorized ``**`` with a
     genuine Python-float exponent per *distinct* exponent value, which
     reproduces whatever fast path the scalar code hit.  Batches usually
-    share one platform ``alpha``, so this is one pass in practice.
+    share one platform ``alpha`` (a batch of one always does), so that
+    case is one expression with no ``np.unique`` pass.
     """
     exponents = np.asarray(exponents, dtype=np.float64)
+    first = exponents[0]
+    if (exponents == first).all():
+        return base ** float(first)
     out = np.empty_like(base, dtype=np.float64)
     for e in np.unique(exponents):
         rows = exponents == e

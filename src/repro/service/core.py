@@ -10,11 +10,12 @@ HTTP front end, the CLI, tests and benchmarks.  One call —
    persistent disk tier (:mod:`repro.cache`),
 3. otherwise submit to the batcher (:mod:`.batcher`), whose one
    thread evaluates what is queued whenever it is free through the
-   dispatcher (:mod:`.dispatcher`); a request identical to one in
-   flight rides on it,
-4. store the fresh decision (once, by the first caller) and stamp
-   serving metadata (latency, batch size, hit/coalesced flags) onto
-   the response.
+   dispatcher (:mod:`.dispatcher`) and stores each fresh decision in
+   the cache before the batch's fingerprints leave its in-flight map —
+   so a request identical to one in flight rides on it, and one
+   arriving after it finished is a cache hit, never a recompute,
+4. stamp serving metadata (latency, batch size, hit/coalesced flags)
+   onto the response.
 
 The service also aggregates every layer's counters into one
 ``metrics()`` mapping — the single source for ``/metrics``.
@@ -93,7 +94,7 @@ class DecisionService:
         )
         self.dispatcher = Dispatcher()
         self.batcher = RequestBatcher(
-            self.dispatcher.evaluate,
+            self._evaluate,
             max_batch_size=max_batch_size,
             max_queue_depth=max_queue_depth,
         )
@@ -105,15 +106,29 @@ class DecisionService:
         self._latency_total_s = 0.0
 
     # -- serving -----------------------------------------------------------
+    def _evaluate(self, requests, keys):
+        """Evaluate one batch on the batcher thread and store its decisions.
+
+        Storing here, before the batcher forgets the batch's keys,
+        closes the window in which a twin would be neither a rider nor
+        a cache hit; it also keeps the disk write off the event loop.
+        """
+        results = self.dispatcher.evaluate(requests, keys=keys)
+        for key, result in zip(keys, results):
+            if not isinstance(result, Exception):
+                self.cache.put(key, result)
+        return results
+
     async def _serve(self, request: AllocationRequest, wait,
                      ) -> AllocationResponse:
         """The serving body shared by both entry points.
 
-        Fingerprint, probe the tiered cache, submit to the batcher,
-        store the fresh decision and respond.  *wait* turns the
-        batcher future into an awaitable: :meth:`allocate_async`
-        passes :func:`asyncio.wrap_future`, :meth:`allocate` a
-        coroutine that blocks on the future and so never suspends.
+        Fingerprint, probe the tiered cache, submit to the batcher
+        (whose evaluation stores the fresh decision) and respond.
+        *wait* turns the batcher future into an awaitable:
+        :meth:`allocate_async` passes :func:`asyncio.wrap_future`,
+        :meth:`allocate` a coroutine that blocks on the future and so
+        never suspends.
         """
         start = perf_counter()
         self.inflight.inc()
@@ -133,8 +148,6 @@ class DecisionService:
             except Exception:
                 self._count_error()
                 raise
-            if not coalesced:  # riders leave the store to the first caller
-                self.cache.put(key, decision)
             return self._respond(key, decision, start,
                                  cache_hit=False, coalesced=coalesced,
                                  batch_size=batch_size)

@@ -4,7 +4,10 @@ The golden sweep (``tests/golden/test_batch_equivalence.py``) proves
 end-to-end bit-identity for every registered scheduler; the tests here
 cover the batch container itself and each ``*_batch`` building block
 against its scalar twin — construction, padding, ragged batches, mixed
-platforms, RNG discipline, and error paths.
+platforms, RNG discipline, and error paths.  The eviction and growth
+loops have no live scalar twin (their scalar entry points are batches
+of one), so they are checked against the frozen scalar loops of
+``tests/golden/legacy_heuristics.py``.
 """
 
 from __future__ import annotations
@@ -18,11 +21,8 @@ from repro.core import (
     cache_weights_batch,
     dominance_ratios,
     dominance_ratios_batch,
-    dominant_partition,
     dominant_partition_batch,
-    dominant_rev_partition,
     dominant_rev_partition_batch,
-    dominant_schedule,
     dominant_schedule_batch,
     equal_finish_allocation,
     equal_finish_allocation_batch,
@@ -37,10 +37,12 @@ from repro.core import (
     sequential_times,
     sequential_times_batch,
 )
-from repro.core.heuristics import evict_until_dominant, evict_until_dominant_batch
+from repro.core.heuristics import evict_until_dominant_batch
 from repro.machine import small_llc, taihulight, xeon_e5_2690
 from repro.types import ModelError
 from repro.workloads import npb_synth, random_workload
+
+from golden import legacy_heuristics as legacy
 
 
 def _ragged_instances(n_rows=12, seed=0, platforms=None):
@@ -107,6 +109,34 @@ class TestBatchProblem:
         d = problem.miss_coefficients()
         for i, (wl, pf) in enumerate(ragged):
             assert np.array_equal(d[i, :wl.n], wl.miss_coefficients(pf))
+
+    def test_miss_coefficients_computed_once_read_only(self, problem):
+        d = problem.miss_coefficients()
+        assert problem.miss_coefficients() is d
+        assert not d.flags.writeable
+
+    def test_single_instance_matches_padded_row(self, ragged):
+        """A batch of one packs the same columns a padded batch holds."""
+        wide = BatchProblem(ragged)
+        for i, pair in enumerate(ragged):
+            one = BatchProblem([pair])
+            n = pair[0].n
+            assert one.max_apps == n and one.counts.tolist() == [n]
+            assert one.valid.dtype == bool and one.valid.all()
+            for name in ("work", "seq", "freq", "miss0", "footprint",
+                         "baseline_cache"):
+                col = getattr(one, name)
+                assert col.shape == (1, n) and col.dtype == np.float64
+                assert np.array_equal(col[0], getattr(wide, name)[i, :n])
+            for name in ("p", "cache_size", "latency_cache",
+                         "latency_memory", "alpha"):
+                assert getattr(one, name)[0] == getattr(wide, name)[i]
+            assert np.array_equal(one.miss_coefficients()[0],
+                                  wide.miss_coefficients()[i, :n])
+
+    def test_single_non_pair_rejected(self):
+        with pytest.raises(ModelError, match="pair"):
+            BatchProblem([(npb_synth(3, np.random.default_rng(0)),)])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ModelError, match="at least one instance"):
@@ -189,8 +219,8 @@ class TestEvictionBatch:
                                            choice=choice)
         for i, (wl, pf) in enumerate(ragged):
             n = wl.n
-            ref = evict_until_dominant(weights[i, :n], ratios[i, :n],
-                                       start[i, :n], choice=choice)
+            ref = legacy.evict_until_dominant(
+                weights[i, :n], ratios[i, :n], start[i, :n], choice=choice)
             assert np.array_equal(masks[i, :n], ref)
 
     def test_random_choice_matches_with_same_streams(self, ragged, problem):
@@ -202,14 +232,15 @@ class TestEvictionBatch:
                                            choice="random", rngs=rngs)
         for i, (wl, pf) in enumerate(ragged):
             n = wl.n
-            ref = evict_until_dominant(weights[i, :n], ratios[i, :n],
-                                       start[i, :n], choice="random",
-                                       rng=np.random.default_rng(40 + i))
+            ref = legacy.evict_until_dominant(
+                weights[i, :n], ratios[i, :n], start[i, :n], choice="random",
+                rng=np.random.default_rng(40 + i))
             assert np.array_equal(masks[i, :n], ref)
 
     @pytest.mark.parametrize("strategy,batch_fn,scalar_fn", [
-        ("dominant", dominant_partition_batch, dominant_partition),
-        ("dominantrev", dominant_rev_partition_batch, dominant_rev_partition),
+        ("dominant", dominant_partition_batch, legacy.dominant_partition),
+        ("dominantrev", dominant_rev_partition_batch,
+         legacy.dominant_rev_partition),
     ])
     def test_partition_strategies(self, ragged, problem, strategy,
                                   batch_fn, scalar_fn):
@@ -218,6 +249,14 @@ class TestEvictionBatch:
         for i, (wl, pf) in enumerate(ragged):
             ref = scalar_fn(wl, pf, choice=choice)
             assert np.array_equal(masks[i, :wl.n], ref)
+
+
+    @pytest.mark.parametrize("batch_fn", [dominant_partition_batch,
+                                          dominant_rev_partition_batch])
+    @pytest.mark.parametrize("choice", ["minratio", "maxratio", "random"])
+    def test_rng_count_must_match_rows(self, problem, batch_fn, choice):
+        with pytest.raises(ModelError, match="per-row rngs"):
+            batch_fn(problem, choice=choice, rngs=[None])
 
 
 class TestBatchSchedule:
@@ -243,8 +282,8 @@ class TestBatchSchedule:
             bs = dominant_schedule_batch(problem, strategy=strategy,
                                          choice=choice)
             for i, (wl, pf) in enumerate(ragged):
-                ref = dominant_schedule(wl, pf, strategy=strategy,
-                                        choice=choice)
+                ref = legacy.dominant_schedule(wl, pf, strategy=strategy,
+                                               choice=choice)
                 s = bs.schedule(i)
                 assert np.array_equal(ref.procs, s.procs)
                 assert np.array_equal(ref.cache, s.cache)

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.powerlaw import (
     cache_for_target_miss_rate,
     effective_cache,
     miss_rate,
     miss_rate_fraction,
+    pow_rowwise,
     useful_fraction_bounds,
 )
 from repro.types import ModelError
@@ -151,3 +153,38 @@ class TestCacheForTarget:
         c = cache_for_target_miss_rate(m0, c0, target, alpha)
         if target < m0 and c > 0:
             assert miss_rate(m0, c0, c, alpha) == pytest.approx(target, rel=1e-9)
+
+
+_bases = hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)),
+                    elements=st.floats(0.0, 1e12))
+
+
+def _rowwise_reference(base, exponents):
+    """One ``row ** float(e)`` per row — the expression scalar code runs."""
+    return np.stack([row ** float(e) for row, e in zip(base, exponents)])
+
+
+class TestPowRowwise:
+    # 2.0, 0.5 and 1/3 are exponents NumPy may route through its
+    # square/sqrt/cbrt fast paths for a Python-float exponent.
+    @pytest.mark.parametrize("e", [2.0, 0.5, 1.0 / 3.0, 1.0 / 1.5])
+    @given(base=_bases)
+    def test_uniform_exponent_is_bytewise_scalar(self, e, base):
+        exponents = np.full(base.shape[0], e)
+        out = pow_rowwise(base, exponents)
+        assert out.dtype == np.float64
+        assert out.tobytes() == _rowwise_reference(base, exponents).tobytes()
+
+    @given(base=_bases, data=st.data())
+    def test_mixed_exponents_are_bytewise_scalar(self, base, data):
+        exponents = np.array(data.draw(st.lists(
+            st.sampled_from([2.0, 0.5, 1.0 / 3.0, 1.0, 0.25]),
+            min_size=base.shape[0], max_size=base.shape[0])))
+        out = pow_rowwise(base, exponents)
+        assert out.tobytes() == _rowwise_reference(base, exponents).tobytes()
+
+    def test_result_is_a_fresh_array(self):
+        base = np.array([[4.0, 9.0]])
+        base.flags.writeable = False
+        out = pow_rowwise(base, np.array([0.5]))
+        assert out.flags.writeable and not np.shares_memory(out, base)

@@ -7,6 +7,12 @@ mixed platforms, every registered scheduler (extensions included), the
 randomized heuristics under replayed per-row generator streams, the
 batched equal-finish solver, the batched simulation kernel, and the
 experiment engine's batch grouping.
+
+The six dominant heuristics' scalar entries are batches of one, so
+comparing them with the batch path would compare the core with
+itself: their reference is the frozen scalar loops of
+:mod:`golden.legacy_heuristics`, which both the batch path and the
+scalar registry entry must reproduce.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import pytest
 
 import repro.extensions  # noqa: F401  (registers speedup-aware & co.)
 from repro.core import (
+    DOMINANT_HEURISTICS,
     BatchProblem,
     dominant_schedule_batch,
     equal_finish_allocation,
@@ -29,6 +36,8 @@ from repro.core import (
 from repro.machine import small_llc, taihulight, xeon_e5_2690
 from repro.simulate import simulate_schedule, simulate_schedule_batch
 from repro.workloads import npb_synth, random_workload
+
+from .legacy_heuristics import legacy_schedule
 
 pytestmark = pytest.mark.kernel_equivalence
 
@@ -62,32 +71,40 @@ def _assert_schedules_identical(batch, scalar):
 
 
 class TestSchedulerBatchPath:
-    """schedule_batch == one scalar registry call per instance."""
+    """schedule_batch == one scalar call per instance.
+
+    For the six dominant heuristics the scalar reference is the frozen
+    legacy loop, and the live scalar registry entry must match it too.
+    """
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("name", sorted(scheduler_names()))
     def test_bit_identical(self, seed, name):
         entry = get_scheduler(name)
         instances = _instances(seed)
-        rngs = ([np.random.default_rng(seed * 100 + i)
-                 for i in range(len(instances))]
-                if entry.randomized else None)
-        batch = schedule_batch(name, instances, rngs)
-        scalar = [
-            entry(wl, pf,
-                  np.random.default_rng(seed * 100 + i)
-                  if entry.randomized else None)
-            for i, (wl, pf) in enumerate(instances)
-        ]
-        _assert_schedules_identical(batch, scalar)
+
+        def rng(i):
+            return (np.random.default_rng(seed * 100 + i)
+                    if entry.randomized else None)
+
+        batch = schedule_batch(name, instances,
+                               [rng(i) for i in range(len(instances))])
+        live = [entry(wl, pf, rng(i)) for i, (wl, pf) in enumerate(instances)]
+        if name in DOMINANT_HEURISTICS:
+            oracle = [legacy_schedule(name, wl, pf, rng(i))
+                      for i, (wl, pf) in enumerate(instances)]
+            _assert_schedules_identical(live, oracle)
+        else:
+            oracle = live
+        _assert_schedules_identical(batch, oracle)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_mixed_platforms(self, seed):
         instances = _instances(seed, mixed_platforms=True)
         batch = schedule_batch("dominant-minratio", instances)
-        scalar = [get_scheduler("dominant-minratio")(wl, pf, None)
+        oracle = [legacy_schedule("dominant-minratio", wl, pf)
                   for wl, pf in instances]
-        _assert_schedules_identical(batch, scalar)
+        _assert_schedules_identical(batch, oracle)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_padding_invariance(self, seed):

@@ -12,6 +12,7 @@ from repro.machine import taihulight
 from repro.service import (
     AllocationRequest,
     DecisionService,
+    RequestError,
     compute_decision,
     request_from_payload,
 )
@@ -154,6 +155,30 @@ class TestServing:
             assert sorted(r.coalesced for r in responses) == [False, True, True]
             assert svc.allocate(request6).cache_hit
         assert stored == [request6.fingerprint()]
+
+    def test_batcher_stores_before_the_key_leaves_flight(self, request6):
+        # A twin parsed just after the batch finished must be a cache
+        # hit: the decision is stored by the evaluating thread, before
+        # the batcher drops the batch's fingerprints, not later by the
+        # first caller's continuation.
+        with DecisionService() as svc:
+            key = request6.fingerprint()
+            decision, _, coalesced = svc.batcher.submit(request6, key).result(
+                timeout=30)
+            assert not coalesced
+            assert svc.cache.get(key) == decision
+            twin = svc.allocate(request6)
+            assert twin.cache_hit and twin.decision == decision
+            assert svc.batcher.stats().batches == 1
+
+    def test_failed_evaluation_is_not_stored(self, request6):
+        with DecisionService() as svc:
+            bad = AllocationRequest(applications=request6.applications,
+                                    platform=request6.platform,
+                                    scheduler="magic")
+            with pytest.raises(RequestError):
+                svc.batcher.submit(bad, "bad-key").result(timeout=30)
+            assert svc.cache.get("bad-key") is None
 
     def test_concurrent_distinct_requests_batch(self):
         rng = np.random.default_rng(1)
