@@ -22,7 +22,6 @@ from .batch import (
     BatchSchedule,
     access_cost_factor_batch,
     equal_finish_allocation_batch,
-    equal_finish_makespan_batch,
     execution_times_batch,
     miss_rates_batch,
     sequential_times_batch,
@@ -141,7 +140,6 @@ __all__ = [
     "optimal_cache_fractions_batch",
     "equal_finish_batch",
     "equal_finish_allocation_batch",
-    "equal_finish_makespan_batch",
     "dominant_partition_batch",
     "dominant_rev_partition_batch",
     "dominant_schedule_batch",

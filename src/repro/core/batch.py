@@ -56,7 +56,6 @@ __all__ = [
     "sequential_times_batch",
     "execution_times_batch",
     "equal_finish_allocation_batch",
-    "equal_finish_makespan_batch",
 ]
 
 #: Padding values per application column — chosen so padded cells flow
@@ -206,7 +205,7 @@ def execution_times_batch(problem: BatchProblem, procs, cache_fractions) -> np.n
     than rejected.
     """
     procs = np.asarray(procs, dtype=np.float64)
-    if np.any(problem.valid & (procs <= 0.0)):
+    if (problem.valid & (procs <= 0.0)).any():
         raise ModelError("processor allocation must be positive")
     with np.errstate(divide="ignore", invalid="ignore"):
         flops = problem.seq * problem.work + (
@@ -228,18 +227,11 @@ def equal_finish_allocation_batch(
                               xtol=xtol)
 
 
-def equal_finish_makespan_batch(
-    problem: BatchProblem, cache_fractions, *, xtol: float = 1e-12
-) -> np.ndarray:
-    """Per-row equal-finish makespans, shape ``(B,)``."""
-    return equal_finish_allocation_batch(problem, cache_fractions,
-                                         xtol=xtol)[1]
-
-
 class BatchSchedule:
     """Equal-finish schedules for a whole batch, kept as arrays.
 
-    The result of :func:`repro.core.heuristics.dominant_schedule_batch`:
+    The result of :func:`repro.core.heuristics.dominant_schedule_batch`
+    and of the batch baselines (:mod:`repro.core.baselines`):
     processor and cache arrays of shape ``(B, N)`` plus the originating
     :class:`BatchProblem`.  Execution times and makespans are computed
     vectorized; :meth:`schedules` materializes per-row
@@ -249,14 +241,13 @@ class BatchSchedule:
     paths stay on the arrays.
     """
 
-    __slots__ = ("problem", "procs", "cache", "makespans_", "_times")
+    __slots__ = ("problem", "procs", "cache", "_times")
 
     def __init__(self, problem: BatchProblem, procs: np.ndarray,
-                 cache: np.ndarray, makespans: np.ndarray | None = None):
+                 cache: np.ndarray):
         self.problem = problem
         self.procs = procs
         self.cache = cache
-        self.makespans_ = makespans
         self._times = None
 
     def __len__(self) -> int:

@@ -46,7 +46,7 @@ def pow_rowwise(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """
     exponents = np.asarray(exponents, dtype=np.float64)
     first = exponents[0]
-    if (exponents == first).all():
+    if exponents.size == 1 or (exponents == first).all():
         return base ** float(first)
     out = np.empty_like(base, dtype=np.float64)
     for e in np.unique(exponents):

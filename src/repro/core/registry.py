@@ -26,8 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..types import ModelError
+from . import baselines
 from .application import Workload
-from .baselines import all_proc_cache, fair, random_partition, zero_cache
 from .batch import BatchProblem
 from .heuristics import DOMINANT_HEURISTICS, dominant_schedule, dominant_schedule_batch
 from .platform import Platform
@@ -231,11 +231,12 @@ def _make_dominant_batch(strategy: str, choice: str) -> BatchSchedulerFn:
 def schedule_batch(name: str, instances, rngs=None) -> list[BaseSchedule]:
     """Schedule many (workload, platform) instances under one strategy.
 
-    Uses the entry's vectorized ``batch_fn`` when it has one (all six
-    paper heuristics do); otherwise falls back to one scalar call per
-    instance.  ``rngs``, when given, must hold one generator (or None)
-    per instance — randomized strategies draw each row's choices from
-    its own stream, exactly as the scalar path would.
+    Uses the entry's vectorized ``batch_fn`` when it has one (the six
+    paper heuristics and the four baselines do); otherwise falls back
+    to one scalar call per instance.  ``rngs``, when given, must hold
+    one generator (or None) per instance — randomized strategies draw
+    each row's choices from its own stream, exactly as the scalar path
+    would.
 
     Returns one schedule per instance, in input order, bit-identical to
     ``get_scheduler(name)(workload, platform, rng)`` per instance.
@@ -266,16 +267,24 @@ for _name, (_strategy, _choice) in DOMINANT_HEURISTICS.items():
         batch_fn=_make_dominant_batch(_strategy, _choice),
     )
 
-register("allproccache", lambda wl, pf, rng=None: all_proc_cache(wl, pf),
+register("allproccache", lambda wl, pf, rng=None: baselines.all_proc_cache(wl, pf),
          description="applications run in sequence, each owning machine + cache",
-         provenance="paper §6.3 (baseline)")
-register("fair", lambda wl, pf, rng=None: fair(wl, pf),
+         provenance="paper §6.3 (baseline)",
+         batch_fn=lambda instances, rngs=None: baselines.all_proc_cache_batch(
+             BatchProblem(instances)))
+register("fair", lambda wl, pf, rng=None: baselines.fair(wl, pf),
          description="equal processors, access-frequency-proportional cache",
-         provenance="paper §6.3 (baseline)")
-register("0cache", lambda wl, pf, rng=None: zero_cache(wl, pf),
+         provenance="paper §6.3 (baseline)",
+         batch_fn=lambda instances, rngs=None: baselines.fair_batch(
+             BatchProblem(instances)).schedules())
+register("0cache", lambda wl, pf, rng=None: baselines.zero_cache(wl, pf),
          description="equal-finish processors, no cache partitioned",
-         provenance="paper §6.3 (baseline)")
-register("randompart", lambda wl, pf, rng=None: random_partition(wl, pf, rng),
+         provenance="paper §6.3 (baseline)",
+         batch_fn=lambda instances, rngs=None: baselines.zero_cache_batch(
+             BatchProblem(instances)).schedules())
+register("randompart", lambda wl, pf, rng=None: baselines.random_partition(wl, pf, rng),
          randomized=True,
          description="random cache fractions, equal-finish processors",
-         provenance="paper §6.3 (baseline)")
+         provenance="paper §6.3 (baseline)",
+         batch_fn=lambda instances, rngs=None: baselines.random_partition_batch(
+             BatchProblem(instances), rngs).schedules())

@@ -133,10 +133,10 @@ class Schedule(BaseSchedule):
     def feasibility_violations(self, *, slack: float = FEASIBILITY_SLACK) -> list[str]:
         """Return a list of violated-constraint descriptions (empty if OK)."""
         issues: list[str] = []
-        if np.any(self.procs <= 0):
+        if (self.procs <= 0).any():
             bad = np.flatnonzero(self.procs <= 0)
             issues.append(f"non-positive processor allocation at indices {bad.tolist()}")
-        if np.any(self.cache < 0) or np.any(self.cache > 1):
+        if (self.cache < 0).any() or (self.cache > 1).any():
             bad = np.flatnonzero((self.cache < 0) | (self.cache > 1))
             issues.append(f"cache fraction outside [0, 1] at indices {bad.tolist()}")
         total_p = float(self.procs.sum())

@@ -2,18 +2,19 @@
 
 A cache key is a SHA-256 fingerprint of the experiment *spec* — sweep
 points, reps, root seed, and the identities of the instance factory,
-the registered scheduler entries, and the metric functions (module,
-qualname, bytecode, defaults, and closure values, so
-``_synth_nprocs(16)`` and ``_synth_nprocs(64)`` hash differently and
-editing a scheduler's or metric's own code invalidates its entries).
+the registered scheduler entries (scalar and batch callables), and
+the metric functions (module, qualname, bytecode, defaults, and
+closure values, so ``_synth_nprocs(16)`` and ``_synth_nprocs(64)``
+hash differently and editing a scheduler's or metric's own code
+invalidates its entries).
 Functions nested inside a hashed function (a ``def`` or ``lambda`` in
 its body) are hashed by their *bytecode*, recursively — never by the
 ``repr`` of the code object, which embeds a memory address and would
 silently give every process a fresh fingerprint (a permanent cache
-miss).  The hash does not chase functions reached through module
-globals, so after changing a deep callee of a scheduler, clear the
-cache directory (or run once with ``use_cache=False``).  Because every
-backend produces bit-identical arrays from the same spec (see
+miss).  The hash records the global names a function calls but does
+not chase their code, so after changing a deep callee of a scheduler,
+clear the cache directory (or run once with ``use_cache=False``).
+Because every backend produces bit-identical arrays from the same spec (see
 :mod:`repro.experiments.engine`), a result computed once — serially,
 or on a process pool — satisfies every later run of the same figure:
 regenerating a figure or re-running a benchmark with a warm cache does
@@ -112,14 +113,16 @@ def _callable_fingerprint(fn: Callable, parts: list[str], *, depth: int = 0) -> 
     """Append a stable description of *fn* (qualname, bytecode, closure)."""
     if isinstance(fn, SchedulerEntry):
         parts.append(f"entry={fn.name},randomized={fn.randomized}")
-        if depth < 3:
-            _callable_fingerprint(fn.fn, parts, depth=depth + 1)
+        if depth < 3:  # the batch evaluator computes the grid cells
+            for part in filter(None, (fn.fn, fn.batch_fn)):
+                _callable_fingerprint(part, parts, depth=depth + 1)
         return
     parts.append(f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', type(fn).__qualname__)}")
     code = getattr(fn, "__code__", None)
     if code is not None:
         parts.append(hashlib.sha256(code.co_code).hexdigest())
         parts.append(_consts_fingerprint(code.co_consts))
+        parts.append(",".join(code.co_names))
     defaults = getattr(fn, "__defaults__", None)
     if defaults and depth < 3:
         # Each default through the per-value logic: repr of the whole

@@ -15,16 +15,18 @@ scheduler)`` for randomized schedulers — so every backend produces
 is a pure function of the task record.  That is what makes the grid
 embarrassingly parallel and the results cacheable.
 
-Within each chunk, tasks for schedulers that expose a vectorized
-``batch_fn`` (the six paper heuristics) are evaluated through one
-structure-of-arrays batch call (:mod:`repro.core.batch`) rather than
-one Python call per task; the batch path is bit-identical to the
-scalar path, so this too is a pure optimization.
+Within each chunk, the tasks of a scheduler that exposes a vectorized
+``batch_fn`` (the six paper heuristics and the four Section 6.3
+baselines) are evaluated through one structure-of-arrays batch call
+(:mod:`repro.core.batch`) rather than one Python call per task; the
+batch path is bit-identical to the scalar path, so this too is a pure
+optimization.
 
 Backends
 --------
 ``"serial"``
-    In-process loop over the tasks (the default; no new behavior).
+    In-process evaluation of the whole grid as one chunk (the
+    default): one factory memo, and one batch call per scheduler.
 ``"process"``
     A ``multiprocessing`` pool (fork start method) over chunked task
     batches.  Worker processes inherit the experiment object through
@@ -169,26 +171,12 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _chunk(tasks: Sequence[Task], nchunks: int) -> list[list[Task]]:
-    """Split *tasks* into at most *nchunks* contiguous batches.
-
-    Contiguity matters: tasks are generated scheduler-innermost, so a
-    contiguous batch keeps the tasks sharing one ``(rep, point)``
-    workload instance together and the per-batch factory memo (see
-    :func:`_run_batch`) stays effective.
-    """
-    n = len(tasks)
+def _split_indices(items: Sequence, nchunks: int) -> list[list]:
+    """Split a sequence into at most *nchunks* contiguous parts."""
+    n = len(items)
     nchunks = max(1, min(nchunks, n))
     bounds = np.linspace(0, n, nchunks + 1).astype(int)
-    return [list(tasks[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _split_indices(indices: Sequence[int], nchunks: int) -> list[list[int]]:
-    """Split an index list into at most *nchunks* contiguous parts."""
-    n = len(indices)
-    nchunks = max(1, min(nchunks, n))
-    bounds = np.linspace(0, n, nchunks + 1).astype(int)
-    return [list(indices[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    return [list(items[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
 def _plan_process_chunks(
@@ -214,7 +202,7 @@ def _plan_process_chunks(
     per-cell factory memo, which contiguity keeps warm).
     """
     if exp.evaluate is not None:
-        return _chunk(tasks, nchunks), list(range(len(tasks)))
+        return _split_indices(tasks, nchunks), list(range(len(tasks)))
     groups: dict[str, list[int]] = {}
     scalar: list[int] = []
     for i, task in enumerate(tasks):
@@ -265,15 +253,15 @@ def _run_batch(exp: "Experiment", batch: Iterable[Task]) -> list[dict[str, float
     the batch — rebuilding from ``instance_seed`` is deterministic, so
     the memo is a pure optimization.
 
-    Tasks whose scheduler entry carries a vectorized ``batch_fn`` (and
-    whose experiment uses the default schedule-metric evaluation) are
-    collected per scheduler and shipped through one batch call instead
-    of one Python call each.  The batch path is bit-identical to the
-    scalar path by construction (see :mod:`repro.core.batch`) and each
-    task still gets its own generator seeded from ``scheduler_seed``,
-    so results do not depend on grouping.  If a batch call fails, the
-    group falls back to the scalar loop so error messages (and any
-    partial successes) match the serial engine exactly.
+    Unless the experiment has a custom ``evaluate``, tasks are
+    collected per scheduler; a scheduler whose entry carries a
+    vectorized ``batch_fn`` (every paper heuristic and baseline) gets
+    one batch call for its whole group, the others one scalar call per
+    task.  The batch path is bit-identical to the scalar path by
+    construction (see :mod:`repro.core.batch`) and each task still gets
+    its own generator seeded from ``scheduler_seed``, so results do not
+    depend on grouping.  If a batch call fails, the group falls back to
+    the scalar loop so error messages match the scalar path exactly.
     """
     tasks = list(batch)
     # The per-batch factory memo rides the unified in-memory backend
@@ -282,7 +270,7 @@ def _run_batch(exp: "Experiment", batch: Iterable[Task]) -> list[dict[str, float
     # instance_seed stays a pure optimization.
     memo: LRUCache = LRUCache(max(len(tasks), 1))
     out: list[dict[str, float] | None] = [None] * len(tasks)
-    deferred: dict[str, list[tuple[int, object, object, object]]] = {}
+    groups: dict[str, list[tuple[int, object, object, object]]] = {}
     for idx, task in enumerate(tasks):
         cell = (task.rep, task.point_index)
         pair = memo.peek(cell)
@@ -303,18 +291,12 @@ def _run_batch(exp: "Experiment", batch: Iterable[Task]) -> list[dict[str, float
                     f"{sorted(missing)} (declared: {sorted(exp.metrics)})")
             out[idx] = {metric: sample[metric] for metric in exp.metrics}
             continue
-        entry = get_entry(task.scheduler)
-        if entry.batch_fn is not None:
-            deferred.setdefault(task.scheduler, []).append(
-                (idx, workload, platform, task.scheduler_seed))
-            continue
-        schedule = entry(workload, platform,
-                         np.random.default_rng(task.scheduler_seed))
-        out[idx] = {metric: fn(schedule) for metric, fn in exp.metrics.items()}
-    for name, group in deferred.items():
+        groups.setdefault(task.scheduler, []).append(
+            (idx, workload, platform, task.scheduler_seed))
+    for name, group in groups.items():
         entry = get_entry(name)
         schedules = None
-        if len(group) > 1:
+        if entry.batch_fn is not None:
             instances = [(wl, pf) for _, wl, pf, _ in group]
             rngs = [np.random.default_rng(seed) for _, _, _, seed in group]
             try:
@@ -340,21 +322,6 @@ _WORKER_EXPERIMENT: "Experiment | None" = None
 def _run_batch_worker(batch: list[Task]) -> list[dict[str, float]]:
     assert _WORKER_EXPERIMENT is not None, "worker initialized without experiment"
     return _run_batch(_WORKER_EXPERIMENT, batch)
-
-
-def _execute_serial(
-    exp: "Experiment",
-    tasks: Sequence[Task],
-    progress: Callable[[str], None] | None,
-) -> list[dict[str, float]]:
-    per_rep = exp.points.size * len(exp.schedulers)
-    results: list[dict[str, float]] = []
-    for r in range(exp.reps):
-        batch = tasks[r * per_rep:(r + 1) * per_rep]
-        results.extend(_run_batch(exp, batch))
-        if progress is not None:
-            progress(f"{exp.experiment_id}: rep {r + 1}/{exp.reps} done")
-    return results
 
 
 def _execute_process(
@@ -413,7 +380,10 @@ def execute_tasks(
         elif len(tasks) <= 1:
             backend = "serial"
     if backend == "serial":
-        return _execute_serial(exp, tasks, progress)
+        results = _run_batch(exp, tasks)
+        if progress is not None:
+            progress(f"{exp.experiment_id}: {len(tasks)}/{len(tasks)} tasks done")
+        return results
     if backend == "process":
         return _execute_process(exp, tasks, resolve_workers(workers), progress)
     raise ModelError(f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}")

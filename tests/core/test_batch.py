@@ -28,6 +28,7 @@ from repro.core import (
     equal_finish_allocation_batch,
     execution_times,
     execution_times_batch,
+    fair,
     get_scheduler,
     miss_rates,
     miss_rates_batch,
@@ -37,7 +38,9 @@ from repro.core import (
     sequential_times,
     sequential_times_batch,
 )
+from repro.core import registry
 from repro.core.heuristics import evict_until_dominant_batch
+from repro.core.registry import SchedulerEntry
 from repro.machine import small_llc, taihulight, xeon_e5_2690
 from repro.types import ModelError
 from repro.workloads import npb_synth, random_workload
@@ -302,11 +305,14 @@ class TestScheduleBatchRegistry:
             assert np.array_equal(ref.procs, s.procs)
             assert np.array_equal(ref.cache, s.cache)
 
-    def test_fallback_without_batch_fn(self):
+    def test_fallback_without_batch_fn(self, monkeypatch):
+        monkeypatch.setitem(registry._REGISTRY, "scalar-fair", SchedulerEntry(
+            "scalar-fair", lambda wl, pf, rng=None: fair(wl, pf)))
         instances = _ragged_instances(5, seed=7)
-        assert get_scheduler("fair").batch_fn is None
-        for s, (wl, pf) in zip(schedule_batch("fair", instances), instances):
-            ref = get_scheduler("fair")(wl, pf, None)
+        assert get_scheduler("scalar-fair").batch_fn is None
+        for s, (wl, pf) in zip(schedule_batch("scalar-fair", instances),
+                               instances):
+            ref = get_scheduler("scalar-fair")(wl, pf, None)
             assert np.array_equal(ref.procs, s.procs)
             assert np.array_equal(ref.cache, s.cache)
 

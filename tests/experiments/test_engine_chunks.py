@@ -5,8 +5,10 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 
-from repro.core.registry import get_entry
+from repro.core import registry, zero_cache
+from repro.core.registry import SchedulerEntry, get_entry
 from repro.experiments import Experiment, run_experiment
 from repro.experiments.engine import (
     _plan_process_chunks,
@@ -21,6 +23,13 @@ def _factory(point, rng):
     return npb_synth(max(1, int(point)), rng), taihulight()
 
 
+@pytest.fixture(autouse=True)
+def scalar_only_scheduler(monkeypatch):
+    """A scheduler without a ``batch_fn``, for the plan's scalar pool."""
+    monkeypatch.setitem(registry._REGISTRY, "scalar-0cache", SchedulerEntry(
+        "scalar-0cache", lambda wl, pf, rng=None: zero_cache(wl, pf)))
+
+
 def _exp(**kw):
     base = dict(
         experiment_id="chunks",
@@ -28,7 +37,7 @@ def _exp(**kw):
         xlabel="n",
         points=np.array([2.0, 3.0, 4.0]),
         factory=_factory,
-        schedulers=("dominant-minratio", "0cache", "randompart"),
+        schedulers=("dominant-minratio", "scalar-0cache", "randompart"),
         reps=2,
         seed=11,
     )

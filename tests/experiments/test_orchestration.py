@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 
 import numpy as np
 import pytest
 
 import repro.experiments.engine as engine_mod
-from repro.core import get_scheduler, register
+from repro.core import baselines, get_scheduler, register, registry
 from repro.experiments import (
     Experiment,
     ResultCache,
@@ -210,6 +211,28 @@ class TestResultCache:
         before = spec_fingerprint(exp)
         register("mut-sched", lambda wl, pf, rng=None: zero(wl, pf, rng),
                  overwrite=True)
+        assert spec_fingerprint(exp) != before
+
+    def test_callee_name_change_invalidates(self):
+        """Same bytecode, different global called: a different key."""
+        register("mut-sched", lambda wl, pf, rng=None: baselines.fair(wl, pf),
+                 overwrite=True)
+        exp = _exp(schedulers=("mut-sched",))
+        before = spec_fingerprint(exp)
+        register("mut-sched",
+                 lambda wl, pf, rng=None: baselines.zero_cache(wl, pf),
+                 overwrite=True)
+        assert spec_fingerprint(exp) != before
+
+    def test_batch_fn_change_invalidates(self, monkeypatch):
+        """The batch evaluator computes the grid cells, so re-registering
+        a scheduler with a different ``batch_fn`` must change the key."""
+        entry = get_scheduler("dominant-minratio")
+        exp = _exp(schedulers=("dominant-minratio",))
+        before = spec_fingerprint(exp)
+        monkeypatch.setitem(registry._REGISTRY, "dominant-minratio",
+                            dataclasses.replace(entry, batch_fn=lambda
+                                                instances, rngs=None: []))
         assert spec_fingerprint(exp) != before
 
     def test_metric_code_change_invalidates(self):

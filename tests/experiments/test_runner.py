@@ -79,7 +79,7 @@ class TestRunner:
     def test_progress_callback(self):
         messages = []
         run_experiment(_exp(), progress=messages.append)
-        assert len(messages) == 2  # one per rep
+        assert messages == ["t: 8/8 tasks done"]  # one batch per grid
 
     def test_meta_recorded(self):
         res = run_experiment(_exp())

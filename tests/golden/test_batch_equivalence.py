@@ -8,10 +8,11 @@ randomized heuristics under replayed per-row generator streams, the
 batched equal-finish solver, the batched simulation kernel, and the
 experiment engine's batch grouping.
 
-The six dominant heuristics' scalar entries are batches of one, so
-comparing them with the batch path would compare the core with
-itself: their reference is the frozen scalar loops of
-:mod:`golden.legacy_heuristics`, which both the batch path and the
+The six dominant heuristics' and the four baselines' scalar entries
+are batches of one, so comparing them with the batch path would
+compare the core with itself: their reference is the frozen scalar
+code of :mod:`golden.legacy_heuristics` and
+:mod:`golden.legacy_baselines`, which both the batch path and the
 scalar registry entry must reproduce.
 """
 
@@ -23,6 +24,7 @@ import pytest
 import repro.extensions  # noqa: F401  (registers speedup-aware & co.)
 from repro.core import (
     DOMINANT_HEURISTICS,
+    PAPER_BASELINES,
     BatchProblem,
     dominant_schedule_batch,
     equal_finish_allocation,
@@ -37,6 +39,7 @@ from repro.machine import small_llc, taihulight, xeon_e5_2690
 from repro.simulate import simulate_schedule, simulate_schedule_batch
 from repro.workloads import npb_synth, random_workload
 
+from .legacy_baselines import legacy_baseline
 from .legacy_heuristics import legacy_schedule
 
 pytestmark = pytest.mark.kernel_equivalence
@@ -73,8 +76,9 @@ def _assert_schedules_identical(batch, scalar):
 class TestSchedulerBatchPath:
     """schedule_batch == one scalar call per instance.
 
-    For the six dominant heuristics the scalar reference is the frozen
-    legacy loop, and the live scalar registry entry must match it too.
+    For the six dominant heuristics and the four baselines the scalar
+    reference is the frozen legacy code, and the live scalar registry
+    entry must match it too.
     """
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -90,8 +94,10 @@ class TestSchedulerBatchPath:
         batch = schedule_batch(name, instances,
                                [rng(i) for i in range(len(instances))])
         live = [entry(wl, pf, rng(i)) for i, (wl, pf) in enumerate(instances)]
-        if name in DOMINANT_HEURISTICS:
-            oracle = [legacy_schedule(name, wl, pf, rng(i))
+        legacy = (legacy_schedule if name in DOMINANT_HEURISTICS
+                  else legacy_baseline if name in PAPER_BASELINES else None)
+        if legacy is not None:
+            oracle = [legacy(name, wl, pf, rng(i))
                       for i, (wl, pf) in enumerate(instances)]
             _assert_schedules_identical(live, oracle)
         else:
