@@ -43,11 +43,10 @@ from .types import (
     SolverError,
 )
 
-# Importing these packages registers their schedulers (speedup-aware,
-# localsearch, continuous-opt, pairwise-matching) so they are always
-# available from get_scheduler()/the CLI.
+# Importing extensions registers its schedulers (speedup-aware,
+# localsearch, continuous-opt) so they are always available from
+# get_scheduler()/the CLI.
 from . import extensions as _extensions  # noqa: E402,F401
-from . import interference as _interference  # noqa: E402,F401
 
 __version__ = "1.1.0"
 

@@ -28,7 +28,7 @@ from .faults import (
     ProcessorChurn,
     parse_fault_spec,
 )
-from .injector import FaultInjector, inject_queue, pool_at, pool_trajectory
+from .injector import FaultInjector, pool_at
 from .invariants import InvariantReport, check_invariants
 from .probes import PROBE_COLUMNS, ProbeSample, ProbeTimeline
 from .runner import ChaosResult, estimate_horizon, run_chaos
@@ -44,9 +44,7 @@ __all__ = [
     "PriorityClasses",
     "parse_fault_spec",
     "FaultInjector",
-    "inject_queue",
     "pool_at",
-    "pool_trajectory",
     "InvariantReport",
     "check_invariants",
     "ProbeSample",

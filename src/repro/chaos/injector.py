@@ -27,11 +27,6 @@ inside such a gap are applied *lazily* at the next allocation — in
 time order, logged at their own timestamps — which is observationally
 equivalent: nothing was running, so nothing could crash, be preempted,
 or use the processors that left.
-
-The absolute-time queue kernel is covered by :func:`inject_queue`,
-which replays platform churn against
-:func:`repro.simulate.kernel.run_queue_kernel` by scaling each batch's
-service time by the pool available at its arrival.
 """
 
 from __future__ import annotations
@@ -40,41 +35,14 @@ import numpy as np
 
 from ..core.application import Workload
 from ..core.platform import Platform
-from ..simulate.kernel import (
-    EventLog,
-    QueueKernelResult,
-    at_or_before,
-    run_queue_kernel,
-)
-from ..types import ModelError
+from ..simulate.kernel import EventLog, at_or_before
 from .faults import CompiledFaults
 from .probes import ProbeSample, ProbeTimeline
 
 __all__ = [
     "FaultInjector",
     "pool_at",
-    "pool_trajectory",
-    "inject_queue",
 ]
-
-
-def pool_trajectory(compiled: CompiledFaults, p: float) -> list[tuple[float, float]]:
-    """Stepwise ``(time, pool size)`` trajectory of a compiled stream.
-
-    Starts at ``(0.0, p)``; each churn event appends the post-event
-    pool, which holds until the next entry.
-    """
-    timeline = [(0.0, float(p))]
-    pool = float(p)
-    for ev in compiled.events:
-        if ev.kind == "proc_join":
-            pool += ev.magnitude
-        elif ev.kind == "proc_leave":
-            pool -= ev.magnitude
-        else:
-            continue
-        timeline.append((ev.time, pool))
-    return timeline
 
 
 def pool_at(timeline: list[tuple[float, float]], t: float) -> float:
@@ -407,43 +375,3 @@ class FaultInjector:
             class_mean_flow=tuple(class_mean_flow),
         )
 
-
-def inject_queue(
-    arrivals,
-    service,
-    compiled: CompiledFaults,
-    p: float,
-    *,
-    buffer_capacity: int | None = None,
-    log: EventLog | None = None,
-) -> tuple[QueueKernelResult, list[tuple[float, float]]]:
-    """Replay platform churn against the absolute-time queue kernel.
-
-    The queue kernel serves one batch at a time on the whole machine,
-    so an elastic pool rescales each batch's service time by
-    ``p / pool(arrival instant)`` — the pool in force when the batch
-    arrives serves it to completion (no mid-batch rescaling; a batch
-    is the atomic unit of the queue model).  Churn events are recorded
-    into the shared log first (the queue kernel then appends its own
-    chronologically-sorted events), and the stepwise pool trajectory is
-    returned alongside the result.
-
-    Crash / preempt / class events are application-level and have no
-    queue-kernel meaning; they are ignored here.
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    service = np.asarray(service, dtype=np.float64)
-    timeline = pool_trajectory(compiled, p)
-    if any(size <= 0.0 for _, size in timeline):
-        raise ModelError("churn trajectory empties the pool; the queue "
-                         "kernel needs at least a fractional processor")
-    if log is None:
-        log = EventLog()
-    pool = timeline[0][1]
-    for time, size in timeline[1:]:
-        log.record(time, "proc_join" if size > pool else "proc_leave", -1)
-        pool = size
-    scaled = service * np.array([p / pool_at(timeline, a) for a in arrivals])
-    result = run_queue_kernel(
-        arrivals, scaled, buffer_capacity=buffer_capacity, log=log)
-    return result, timeline

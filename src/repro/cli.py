@@ -6,8 +6,6 @@ Examples::
     python -m repro figure fig3 --csv out/fig3.csv
     python -m repro table2
     python -m repro schedule --dataset npb-synth --napps 32 --scheduler dominant-minratio
-    python -m repro cluster --napps 48 --nodes 4
-    python -m repro pipeline --napps 16
     python -m repro online --napps 16 --policy fair --arrivals poisson:rate=5e-9
     python -m repro validate --napps 32
     python -m repro list
@@ -84,19 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="dominant-minratio")
     sched.add_argument("--platform", choices=list(PRESETS), default="taihulight")
     sched.add_argument("--seed", type=int, default=2017)
-
-    cluster = sub.add_parser("cluster", help="multi-node assignment study")
-    cluster.add_argument("--dataset", choices=list(DATASETS), default="npb-synth")
-    cluster.add_argument("--napps", type=int, default=48)
-    cluster.add_argument("--nodes", type=int, default=4)
-    cluster.add_argument("--platform", choices=list(PRESETS), default="taihulight")
-    cluster.add_argument("--seed", type=int, default=2017)
-
-    pipe = sub.add_parser("pipeline", help="in-situ sustainability report")
-    pipe.add_argument("--dataset", choices=list(DATASETS), default="npb-synth")
-    pipe.add_argument("--napps", type=int, default=16)
-    pipe.add_argument("--platform", choices=list(PRESETS), default="taihulight")
-    pipe.add_argument("--seed", type=int, default=2017)
 
     onl = sub.add_parser(
         "online",
@@ -278,54 +263,6 @@ def _cmd_schedule(args) -> int:
     platform = get_preset(args.platform)
     schedule = get_scheduler(args.scheduler)(workload, platform, rng)
     print(schedule.describe())
-    return 0
-
-
-def _cmd_cluster(args) -> int:
-    from .multinode import (
-        lpt_assignment,
-        lpt_refined_assignment,
-        round_robin_assignment,
-        schedule_cluster,
-    )
-
-    rng = np.random.default_rng(args.seed)
-    workload = generate(args.dataset, args.napps, rng)
-    platform = get_preset(args.platform)
-    rows = []
-    for name, assigner in (("round-robin", round_robin_assignment),
-                           ("lpt", lpt_assignment),
-                           ("lpt-refined", lpt_refined_assignment)):
-        cs = schedule_cluster(
-            workload, platform, assigner(workload, platform, args.nodes))
-        rows.append([name, cs.makespan(), cs.imbalance()])
-    print(f"{args.napps} applications on {args.nodes} nodes "
-          f"({platform.name}, p={platform.p:g}/node)")
-    print(format_table(["assignment", "makespan", "imbalance"], rows))
-    best = lpt_refined_assignment(workload, platform, args.nodes)
-    print()
-    print(schedule_cluster(workload, platform, best).describe())
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    from .pipeline import min_sustainable_period
-
-    rng = np.random.default_rng(args.seed)
-    workload = generate(args.dataset, args.napps, rng)
-    platform = get_preset(args.platform)
-    rows = []
-    base = None
-    for name in ("dominant-minratio", "randompart", "0cache", "fair",
-                 "allproccache"):
-        period = min_sustainable_period(
-            workload, platform, scheduler=name, rng=np.random.default_rng(1))
-        if base is None:
-            base = period
-        rows.append([name, period, period / base])
-    print(f"sustainable in-situ period per strategy "
-          f"({args.napps} kernels, {platform.name})")
-    print(format_table(["strategy", "min period", "vs dominant"], rows))
     return 0
 
 
@@ -543,8 +480,6 @@ def main(argv: list[str] | None = None) -> int:
         "figure": _cmd_figure,
         "table2": _cmd_table2,
         "schedule": _cmd_schedule,
-        "cluster": _cmd_cluster,
-        "pipeline": _cmd_pipeline,
         "online": _cmd_online,
         "validate": _cmd_validate,
         "list": _cmd_list,

@@ -321,7 +321,7 @@ def _registered_event_kinds() -> frozenset[str]:
     rather than crashing.
     """
     fallback = frozenset({
-        "seq-done", "done", "arrival", "drop",
+        "seq-done", "done", "arrival",
         "proc_join", "proc_leave", "crash", "restart", "preempt",
     })
     kernel = Path(__file__).resolve().parents[2] / "simulate" / "kernel.py"

@@ -1,7 +1,7 @@
 """Discrete-event co-execution engine and model validation.
 
 The shared clock — canonical boundary tolerance, typed event log, and
-the phase/queue kernels every simulator adapts — lives in
+the phase kernel (scalar and batch) every simulator adapts — lives in
 :mod:`repro.simulate.kernel`.
 """
 
@@ -20,7 +20,6 @@ from .kernel import (
     boundary_tol,
     run_phase_kernel,
     run_phase_kernel_batch,
-    run_queue_kernel,
 )
 from .validation import ValidationReport, validate_schedule, work_conserving_gain
 
@@ -37,7 +36,6 @@ __all__ = [
     "at_or_before",
     "boundary_tol",
     "run_phase_kernel",
-    "run_queue_kernel",
     "ValidationReport",
     "validate_schedule",
     "work_conserving_gain",

@@ -1,19 +1,20 @@
-"""The one discrete-event kernel behind every simulation clock.
+"""The one discrete-event kernel behind every simulation.
 
-Before this module the repository carried three independently
-hand-rolled time-stepping loops — the offline phase loop
-(:func:`repro.simulate.simulate_schedule`), the online arrival loop
-(:func:`repro.online.simulate_online`), and the batch-queue recurrence
-(:func:`repro.pipeline.simulate_batch_queue`) — each with its own
-subtly different boundary handling.  That bred a whole family of
-epsilon bugs: a phase residue tolerated by one loop but not another, a
+Before this module the repository carried independently hand-rolled
+time-stepping loops — the offline phase loop
+(:func:`repro.simulate.simulate_schedule`) and the online arrival loop
+(:func:`repro.online.simulate_online`) — each with its own subtly
+different boundary handling.  That bred a whole family of epsilon
+bugs: a phase residue tolerated by one loop but not another, and a
 relative-only arrival admission that degenerates at ``now == 0`` and
-drifts at large ``now``, and a queue with no tolerance at all.  This
-module is the single kernel all three are now thin adapters over.
+drifts at large ``now``.  Both are now thin adapters over the one
+phase clock of this module, run one instance at a time
+(:func:`run_phase_kernel`) or as a lockstep batch
+(:func:`run_phase_kernel_batch`).
 
 Tolerance convention
 --------------------
-Every boundary decision in every clock uses **one** canonical combined
+Every boundary decision of the phase clock uses **one** canonical combined
 absolute + relative tolerance::
 
     tol(scale) = ABS_TOL + REL_TOL * |scale|
@@ -26,9 +27,7 @@ where *scale* is the natural magnitude of the quantity being compared:
 * **arrival admission** compares an arrival instant against the clock
   with ``scale = now`` (an arrival within one part in 10^12 of the
   current instant — or within ``ABS_TOL`` of a clock still at zero —
-  happens *now*);
-* **queue boundaries** compare service starts against arrival instants
-  with ``scale = `` the arrival instant.
+  happens *now*).
 
 The absolute term keeps the comparison meaningful at ``t == 0`` (a
 purely relative tolerance admits nothing early there); the relative
@@ -42,8 +41,6 @@ The phase clock *accumulates* (``now += dt``) while work is being
 retired, and *jumps* (``now = t``) when idle — jumping to an arrival
 instant keeps it exact, and the admission tolerance absorbs the
 accumulated ulps when an arrival coincides with a completion event.
-The queue clock works in absolute times (``finish = start + service``)
-so a batch's latency is one subtraction, not an accumulation.
 
 Hooks
 -----
@@ -64,7 +61,7 @@ Hooks
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -81,8 +78,6 @@ __all__ = [
     "run_phase_kernel",
     "BatchPhaseKernelResult",
     "run_phase_kernel_batch",
-    "QueueKernelResult",
-    "run_queue_kernel",
 ]
 
 #: Absolute component of the canonical boundary tolerance.
@@ -110,11 +105,12 @@ def at_or_before(value, boundary, *, scale=None):
 
 #: Event kinds the kernel emits, in the order they can occur at one
 #: instant: completions and phase exits before admissions.  The tail
-#: kinds are the fault-injection events of :mod:`repro.chaos` —
-#: appended (never reordered) because the queue kernel's chronological
-#: merge keys on each kind's index in this tuple.
+#: kinds are the fault-injection events of :mod:`repro.chaos`.  New
+#: kinds are appended, never reordered: :mod:`repro.chaos.faults`
+#: breaks ties between fault events at one instant by each kind's
+#: index in this tuple.
 EVENT_KINDS: tuple[str, ...] = (
-    "seq-done", "done", "arrival", "drop",
+    "seq-done", "done", "arrival",
     "proc_join", "proc_leave", "crash", "restart", "preempt",
 )
 
@@ -539,93 +535,3 @@ def run_phase_kernel_batch(
         finished |= done
 
     return BatchPhaseKernelResult(finish_times=finish, events=events, now=now)
-
-
-@dataclass(frozen=True)
-class QueueKernelResult:
-    """Outcome of a :func:`run_queue_kernel` run.
-
-    Attributes
-    ----------
-    starts, finishes, latencies : numpy.ndarray
-        Per *admitted* batch, in arrival order.
-    dropped : int
-        Batches rejected by the finite buffer.
-    max_depth : int
-        Largest number of batches waiting (excluding the one in
-        service), sampled at arrival instants.
-    log : EventLog
-        Typed log of ``arrival``/``drop``/``done`` events.
-    """
-
-    starts: np.ndarray
-    finishes: np.ndarray
-    latencies: np.ndarray
-    dropped: int
-    max_depth: int
-    log: EventLog
-
-
-def run_queue_kernel(
-    arrivals: Sequence[float] | np.ndarray,
-    service: Sequence[float] | np.ndarray,
-    *,
-    buffer_capacity: int | None = None,
-    log: EventLog | None = None,
-) -> QueueKernelResult:
-    """Single-server FIFO queue with an optional finite buffer.
-
-    The queue clock works in absolute times: batch *k* starts at
-    ``max(arrival_k, finish_{k-1})`` and finishes one addition later,
-    so latencies carry no accumulated stepping error.  Boundary
-    decisions (has a queued batch started by this arrival instant?)
-    use the canonical kernel tolerance at the arrival's scale.
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    service = np.asarray(service, dtype=np.float64)
-    if log is None:
-        log = EventLog()
-
-    starts: list[float] = []
-    finishes: list[float] = []
-    latencies: list[float] = []
-    pending_events: list[tuple[float, str, int]] = []
-    dropped = 0
-    max_depth = 0
-    server_free_at = 0.0
-
-    for k, (arr, svc) in enumerate(zip(arrivals, service)):
-        # Queue depth at this arrival: admitted batches whose service
-        # has not started yet (tolerantly: a batch starting within
-        # tol of this very instant has started).
-        depth = sum(1 for s in starts if not at_or_before(s, arr))
-        max_depth = max(max_depth, depth)
-        server_busy = not at_or_before(server_free_at, arr)
-        if buffer_capacity is not None and depth >= buffer_capacity and server_busy:
-            dropped += 1
-            pending_events.append((arr, "drop", k))
-            continue
-        pending_events.append((arr, "arrival", k))
-        start = max(arr, server_free_at)
-        finish = start + svc
-        starts.append(start)
-        finishes.append(finish)
-        latencies.append(finish - arr)
-        server_free_at = finish
-        pending_events.append((finish, "done", k))
-
-    # The pass visits batches in arrival order, but a completion can
-    # postdate later arrivals; merge into the log chronologically
-    # (ties: completions before admissions, per EVENT_KINDS).
-    for time, kind, k in sorted(
-            pending_events, key=lambda e: (e[0], EVENT_KINDS.index(e[1]))):
-        log.record(time, kind, k)
-
-    return QueueKernelResult(
-        starts=np.asarray(starts),
-        finishes=np.asarray(finishes),
-        latencies=np.asarray(latencies),
-        dropped=dropped,
-        max_depth=max_depth,
-        log=log,
-    )

@@ -14,10 +14,20 @@ from repro.chaos import (
     PriorityClasses,
     ProcessorChurn,
     parse_fault_spec,
-    pool_trajectory,
 )
 from repro.simulate.kernel import EVENT_KINDS
 from repro.types import ModelError
+
+
+def _pool_sizes(compiled: CompiledFaults, p: float) -> list[float]:
+    """Pool size at the start and after each churn event."""
+    sizes = [p]
+    for ev in compiled.events:
+        if ev.kind == "proc_join":
+            sizes.append(sizes[-1] + ev.magnitude)
+        elif ev.kind == "proc_leave":
+            sizes.append(sizes[-1] - ev.magnitude)
+    return sizes
 
 
 class TestParse:
@@ -139,7 +149,7 @@ class TestCompile:
             "churn:period=1e8,drop=0.5,min=0.25,max=0.75", horizon=1e10)
         # first entry is the nominal pool (the platform starts whole,
         # even above the churn ceiling); every move lands in the clamp
-        pools = [size for _, size in pool_trajectory(compiled, 64.0)][1:]
+        pools = _pool_sizes(compiled, 64.0)[1:]
         assert len(pools) > 10  # the clamp flips direction, never stalls
         assert min(pools) >= 0.25 * 64.0 - 1e-9
         assert max(pools) <= 0.75 * 64.0 + 1e-9
@@ -179,4 +189,4 @@ class TestCompile:
     def test_compiled_default_is_calm(self):
         calm = CompiledFaults()
         assert calm.events == () and calm.classes is None
-        assert pool_trajectory(calm, 64.0) == [(0.0, 64.0)]
+        assert _pool_sizes(calm, 64.0) == [64.0]

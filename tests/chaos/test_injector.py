@@ -14,13 +14,10 @@ from repro.chaos import (
     CompiledFaults,
     FaultEvent,
     FaultInjector,
-    inject_queue,
     pool_at,
-    pool_trajectory,
 )
 from repro.core import Application, Platform, Workload
 from repro.simulate.kernel import EventLog, run_phase_kernel
-from repro.types import ModelError
 
 P = 4.0
 
@@ -69,15 +66,6 @@ class TestPoolTrajectory:
         assert pool_at(timeline, 5.0) == 2.0  # boundary belongs to the step
         assert pool_at(timeline, 6.0) == 2.0
         assert pool_at(timeline, 100.0) == 6.0
-
-    def test_trajectory_from_events(self):
-        compiled = _events(
-            FaultEvent(time=2.0, kind="proc_leave", magnitude=1.0),
-            FaultEvent(time=3.0, kind="crash", target=0, magnitude=1.0),
-            FaultEvent(time=4.0, kind="proc_join", magnitude=2.0),
-        )
-        assert pool_trajectory(compiled, 4.0) == [
-            (0.0, 4.0), (2.0, 3.0), (4.0, 5.0)]
 
 
 class TestCrash:
@@ -211,19 +199,3 @@ class TestClassCap:
                                 np.zeros(2), np.array([10.0, 10.0]))
         assert procs[0] == pytest.approx(4.0)
         assert procs[1] == 0.0
-
-
-class TestInjectQueue:
-    def test_service_scaled_by_pool_at_arrival(self):
-        compiled = _events(
-            FaultEvent(time=5.0, kind="proc_leave", magnitude=2.0))
-        res, timeline = inject_queue([0.0, 6.0], [2.0, 2.0], compiled, P)
-        assert timeline == [(0.0, 4.0), (5.0, 2.0)]
-        assert np.allclose(res.finishes, [2.0, 10.0])  # second batch 2x slower
-        assert res.log.as_tuples("proc_leave") == [(5.0, "proc_leave", -1)]
-
-    def test_empty_pool_rejected(self):
-        compiled = _events(
-            FaultEvent(time=1.0, kind="proc_leave", magnitude=4.0))
-        with pytest.raises(ModelError, match="empties the pool"):
-            inject_queue([0.0], [1.0], compiled, P)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Application, Platform, Workload
+from repro.core import Application, Platform, Workload, registry
 from repro.machine import small_llc, taihulight
 from repro.workloads import npb6, npb_synth, random_workload
 
@@ -17,6 +17,15 @@ def pytest_configure(config: pytest.Config) -> None:
         "the kernel refactor is bit-identical on seeded sweeps "
         "(run alone with -m kernel_equivalence)",
     )
+
+
+@pytest.fixture(autouse=True)
+def _isolated_scheduler_registry():
+    """A scheduler registered by one test does not leak into the next."""
+    saved = dict(registry._REGISTRY)
+    yield
+    registry._REGISTRY.clear()
+    registry._REGISTRY.update(saved)
 
 
 @pytest.fixture

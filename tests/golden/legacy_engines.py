@@ -1,11 +1,10 @@
-"""Verbatim pre-kernel reference implementations of the three clocks.
+"""Verbatim pre-kernel reference implementations of the phase clock.
 
 These are the hand-rolled time-stepping loops that ``repro`` shipped
 before the unified event kernel (:mod:`repro.simulate.kernel`):
 
 * the offline phase loop of ``repro/simulate/engine.py``,
-* the online arrival loop of ``repro/online/engine.py``,
-* the batch-queue recurrence of ``repro/pipeline/queueing.py``.
+* the online arrival loop of ``repro/online/engine.py``.
 
 They exist only as golden references: the ``kernel_equivalence`` test
 suite re-runs seeded sweeps through both the legacy loops below and the
@@ -30,7 +29,6 @@ import numpy as np
 
 from repro.core.application import Workload
 from repro.core.execution import access_cost_factor
-from repro.core.platform import Platform
 from repro.core.registry import get_entry, scheduler_names
 from repro.online.allocation import remaining_equal_finish
 from repro.types import ModelError, SolverError
@@ -350,56 +348,3 @@ def legacy_remaining_equal_finish(seq_ops, par_ops, factors, p, *,
     if total > p:
         procs *= p / total
     return procs, float(K)
-
-
-# ---------------------------------------------------------------------------
-# Legacy batch-queue recurrence (repro/pipeline/queueing.py before the
-# kernel).
-# ---------------------------------------------------------------------------
-
-def legacy_simulate_batch_queue(arrivals, service_times, *,
-                                buffer_capacity=None):
-    """The pre-kernel ``simulate_batch_queue`` recurrence, verbatim.
-
-    Returns ``(completed, dropped, latencies, max_depth, makespan)``.
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    service = np.asarray(service_times, dtype=np.float64)
-    if arrivals.shape != service.shape or arrivals.ndim != 1:
-        raise ModelError("arrivals and service_times must be equal-length 1-D arrays")
-    if arrivals.size == 0:
-        raise ModelError("need at least one batch")
-    if np.any(np.diff(arrivals) < 0):
-        raise ModelError("arrivals must be nondecreasing")
-    if np.any(service <= 0):
-        raise ModelError("service times must be positive")
-    if buffer_capacity is not None and buffer_capacity < 0:
-        raise ModelError("buffer_capacity must be >= 0")
-
-    admitted_starts: list[float] = []
-    admitted_finishes: list[float] = []
-    latencies: list[float] = []
-    dropped = 0
-    max_depth = 0
-    server_free_at = 0.0
-
-    for arr, svc in zip(arrivals, service):
-        depth = sum(1 for s in admitted_starts if s > arr)
-        max_depth = max(max_depth, depth)
-        if buffer_capacity is not None and depth >= buffer_capacity and server_free_at > arr:
-            dropped += 1
-            continue
-        start = max(arr, server_free_at)
-        finish = start + svc
-        admitted_starts.append(start)
-        admitted_finishes.append(finish)
-        latencies.append(finish - arr)
-        server_free_at = finish
-
-    return (
-        len(admitted_finishes),
-        dropped,
-        np.asarray(latencies),
-        max_depth,
-        float(admitted_finishes[-1]) if admitted_finishes else 0.0,
-    )

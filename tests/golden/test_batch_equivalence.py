@@ -63,13 +63,9 @@ def _instances(seed: int, n_rows: int = 20, mixed_platforms: bool = False):
 def _assert_schedules_identical(batch, scalar):
     for i, (b, s) in enumerate(zip(batch, scalar)):
         assert type(b) is type(s), i
-        # Concurrent schedules carry procs/cache/times; composite ones
-        # (e.g. the pairwise-matching extension) only expose makespan.
-        if hasattr(s, "procs"):
-            assert np.array_equal(s.procs, b.procs), i
-            assert np.array_equal(s.cache, b.cache), i
-        if hasattr(s, "times"):
-            assert np.array_equal(s.times(), b.times()), i
+        assert np.array_equal(s.procs, b.procs), i
+        assert np.array_equal(s.cache, b.cache), i
+        assert np.array_equal(s.times(), b.times()), i
         assert s.makespan() == b.makespan(), i
 
 

@@ -4,7 +4,7 @@ Every test here is marked ``kernel_equivalence`` (CI runs the marker as
 its own job) and asserts **bit-identical** results — ``==`` on floats,
 not ``approx`` — between the verbatim pre-kernel reference loops in
 :mod:`tests.golden.legacy_engines` and the kernel-backed engines, over
-seeded sweeps of workloads, schedules, arrival patterns, and queues.
+seeded sweeps of workloads, schedules, and arrival patterns.
 """
 
 from __future__ import annotations
@@ -15,22 +15,25 @@ import pytest
 from repro.core import get_scheduler
 from repro.machine import taihulight
 from repro.online import simulate_online
-from repro.pipeline import jittered_arrivals, simulate_batch_queue
 from repro.simulate import simulate_schedule
 from repro.workloads import npb_synth, random_workload
 
-from .legacy_engines import (
-    legacy_simulate_batch_queue,
-    legacy_simulate_online,
-    legacy_simulate_schedule,
-)
+from .legacy_engines import legacy_simulate_online, legacy_simulate_schedule
 
 pytestmark = pytest.mark.kernel_equivalence
 
 SEEDS = range(5)
-OFFLINE_SCHEDULERS = ("dominant-minratio", "dominantrev-maxratio", "fair",
-                      "0cache", "speedup-aware")
-ONLINE_POLICIES = ("dominant", "fair", "fcfs", "dominant-minratio")
+#: Every registered concurrent scheduler (``allproccache`` builds a
+#: sequential schedule, which the phase clock does not run).
+OFFLINE_SCHEDULERS = ("0cache", "continuous-opt", "dominant-maxratio",
+                      "dominant-minratio", "dominant-random",
+                      "dominantrev-maxratio", "dominantrev-minratio",
+                      "dominantrev-random", "fair", "localsearch",
+                      "randompart", "speedup-aware")
+#: The engine's own policies plus registry policies of each allocation
+#: shape: dominant subset (both strategies) and no cache at all.
+ONLINE_POLICIES = ("dominant", "fair", "fcfs", "dominant-minratio",
+                   "dominantrev-maxratio", "0cache")
 
 
 def _workload(seed: int, n: int = 8):
@@ -98,22 +101,3 @@ class TestOnlineEngine:
                               rng=np.random.default_rng(seed))
         assert np.array_equal(finish, res.finish_times)
         assert events == res.events
-
-
-class TestBatchQueue:
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("capacity", [None, 0, 2, 5])
-    def test_bit_identical(self, seed, capacity):
-        rng = np.random.default_rng(seed + 20)
-        arrivals = jittered_arrivals(60, 10.0, rng, jitter=0.3)
-        service = rng.uniform(4.0, 16.0, 60)
-        completed, dropped, latencies, depth, makespan = (
-            legacy_simulate_batch_queue(arrivals, service,
-                                        buffer_capacity=capacity))
-        stats = simulate_batch_queue(arrivals, service,
-                                     buffer_capacity=capacity)
-        assert completed == stats.completed
-        assert dropped == stats.dropped
-        assert np.array_equal(latencies, stats.latencies)
-        assert depth == stats.max_queue_depth
-        assert makespan == stats.makespan

@@ -33,3 +33,17 @@ def test_import_service_loads_no_engine_or_threaded_server():
         "import sys, repro.service; "
         f"print(sorted(m for m in {banned!r} if m in sys.modules))")
     assert loaded == "[]"
+
+
+def test_import_repro_loads_only_the_model_and_registered_extensions():
+    """``import repro`` loads the core, the extension schedulers it
+    registers, and the cache simulator they build on — nothing else."""
+    loaded = _run(
+        "import sys, repro; "
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m == 'repro' or m.startswith('repro.'))))").split()
+    packages = ("repro.core", "repro.extensions", "repro.cachesim")
+    stray = [m for m in loaded
+             if m not in ("repro", "repro.types") + packages
+             and not m.startswith(tuple(p + "." for p in packages))]
+    assert stray == []
