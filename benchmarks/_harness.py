@@ -10,10 +10,8 @@ Each ``bench_figNN_*.py`` calls :func:`run_and_report`, which
 
 Repetitions default to 5 (the paper uses 50); set ``REPRO_BENCH_REPS``
 to change.  Set ``REPRO_BENCH_CSV_DIR`` to also dump each series as
-CSV.  The experiment engine's knobs apply too: ``REPRO_BACKEND=process``
-regenerates on a fork pool (bit-identical results), and with
-``REPRO_CACHE_DIR`` set, a re-run of any figure is a content-addressed
-cache hit that skips the scheduling work entirely.
+CSV.  With ``REPRO_CACHE_DIR`` set, a re-run of any figure is a
+content-addressed cache hit that skips the scheduling work entirely.
 
 This module also holds the helpers behind the committed perf
 trajectory (``BENCH_pr6.json`` at the repo root, written by
@@ -34,7 +32,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.experiments import build_figure, resolve_backend, resolve_cache_dir, run_experiment
+from repro.experiments import build_figure, run_experiment
 from repro.experiments.figures import FIGURE_NORMALIZATIONS
 from repro.experiments.tables import render_result
 from repro.viz import plot_result
@@ -127,17 +125,15 @@ def write_trajectory(path, benches: dict, *, reps: int, pr: str = "pr6") -> dict
 
 
 def run_and_report(figure_id: str, benchmark, *, reps: int | None = None,
-                   backend: str | None = None, **build_kwargs):
+                   **build_kwargs):
     """Regenerate *figure_id* under the benchmark timer and print it."""
     reps = BENCH_REPS if reps is None else reps
     exp = build_figure(figure_id, reps=reps, **build_kwargs)
-    print(f"[engine] backend={resolve_backend(backend, exp)} "
-          f"cache={resolve_cache_dir(None) or 'off'}", file=sys.stderr)
 
     result_box = {}
 
     def regenerate():
-        result_box["result"] = run_experiment(exp, backend=backend)
+        result_box["result"] = run_experiment(exp)
 
     benchmark.pedantic(regenerate, iterations=1, rounds=1)
     result = result_box["result"]

@@ -100,8 +100,8 @@ def main(argv=None) -> int:
     workload, platform, arrivals, horizon = build_scenario()
 
     # Compile each hazard's stream once, from its own fixed seed, and
-    # inject the identical stream into every policy — the per-cell
-    # discipline of experiments/chaos.py, applied to the bench ladder.
+    # inject the identical stream into every policy, so the policies'
+    # curves differ only by policy.
     compiled = {
         hazard: parse_fault_spec(crash_spec(hazard)).compile(
             workload.n, platform.p, horizon,

@@ -1,9 +1,24 @@
-"""Setuptools shim.
+"""Package metadata for ``repro`` (the sources live under ``src/``).
 
-Kept alongside pyproject.toml so that ``python setup.py develop`` works
-in fully offline environments that lack the ``wheel`` package needed by
-PEP-517 editable installs.  All metadata lives in pyproject.toml.
+``python setup.py develop`` installs it in place, which also works
+offline, without the ``wheel`` package that PEP-517 editable installs
+need.  The version is read from ``src/repro/__init__.py`` so it is
+written down once.
 """
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(r'^__version__ = "([^"]+)"$', _INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    description="Co-scheduling algorithms for cache-partitioned systems",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy", "scipy"],
+)

@@ -9,9 +9,8 @@ processor count, a time horizon, and a seeded generator yields a
 :class:`CompiledFaults` — a time-sorted tuple of :class:`FaultEvent`
 records plus the static multi-tenant class assignment.  Compilation is
 a pure function of ``(spec, n, p, horizon, rng)``: every policy
-evaluated at the same experiment cell faces the **identical** fault
-stream, the same per-cell RNG discipline
-:mod:`repro.experiments.online` uses for arrival streams.
+evaluated against the same seeded generator faces the **identical**
+fault stream, in any process and on any replay.
 
 Sources and their spec grammar (parsed by :func:`parse_fault_spec`;
 sources combine with ``+``):

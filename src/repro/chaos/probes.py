@@ -18,8 +18,9 @@ differ).
 
 Samples are plain frozen dataclasses of floats/ints/tuples; two runs
 of the same seeded scenario produce byte-identical
-:meth:`ProbeTimeline.as_rows` output, which is what the determinism
-tests and the CI smoke job compare across backends.
+:meth:`ProbeTimeline.as_rows` output, in one process or across
+processes, which is what the determinism tests and the CI smoke job
+compare.
 """
 
 from __future__ import annotations

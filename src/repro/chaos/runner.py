@@ -14,8 +14,8 @@ Determinism contract: ``run_chaos(..., fault_rng=default_rng(seed))``
 is a pure function of its arguments — the fault stream is compiled
 ahead of the run from *fault_rng* alone, so every policy evaluated
 with the same seed faces the identical stream, and two runs with the
-same seed produce byte-identical event logs and probe timelines on
-any backend.
+same seed produce byte-identical event logs and probe timelines,
+whether they share a process or not.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .core.registry import entries, get_scheduler, scheduler_names
-from .experiments.engine import BACKENDS
 from .experiments.figures import FIGURE_NORMALIZATIONS, build_figure, figure_ids
 from .experiments.runner import run_experiment
 from .experiments.table2 import regenerate_table2
@@ -59,15 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="normalize by this scheduler (default: the paper's choice)",
     )
-    fig.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help="execution backend (default: $REPRO_BACKEND or serial); "
-             "results are bit-identical either way",
-    )
-    fig.add_argument("--workers", type=int, default=None,
-                     help="process-pool size (default: $REPRO_WORKERS or all cores)")
     fig.add_argument("--cache-dir", type=Path, default=None,
                      help="result-cache directory (default: $REPRO_CACHE_DIR; unset = off)")
     fig.add_argument("--no-cache", action="store_true",
@@ -214,8 +204,6 @@ def _cmd_figure(args) -> int:
     result = run_experiment(
         exp,
         progress=lambda msg: print(msg, file=sys.stderr),
-        backend=args.backend,
-        workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
@@ -354,7 +342,6 @@ def _cmd_list(_args) -> int:
     print("figures:    " + ", ".join(figure_ids()))
     print("datasets:   " + ", ".join(DATASETS))
     print("platforms:  " + ", ".join(sorted(PRESETS)))
-    print("backends:   " + ", ".join(BACKENDS))
     return 0
 
 

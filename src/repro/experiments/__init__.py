@@ -1,22 +1,13 @@
 """Experiment harness: engine, cache, runner, figure definitions, tables."""
 
 from .cache import PruneReport, ResultCache, resolve_cache_dir, spec_fingerprint
-from .engine import (
-    BACKENDS,
-    Task,
-    execute_tasks,
-    generate_tasks,
-    resolve_backend,
-    resolve_workers,
-)
+from .engine import Task, execute_tasks, generate_tasks
 from .figures import (
     FIGURE_NORMALIZATIONS,
     FIGURES,
     build_figure,
     figure_ids,
 )
-from .chaos import CHAOS_METRICS, build_chaos_experiment
-from .online import ONLINE_METRICS, build_online_experiment
 from .results import MAKESPAN, ExperimentResult
 from .runner import DEFAULT_METRICS, Experiment, run_experiment
 from .table2 import ProfiledBenchmark, regenerate_table2
@@ -27,11 +18,8 @@ __all__ = [
     "run_experiment",
     "DEFAULT_METRICS",
     "Task",
-    "BACKENDS",
     "generate_tasks",
     "execute_tasks",
-    "resolve_backend",
-    "resolve_workers",
     "ResultCache",
     "PruneReport",
     "resolve_cache_dir",
@@ -44,10 +32,6 @@ __all__ = [
     "figure_ids",
     "format_table",
     "render_result",
-    "ONLINE_METRICS",
-    "build_online_experiment",
-    "CHAOS_METRICS",
-    "build_chaos_experiment",
     "ProfiledBenchmark",
     "regenerate_table2",
 ]

@@ -14,11 +14,11 @@ silently give every process a fresh fingerprint (a permanent cache
 miss).  The hash records the global names a function calls but does
 not chase their code, so after changing a deep callee of a scheduler,
 clear the cache directory (or run once with ``use_cache=False``).
-Because every backend produces bit-identical arrays from the same spec (see
-:mod:`repro.experiments.engine`), a result computed once — serially,
-or on a process pool — satisfies every later run of the same figure:
-regenerating a figure or re-running a benchmark with a warm cache does
-no scheduling work at all.
+Because evaluating the grid is a pure function of the spec (see
+:mod:`repro.experiments.engine`), a result computed once, in any
+process, satisfies every later run of the same figure: regenerating a
+figure or re-running a benchmark with a warm cache does no scheduling
+work at all.
 
 The file mechanics — atomic publication, LRU-by-mtime enumeration,
 the byte-budget prune behind ``repro cache prune`` — are the unified
@@ -51,7 +51,6 @@ from ..cache.disk import (
     resolve_cache_dir,
 )
 from ..core.registry import SchedulerEntry, get_entry
-from ..types import ModelError
 from .results import ExperimentResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -154,7 +153,7 @@ def _value_fingerprint(value, parts: list[str], *, depth: int) -> None:
 
 
 def spec_fingerprint(exp: "Experiment") -> str:
-    """Hex digest identifying the experiment spec (not its backend)."""
+    """Hex digest identifying the experiment spec."""
     parts: list[str] = [
         f"format={_FORMAT_VERSION}",
         exp.experiment_id,
@@ -166,28 +165,11 @@ def spec_fingerprint(exp: "Experiment") -> str:
     ]
     for name in exp.schedulers:
         parts.append(f"scheduler={name}")
-        if exp.evaluate is None:
-            _callable_fingerprint(get_entry(name), parts)
-        else:
-            # With a direct evaluator the names are policy labels the
-            # evaluator interprets; those that do resolve to registry
-            # entries are still fingerprinted (the evaluator may run
-            # them — editing such a scheduler must invalidate the
-            # entry), while evaluator-private labels hash by name.
-            try:
-                entry = get_entry(name)
-            except ModelError:
-                continue
-            _callable_fingerprint(entry, parts)
+        _callable_fingerprint(get_entry(name), parts)
     for metric in sorted(exp.metrics):
         parts.append(f"metric={metric}")
-        fn = exp.metrics[metric]
-        if fn is not None:
-            _callable_fingerprint(fn, parts)
+        _callable_fingerprint(exp.metrics[metric], parts)
     _callable_fingerprint(exp.factory, parts)
-    if exp.evaluate is not None:
-        parts.append("evaluate")
-        _callable_fingerprint(exp.evaluate, parts)
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 

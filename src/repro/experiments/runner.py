@@ -9,9 +9,8 @@ seed, so adding a scheduler does not perturb the workloads).
 
 Execution is delegated to the orchestration engine
 (:mod:`repro.experiments.engine`): the grid is flattened into
-self-describing task records and evaluated by a pluggable backend —
-``"serial"`` (default) or ``"process"`` (a fork-based pool) — with
-bit-identical results either way.  When a cache directory is
+self-describing task records and run in-process, one batch call per
+scheduler.  When a cache directory is
 configured (``cache_dir=`` or ``REPRO_CACHE_DIR``), results are
 content-addressed by the experiment spec
 (:mod:`repro.experiments.cache`) and a re-run is a cache hit that does
@@ -30,7 +29,7 @@ from ..core.platform import Platform
 from ..core.schedule import BaseSchedule
 from ..types import ModelError
 from .cache import ResultCache, resolve_cache_dir
-from .engine import execute_tasks, generate_tasks, resolve_backend
+from .engine import execute_tasks, generate_tasks
 from .results import MAKESPAN, ExperimentResult
 
 __all__ = ["Experiment", "run_experiment", "DEFAULT_METRICS"]
@@ -40,16 +39,6 @@ InstanceFactory = Callable[[float, np.random.Generator], tuple[Workload, Platfor
 
 #: Metric: schedule -> float.
 MetricFn = Callable[[BaseSchedule], float]
-
-#: Direct evaluator: (workload, platform, strategy name, scenario rng,
-#: strategy rng) -> {metric: float}.  The scenario rng is shared by
-#: every strategy at the same (rep, point) cell — e.g. so all online
-#: policies face the same generated arrival stream — while the
-#: strategy rng is that strategy's independent stream.
-EvaluateFn = Callable[
-    [Workload, Platform, str, np.random.Generator, np.random.Generator],
-    dict[str, float],
-]
 
 DEFAULT_METRICS: dict[str, MetricFn] = {MAKESPAN: lambda s: s.makespan()}
 
@@ -74,22 +63,6 @@ class Experiment:
         Repetitions (the paper uses 50).
     seed : int
         Root seed for the reproducible RNG tree.
-    backend : str | None
-        Preferred execution backend (``"serial"`` or ``"process"``);
-        None defers to the ``REPRO_BACKEND`` environment variable and
-        ultimately to ``"serial"``.  The backend never changes the
-        result, only how fast it arrives.
-    evaluate : EvaluateFn | None
-        When set, replaces the registry-scheduler + metric-function
-        path entirely: each grid cell calls ``evaluate(workload,
-        platform, name, scenario_rng, strategy_rng)`` and records the
-        returned dict, whose keys must be exactly ``metrics``' keys
-        (their values are then unused — ``None`` is fine).  This is
-        how non-schedule evaluations (e.g. the online engine under
-        generated arrival streams, see
-        :mod:`repro.experiments.online`) ride the same grid, backends,
-        and result cache.  ``schedulers`` may then name anything the
-        evaluator understands (e.g. online builtin policies).
     """
 
     experiment_id: str
@@ -101,8 +74,6 @@ class Experiment:
     metrics: dict[str, MetricFn] = field(default_factory=lambda: dict(DEFAULT_METRICS))
     reps: int = 10
     seed: int = 2017
-    backend: str | None = None
-    evaluate: EvaluateFn | None = None
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -118,8 +89,7 @@ def run_experiment(
     exp: Experiment,
     *,
     progress: Callable[[str], None] | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
+    backend: str = "serial",
     cache_dir=None,
     use_cache: bool = True,
 ) -> ExperimentResult:
@@ -135,18 +105,21 @@ def run_experiment(
     ----------
     progress : callable, optional
         Called with short status strings as work completes.
-    backend : str, optional
-        ``"serial"`` or ``"process"``; defaults to
-        ``exp.backend``/``REPRO_BACKEND``/``"serial"``.  Results are
-        bit-identical across backends.
-    workers : int, optional
-        Process-pool size (``REPRO_WORKERS``/cpu count by default).
+    backend : str
+        Only ``"serial"`` is accepted; any other value raises
+        :class:`ModelError`.  The grid always runs in-process; the
+        keyword stays because the repository benchmark
+        (``perfbench/sweep.py``) passes ``backend="serial"``.
     cache_dir : str | Path, optional
         Result-cache directory; defaults to ``REPRO_CACHE_DIR``;
         caching is disabled when neither is set.
     use_cache : bool
         Set False to bypass the cache entirely (no read, no write).
     """
+    if backend != "serial":
+        raise ModelError(
+            f"unknown backend {backend!r}; the experiment grid runs "
+            f"in-process only ('serial')")
     cache = None
     if use_cache:
         resolved_dir = resolve_cache_dir(cache_dir)
@@ -159,10 +132,8 @@ def run_experiment(
                 progress(f"{exp.experiment_id}: cache hit ({cache.path_for(exp).name})")
             return cached
 
-    backend = resolve_backend(backend, exp)
     tasks = generate_tasks(exp)
-    samples = execute_tasks(exp, tasks, backend=backend, workers=workers,
-                            progress=progress)
+    samples = execute_tasks(exp, tasks, progress=progress)
 
     npoints = exp.points.size
     data = {
@@ -180,7 +151,7 @@ def run_experiment(
         x=exp.points.copy(),
         data=data,
         meta={"reps": exp.reps, "seed": exp.seed,
-              "schedulers": list(exp.schedulers), "backend": backend},
+              "schedulers": list(exp.schedulers)},
     )
     if cache is not None:
         cache.store(exp, result)

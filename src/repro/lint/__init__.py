@@ -1,10 +1,10 @@
 """repro.lint — AST-based determinism & concurrency contract checker.
 
 The reproduction stakes its claims on contracts no single test can
-patrol exhaustively: bit-identical results across serial and fork-pool
-backends, per-cell RNG discipline (every policy at a grid cell faces
-the identical arrival/fault stream), fingerprints stable across
-processes and restarts, and lock discipline in the caches and the
+patrol exhaustively: bit-identical results across processes and
+across replayed runs, per-cell RNG discipline (every policy at a grid
+cell faces the identical workload, arrival or fault stream),
+fingerprints stable across processes and restarts, and lock discipline in the caches and the
 service pipeline.
 Each contract has already produced a real bug fixed by hand —
 per-process ``hash()`` shard scatter, memory-address ``repr`` inside

@@ -2,7 +2,7 @@
 
 Not every subtree owes the same guarantees.  The kernel subtrees —
 ``core/``, ``simulate/``, ``chaos/``, ``cache/``, ``online/`` — must
-be byte-replayable across backends and processes, so they get every
+be byte-replayable across processes and runs, so they get every
 rule.  The rest of ``src/`` (service, experiments, CLI, ...) keeps the
 cross-process stability and concurrency rules but may legitimately
 read wall clocks (request latency) and compare floats it owns.

@@ -2,8 +2,8 @@
 
 Every rule here encodes a failure this repo has actually shipped or
 explicitly defends against: results must be byte-identical across
-serial and fork-pool backends, across processes with different
-``PYTHONHASHSEED``, and across restarts — so anything drawing from
+processes with different ``PYTHONHASHSEED``, across restarts, and
+across replays of the same seeded run — so anything drawing from
 global mutable state (module-level RNGs, wall clocks, randomized
 ``hash()``, filesystem enumeration order) is a latent replay bug even
 when today's tests pass.
@@ -111,7 +111,7 @@ class WallClockRule(Rule):
 
     ``time.time()``, ``datetime.now()``, ``uuid.*``, ``os.urandom()``
     make a result a function of *when and where* it ran, so two
-    backends (or two CI runs) can never be byte-compared.  Model time
+    processes (or two CI runs) can never be byte-compared.  Model time
     comes from the simulation clock; identifiers come from content
     fingerprints.  Timing for benchmarks belongs in ``benchmarks/``,
     which this rule does not police.

@@ -26,8 +26,9 @@ class MutableDefaultRule(Rule):
 
     ``def f(xs=[])`` evaluates the default once at definition time;
     every call then shares (and mutates) the same list.  In a system
-    whose backends re-enter the same functions from a process pool and
-    a thread pool, a mutated default is cross-request state leakage.
+    whose service re-enters the same functions for request after
+    request, and whose runs must replay byte for byte, a mutated
+    default is cross-request state leakage.
     Default to ``None`` and construct inside the body.
     """
 

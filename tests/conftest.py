@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import Application, Platform, Workload, registry
-from repro.machine import small_llc, taihulight
-from repro.workloads import npb6, npb_synth, random_workload
+from repro.machine import taihulight
+from repro.workloads import npb6, npb_synth
 
 
 def pytest_configure(config: pytest.Config) -> None:
@@ -47,11 +47,6 @@ def tiny_platform() -> Platform:
 
 
 @pytest.fixture
-def small_llc_platform() -> Platform:
-    return small_llc()
-
-
-@pytest.fixture
 def npb6_pp() -> Workload:
     """NPB-6, perfectly parallel."""
     return npb6(seq_range=None)
@@ -71,11 +66,6 @@ def synth16(rng) -> Workload:
 @pytest.fixture
 def synth16_pp(rng) -> Workload:
     return npb_synth(16, rng, seq_range=None)
-
-
-@pytest.fixture
-def random8(rng) -> Workload:
-    return random_workload(8, rng)
 
 
 @pytest.fixture

@@ -8,9 +8,12 @@ targets).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.experiments.engine as engine_mod
 from repro.experiments import (
     FIGURE_NORMALIZATIONS,
     FIGURES,
@@ -74,6 +77,24 @@ class TestEveryFigureRuns:
             for name, vals in series.items():
                 assert np.all(np.isfinite(vals)), (figure_id, name)
                 assert np.all(vals > 0), (figure_id, name)
+
+    def test_batch_grid_matches_scalar_path(self, figure_id, monkeypatch):
+        """Each figure's grid, batched per scheduler, equals the same
+        grid evaluated by one scalar registry call per cell."""
+        exp = build_figure(figure_id, reps=1, seed=3,
+                           points=_SMALL_POINTS[figure_id])
+        batched = run_experiment(exp, use_cache=False)
+        real = engine_mod.get_entry
+        monkeypatch.setattr(
+            engine_mod, "get_entry",
+            lambda name: dataclasses.replace(real(name), batch_fn=None))
+        scalar = run_experiment(exp, use_cache=False)
+        assert batched.schedulers == scalar.schedulers
+        for name in batched.schedulers:
+            for metric in exp.metrics:
+                got = batched.samples(name, metric)
+                want = scalar.samples(name, metric)
+                assert got.tobytes() == want.tobytes(), (name, metric)
 
 
 class TestRepartitionMetrics:

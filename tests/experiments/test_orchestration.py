@@ -1,32 +1,26 @@
-"""Tests for the orchestration engine: tasks, backends, result cache."""
+"""Tests for the orchestration engine: tasks, evaluation, result cache."""
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 
 import numpy as np
 import pytest
 
 import repro.experiments.engine as engine_mod
-from repro.core import baselines, get_scheduler, register, registry
+from repro.core import baselines, get_entry, get_scheduler, register, registry
 from repro.experiments import (
     Experiment,
     ResultCache,
     build_figure,
     execute_tasks,
     generate_tasks,
-    resolve_backend,
-    resolve_workers,
     run_experiment,
     spec_fingerprint,
 )
 from repro.machine import taihulight
 from repro.types import ModelError
 from repro.workloads import npb_synth
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-needs_fork = pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 
 
 def _factory(point, rng):
@@ -89,71 +83,109 @@ class TestTaskGeneration:
         """Tasks are self-describing: shuffled execution, same floats."""
         exp = _exp()
         tasks = generate_tasks(exp)
-        forward = execute_tasks(exp, tasks, backend="serial")
+        forward = execute_tasks(exp, tasks)
         perm = np.random.default_rng(0).permutation(len(tasks))
-        shuffled = execute_tasks(exp, [tasks[i] for i in perm], backend="serial")
+        shuffled = execute_tasks(exp, [tasks[i] for i in perm])
         for pos, i in enumerate(perm):
             assert forward[i] == shuffled[pos]
 
 
-class TestBackendResolution:
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None, _exp()) == "serial"
+class TestEvaluation:
+    def test_mixed_batch_and_scalar_grid_matches_registry(self, monkeypatch):
+        """Batch groups and a scalar-only scheduler in one grid: every
+        cell equals its own scalar registry call, bit for bit."""
+        monkeypatch.setitem(
+            registry._REGISTRY, "scalar-randpart",
+            dataclasses.replace(get_entry("randompart"),
+                                name="scalar-randpart", batch_fn=None))
+        exp = _exp(schedulers=("dominant-random", "scalar-randpart", "fair"),
+                   points=np.array([2.0, 3.0, 5.0]), reps=3)
+        assert get_entry("dominant-random").batch_fn is not None
+        result = run_experiment(exp, use_cache=False)
+        for task in generate_tasks(exp):
+            workload, platform = exp.factory(
+                task.point, np.random.default_rng(task.instance_seed))
+            want = get_entry(task.scheduler)(
+                workload, platform,
+                np.random.default_rng(task.scheduler_seed)).makespan()
+            got = result.samples(task.scheduler)[task.rep, task.point_index]
+            assert np.float64(want).tobytes() == np.float64(got).tobytes(), task
 
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert resolve_backend(None, _exp()) == "process"
+    def test_unknown_scheduler_raises_registry_error(self):
+        with pytest.raises(ModelError, match="unknown scheduler 'no-such'"):
+            run_experiment(_exp(schedulers=("fair", "no-such")),
+                           use_cache=False)
 
-    def test_experiment_field_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert resolve_backend(None, _exp(backend="serial")) == "serial"
-
-    def test_argument_beats_field(self):
-        assert resolve_backend("serial", _exp(backend="process")) == "serial"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ModelError):
-            resolve_backend("threads", _exp())
-        with pytest.raises(ModelError):
-            run_experiment(_exp(backend="threads"))
-
-    def test_workers_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(2) == 2
-        with pytest.raises(ModelError):
-            resolve_workers(0)
-
-
-@needs_fork
-class TestProcessBackend:
-    def test_bit_identical_to_serial_randomized(self):
-        """The acceptance bar: randomized heuristics included, the
-        process backend reproduces the serial arrays bit for bit."""
-        exp = _exp()
-        serial = run_experiment(exp, backend="serial", use_cache=False)
-        procs = run_experiment(exp, backend="process", workers=2,
-                               use_cache=False)
-        _assert_identical(serial, procs)
-
-    def test_backend_recorded_in_meta(self):
-        res = run_experiment(_exp(reps=1), backend="process", workers=2,
-                             use_cache=False)
-        assert res.meta["backend"] == "process"
+    def test_only_serial_backend_accepted(self):
+        result = run_experiment(_exp(reps=1), backend="serial",
+                                use_cache=False)
+        assert "backend" not in result.meta
+        with pytest.raises(ModelError, match="backend 'process'"):
+            run_experiment(_exp(), backend="process", use_cache=False)
 
     def test_progress_reports_completion(self):
         messages = []
-        run_experiment(_exp(), backend="process", workers=2, use_cache=False,
-                       progress=messages.append)
+        run_experiment(_exp(), use_cache=False, progress=messages.append)
         assert messages and "tasks done" in messages[-1]
 
-    def test_real_figure_parity(self):
-        exp = build_figure("fig6", reps=2, points=np.array([0.0, 0.05]))
-        serial = run_experiment(exp, backend="serial", use_cache=False)
-        procs = run_experiment(exp, backend="process", workers=2,
-                               use_cache=False)
-        _assert_identical(serial, procs)
+    def test_factory_runs_once_per_cell(self):
+        """Every scheduler at a ``(rep, point)`` cell shares one instance."""
+        cells = []
+
+        def counting(point, rng):
+            cells.append(point)
+            return _factory(point, rng)
+
+        exp = _exp(factory=counting)
+        tasks = generate_tasks(exp)
+        execute_tasks(exp, tasks)
+        assert len(tasks) == exp.reps * exp.points.size * len(exp.schedulers)
+        assert len(cells) == exp.reps * exp.points.size
+
+    def test_empty_task_list_builds_nothing(self):
+        exp = _exp(factory=lambda point, rng: pytest.fail("factory called"))
+        assert execute_tasks(exp, []) == []
+
+    def test_grouping_does_not_change_cells(self):
+        """One scheduler's tasks evaluated alone give the same floats
+        as inside the full mixed grid."""
+        exp = _exp()
+        tasks = generate_tasks(exp)
+        full = execute_tasks(exp, tasks)
+        for name in exp.schedulers:
+            idx = [i for i, t in enumerate(tasks) if t.scheduler == name]
+            alone = execute_tasks(exp, [tasks[i] for i in idx])
+            assert alone == [full[i] for i in idx], name
+
+    def test_failing_batch_call_falls_back_to_scalar(self, monkeypatch):
+        calls = []
+
+        def broken(instances, rngs=None):
+            calls.append(len(instances))
+            raise RuntimeError("batch kernel failed")
+
+        exp = _exp(schedulers=("dominant-random", "fair"))
+        want = run_experiment(exp, use_cache=False)
+        monkeypatch.setitem(
+            registry._REGISTRY, "dominant-random",
+            dataclasses.replace(get_entry("dominant-random"), batch_fn=broken))
+        _assert_identical(run_experiment(exp, use_cache=False), want)
+        assert calls == [exp.reps * exp.points.size]
+
+    def test_batch_failure_raises_the_scalar_error(self, monkeypatch):
+        """A group whose batch call fails is re-run per task, so the
+        error raised is the scalar path's own."""
+        def batch(instances, rngs=None):
+            raise RuntimeError("batch-only message")
+
+        def scalar(workload, platform, rng=None):
+            raise ModelError("scalar-path message")
+
+        monkeypatch.setitem(registry._REGISTRY, "failing", dataclasses.replace(
+            get_entry("fair"), name="failing", fn=scalar, batch_fn=batch))
+        with pytest.raises(ModelError, match="scalar-path message"):
+            run_experiment(_exp(schedulers=("fair", "failing")),
+                           use_cache=False)
 
 
 class TestResultCache:

@@ -92,6 +92,14 @@ class TestParseBytes:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize("flag", [["--backend", "serial"],
+                                      ["--workers", "2"]])
+    def test_figure_has_no_backend_knobs(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["figure", "fig1", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -100,6 +108,7 @@ class TestCommands:
         assert "dominant-minratio" in out
         assert "fig18" in out
         assert "npb-synth" in out
+        assert "backends:" not in out
 
     def test_schedule(self, capsys):
         assert main(["schedule", "--napps", "4", "--seed", "1"]) == 0

@@ -47,3 +47,13 @@ def test_import_repro_loads_only_the_model_and_registered_extensions():
              if m not in ("repro", "repro.types") + packages
              and not m.startswith(tuple(p + "." for p in packages))]
     assert stray == []
+
+
+def test_import_experiments_loads_no_online_chaos_or_simulate():
+    """The figure grid runs in-process on the batch core alone."""
+    banned = ("repro.online", "repro.chaos", "repro.simulate",
+              "multiprocessing")
+    loaded = _run(
+        "import sys, repro.experiments; "
+        f"print(sorted(m for m in {banned!r} if m in sys.modules))")
+    assert loaded == "[]"
