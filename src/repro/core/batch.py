@@ -6,9 +6,11 @@ a :class:`BatchProblem` packs ``B`` (workload, platform) pairs into
 padded ``(B, N)`` arrays — ``N`` being the widest instance — with a
 prefix validity mask, so the cost model, the dominance machinery, the
 eviction loops, and the equal-finish solver advance a whole batch per
-NumPy call instead of per Python call.  The natural producers of such
-batches are the experiment engine's task chunks, the service's
-coalesced request batches, and the benchmark grids.  The scalar
+NumPy call instead of per Python call.  Batches reach it through
+:func:`repro.core.registry.schedule_batch`, which both the experiment
+engine (one call per scheduler per figure grid) and the service
+dispatcher (one call per scheduler per coalesced request batch) use,
+and directly from the benchmark grids.  The scalar
 dominant heuristics are batches of one: a single instance is packed
 without padding, as read-only views of its workload's columns, so a
 batch of one costs what the scalar path used to.

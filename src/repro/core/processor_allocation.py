@@ -42,10 +42,11 @@ Unlike the dominant heuristics, whose scalar entry points are plain
 batches of one, the equal-finish solve keeps this Python-float path
 for ``B == 1``: the vectorized body at one row is 4-5x slower (about
 175 -> 670-1180 us at n = 4 and 200-245 -> 930-1300 us at n = 16, on
-a 2-CPU container with Python 3.11 and numpy 2.4), and the experiment
-engine, the online engine and the service make hundreds of one-row
-solves per figure sweep or chaos round.  ``B`` selects the path; both
-give the same bits.
+a 2-CPU container with Python 3.11 and numpy 2.4), and the online
+engine's re-solves and the service's one-request batches are one-row
+solves, hundreds per chaos round or request burst (the experiment
+engine batches a whole figure grid per scheduler).  ``B`` selects the
+path; both give the same bits.
 """
 
 from __future__ import annotations

@@ -80,9 +80,9 @@ class SchedulerEntry:
         a list of (workload, platform) pairs plus a same-length list of
         per-instance generators (None for deterministic strategies) and
         returns one schedule per instance, each bit-identical to
-        ``fn(workload, platform, rng)``.  The experiment engine, the
-        service dispatcher, and :func:`schedule_batch` use it when
-        present; strategies without one are evaluated per instance.
+        ``fn(workload, platform, rng)``.  Only :func:`schedule_batch`
+        calls it; strategies without one are evaluated per instance
+        there.
     """
 
     name: str
@@ -228,33 +228,52 @@ def _make_dominant_batch(strategy: str, choice: str) -> BatchSchedulerFn:
     return batch
 
 
-def schedule_batch(name: str, instances, rngs=None) -> list[BaseSchedule]:
+def _rng(seed) -> Optional[np.random.Generator]:
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def _schedule_each(entry: SchedulerEntry, instances: list,
+                   seeds: list) -> list[BaseSchedule]:
+    """One scalar call per instance, each on a fresh generator."""
+    return [entry(wl, pf, _rng(seed)) for (wl, pf), seed in zip(instances, seeds)]
+
+
+def schedule_batch(name: str, instances, seeds=None) -> list[BaseSchedule]:
     """Schedule many (workload, platform) instances under one strategy.
 
-    Uses the entry's vectorized ``batch_fn`` when it has one (the six
-    paper heuristics and the four baselines do); otherwise falls back
-    to one scalar call per instance.  ``rngs``, when given, must hold
-    one generator (or None) per instance — randomized strategies draw
-    each row's choices from its own stream, exactly as the scalar path
-    would.
+    The one place that chooses between an entry's vectorized
+    ``batch_fn`` and its scalar callable; the experiment engine and the
+    service dispatcher both schedule through it.  ``seeds``, when
+    given, holds one entry per instance: None (no generator) or
+    anything :func:`numpy.random.default_rng` accepts, so randomized
+    strategies draw each row's choices from its own stream, exactly as
+    the scalar path would.
+
+    Uses ``batch_fn`` when the entry has one (the six paper heuristics
+    and the four baselines do), otherwise one scalar call per instance.
+    If ``batch_fn`` raises, the scalar loop runs on fresh generators
+    built from the same seeds — a failed randomized batch has already
+    drawn from its own — so the caller gets the scalar path's result,
+    or its own error.
 
     Returns one schedule per instance, in input order, bit-identical to
-    ``get_scheduler(name)(workload, platform, rng)`` per instance.
+    ``get_scheduler(name)(workload, platform, default_rng(seed))`` per
+    instance.
     """
     entry = get_entry(name)
     instances = list(instances)
-    if rngs is None:
-        rngs = [None] * len(instances)
-    else:
-        rngs = list(rngs)
-        if len(rngs) != len(instances):
-            raise ModelError(
-                f"rngs has {len(rngs)} entries for {len(instances)} instances")
+    seeds = [None] * len(instances) if seeds is None else list(seeds)
+    if len(seeds) != len(instances):
+        raise ModelError(
+            f"seeds has {len(seeds)} entries for {len(instances)} instances")
     if not instances:
         return []
     if entry.batch_fn is not None:
-        return entry.batch_fn(instances, rngs)
-    return [entry(wl, pf, rng) for (wl, pf), rng in zip(instances, rngs)]
+        try:
+            return entry.batch_fn(instances, [_rng(seed) for seed in seeds])
+        except Exception:
+            return _schedule_each(entry, instances, seeds)
+    return _schedule_each(entry, instances, seeds)
 
 
 for _name, (_strategy, _choice) in DOMINANT_HEURISTICS.items():

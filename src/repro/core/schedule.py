@@ -33,6 +33,10 @@ class BaseSchedule(abc.ABC):
 
     workload: Workload
     platform: Platform
+    #: Processors per application, shape ``(n,)``.
+    procs: np.ndarray
+    #: Cache fraction per application, shape ``(n,)``.
+    cache: np.ndarray
 
     @abc.abstractmethod
     def times(self) -> np.ndarray:
@@ -56,9 +60,8 @@ class BaseSchedule(abc.ABC):
             f"{'app':<12}{'procs':>12}{'cache x':>12}{'time':>16}",
         ]
         times = self.times()
-        procs = getattr(self, "procs", np.full(self.workload.n, self.platform.p))
-        cache = getattr(self, "cache", np.ones(self.workload.n))
-        for name, p, x, t in zip(self.workload.names, procs, cache, times):
+        for name, p, x, t in zip(self.workload.names, self.procs, self.cache,
+                                 times):
             lines.append(f"{name:<12}{p:>12.4f}{x:>12.6f}{t:>16.6g}")
         return "\n".join(lines)
 

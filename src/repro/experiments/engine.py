@@ -16,13 +16,12 @@ makes the results independent of evaluation order, identical across
 processes and runs, and cacheable.
 
 Evaluation is one path: build each ``(rep, point)`` instance once
-(factory memo), group the tasks by scheduler, price each group with
-one structure-of-arrays batch call when the scheduler's registry entry
-carries a vectorized ``batch_fn`` (the six paper heuristics and the
-four Section 6.3 baselines, :mod:`repro.core.batch`) or one scalar
-call per task otherwise, then apply the metric functions.  The batch
-path is bit-identical to the scalar path, so grouping is a pure
-optimization.
+(factory memo), group the tasks by scheduler, schedule each group with
+one :func:`~repro.core.registry.schedule_batch` call (a
+structure-of-arrays batch for the six paper heuristics and the four
+Section 6.3 baselines, :mod:`repro.core.batch`), then apply the metric
+functions.  The batch path is bit-identical to the scalar path, so
+grouping is a pure optimization.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..core.registry import get_entry
+from ..core.registry import schedule_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
     from .runner import Experiment
@@ -110,40 +109,26 @@ def execute_tasks(
 
     Workload instances are memoized per ``(rep, point)`` cell —
     rebuilding from ``instance_seed`` is deterministic, so the memo is
-    a pure optimization.  Tasks are then grouped per scheduler: a
-    scheduler whose entry carries a vectorized ``batch_fn`` gets one
-    batch call for its whole group, the others one scalar call per
-    task.  Each task still gets its own generator seeded from
-    ``scheduler_seed``, so results do not depend on grouping.  If a
-    batch call fails, the group falls back to the scalar loop so error
-    messages match the scalar path exactly.
+    a pure optimization.  Tasks are then grouped per scheduler, and
+    each group is one :func:`~repro.core.registry.schedule_batch`
+    call.  Each task still gets its own generator seeded from
+    ``scheduler_seed``, so results do not depend on grouping.
     """
     memo: dict[tuple[int, int], tuple] = {}
-    out: list[dict[str, float] | None] = [None] * len(tasks)
-    groups: dict[str, list[tuple[int, object, object, object]]] = {}
+    groups: dict[str, list[int]] = {}
     for idx, task in enumerate(tasks):
         cell = (task.rep, task.point_index)
-        pair = memo.get(cell)
-        if pair is None:
-            pair = memo[cell] = exp.factory(
+        if cell not in memo:
+            memo[cell] = exp.factory(
                 task.point, np.random.default_rng(task.instance_seed))
-        workload, platform = pair
-        groups.setdefault(task.scheduler, []).append(
-            (idx, workload, platform, task.scheduler_seed))
-    for name, group in groups.items():
-        entry = get_entry(name)
-        schedules = None
-        if entry.batch_fn is not None:
-            instances = [(wl, pf) for _, wl, pf, _ in group]
-            rngs = [np.random.default_rng(seed) for _, _, _, seed in group]
-            try:
-                schedules = entry.batch_fn(instances, rngs)
-            except Exception:
-                schedules = None  # scalar loop below reproduces the error
-        if schedules is None:
-            schedules = [entry(wl, pf, np.random.default_rng(seed))
-                         for _, wl, pf, seed in group]
-        for (idx, _, _, _), schedule in zip(group, schedules):
+        groups.setdefault(task.scheduler, []).append(idx)
+    out: list[dict[str, float] | None] = [None] * len(tasks)
+    for name, idxs in groups.items():
+        group = [tasks[i] for i in idxs]
+        schedules = schedule_batch(
+            name, [memo[t.rep, t.point_index] for t in group],
+            [t.scheduler_seed for t in group])
+        for idx, schedule in zip(idxs, schedules):
             out[idx] = {metric: fn(schedule)
                         for metric, fn in exp.metrics.items()}
     if progress is not None:

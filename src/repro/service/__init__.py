@@ -5,9 +5,10 @@ decision API.  A request — application set, platform, scheduler name —
 is canonicalized and fingerprinted (:mod:`.protocol`); repeats are
 answered from the tiered decision cache (:mod:`repro.cache`); misses
 queue at the batcher (:mod:`.batcher`), whose one thread evaluates
-what is queued whenever it is free over the scheduler registry
-(:mod:`.dispatcher`), and a request identical to one in flight rides
-on it.  The transport-agnostic core
+what is queued whenever it is free (:mod:`.dispatcher`: one
+:func:`~repro.core.registry.schedule_batch` call per scheduler, the
+call the experiment engine makes too), and a request identical to one
+in flight rides on it.  The transport-agnostic core
 (:class:`DecisionService`) is fronted by one asyncio HTTP JSON API
 (:mod:`.aserver`: ``/v1/allocate``, ``/v1/schedulers``, ``/metrics``)
 with a thin client (:mod:`.client`) and the ``repro serve`` /
@@ -34,7 +35,7 @@ from .aserver import AsyncServerThread, serve_async
 from .batcher import QueueFullError, RequestBatcher
 from .client import ServiceClient, ServiceError
 from .core import DecisionService
-from .dispatcher import Dispatcher, RequestError, compute_decision
+from .dispatcher import RequestError, compute_decision
 from .metrics import Gauge, LatencyHistogram
 from .protocol import (
     AllocationDecision,
@@ -51,7 +52,6 @@ __all__ = [
     "AllocationResponse",
     "AsyncServerThread",
     "DecisionService",
-    "Dispatcher",
     "Gauge",
     "LatencyHistogram",
     "QueueFullError",

@@ -124,8 +124,10 @@ class RequestBatcher:
     evaluate : callable
         Batch evaluator — ``evaluate(requests, keys=keys)`` returning
         one decision (or exception) per request, positionally; *keys*
-        are the requests' fingerprints.  Normally
-        :meth:`repro.service.dispatcher.Dispatcher.evaluate`.
+        are the requests' fingerprints.  Normally the service's
+        ``DecisionService._evaluate``, which calls
+        :func:`repro.service.dispatcher.evaluate` and caches what it
+        returns.
     max_batch_size : int
         Hard cap on distinct requests per dispatched batch.
     max_queue_depth : int, optional

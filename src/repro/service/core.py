@@ -33,8 +33,8 @@ from ..cache import (
     TieredCache,
     resolve_cache_dir,
 )
+from . import dispatcher
 from .batcher import RequestBatcher
-from .dispatcher import Dispatcher
 from .metrics import Gauge, LatencyHistogram
 from .protocol import (
     AllocationDecision,
@@ -92,7 +92,6 @@ class DecisionService:
             encode=AllocationDecision.canonical_bytes,
             decode=AllocationDecision.from_payload,
         )
-        self.dispatcher = Dispatcher()
         self.batcher = RequestBatcher(
             self._evaluate,
             max_batch_size=max_batch_size,
@@ -113,7 +112,7 @@ class DecisionService:
         closes the window in which a twin would be neither a rider nor
         a cache hit; it also keeps the disk write off the event loop.
         """
-        results = self.dispatcher.evaluate(requests, keys=keys)
+        results = dispatcher.evaluate(requests, keys)
         for key, result in zip(keys, results):
             if not isinstance(result, Exception):
                 self.cache.put(key, result)
@@ -229,11 +228,8 @@ class DecisionService:
             out[f"latency.{name}"] = value
         for name, value in self.cache.stats().as_dict().items():
             out[f"decision_cache.{name}"] = value
-        out["decision_cache.shards"] = 1  # one LRU memory tier
         for name, value in self.batcher.stats().as_dict().items():
             out[f"batcher.{name}"] = value
-        out["dispatcher.workers"] = 1  # batches run on the batcher thread
-        out["dispatcher.inflight"] = self.dispatcher.inflight.value
         return out
 
     # -- lifecycle ---------------------------------------------------------

@@ -9,11 +9,12 @@ workload and platform, and packages the resulting schedule's
 :class:`~repro.service.protocol.AllocationDecision`.
 
 Batches are evaluated inline on the calling thread — the batcher's
-collector thread — with no pool behind it: schedulers with a
-vectorized ``batch_fn`` take their whole group in one call, the rest
-run one after another.  Deduplication is the batcher's job (a request
-identical to one in flight rides on it), so a batch reaching
-:meth:`Dispatcher.evaluate` contains only distinct requests and the
+collector thread — with no pool behind it: :func:`evaluate` hands each
+scheduler's group to :func:`~repro.core.registry.schedule_batch`, the
+same call the experiment engine makes, and :func:`compute_decision`
+is the one-request scalar reference.  Deduplication is the batcher's
+job (a request identical to one in flight rides on it), so a batch
+reaching :func:`evaluate` contains only distinct requests and the
 dispatcher spends no time re-hashing them on the latency-bound path.
 """
 
@@ -23,12 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.registry import get_entry
+from ..core.registry import get_entry, schedule_batch
 from ..types import ReproError
-from .metrics import Gauge
 from .protocol import AllocationDecision, AllocationRequest
 
-__all__ = ["compute_decision", "Dispatcher", "RequestError"]
+__all__ = ["compute_decision", "evaluate", "RequestError"]
 
 
 class RequestError(ReproError):
@@ -66,15 +66,11 @@ def _decision_from_schedule(request: AllocationRequest, name: str,
     Reads the schedule's arrays as they are: a batch-evaluated
     schedule already carries its row of the vectorized times.
     """
-    times = schedule.times()
-    procs = getattr(schedule, "procs", None)
-    cache = getattr(schedule, "cache", None)
     return AllocationDecision(
         names=request.workload().names,
-        procs=_floats(np.full(times.size, request.platform.p)
-                      if procs is None else procs),
-        cache=_floats(np.ones(times.size) if cache is None else cache),
-        times=_floats(times),
+        procs=_floats(schedule.procs),
+        cache=_floats(schedule.cache),
+        times=_floats(schedule.times()),
         makespan=float(schedule.makespan()),
         scheduler=name,
     )
@@ -101,73 +97,40 @@ def _compute_or_error(request: AllocationRequest,
         return exc
 
 
-class Dispatcher:
-    """Turns request batches into decision lists on the calling thread."""
+def evaluate(requests: Sequence[AllocationRequest], keys: Sequence[str],
+             ) -> list[AllocationDecision | Exception]:
+    """Evaluate a batch; position *i* answers ``requests[i]``.
 
-    def __init__(self) -> None:
-        self.inflight = Gauge()
+    Requests are grouped by lower-cased scheduler name, and each group
+    is one :func:`~repro.core.registry.schedule_batch` call, each
+    request keeping its own seed-derived generator — bit-identical to
+    :func:`compute_decision` per request.  A failing request (unknown
+    scheduler, infeasible model input) yields its exception *in place*
+    rather than poisoning the batch: concurrent callers coalesced onto
+    other slots must still get their answers, so a group whose call
+    raises is evaluated request by request.
 
-    def evaluate(self, requests: Sequence[AllocationRequest],
-                 keys: Sequence[str],
-                 ) -> list[AllocationDecision | Exception]:
-        """Evaluate a batch; position *i* answers ``requests[i]``.
-
-        Requests naming a scheduler with a vectorized ``batch_fn`` are
-        coalesced into one structure-of-arrays batch call per scheduler
-        (bit-identical to per-request evaluation, each request keeping
-        its own seed-derived generator); the rest are evaluated one by
-        one, in order.  A failing request (unknown scheduler, infeasible
-        model input) yields its exception *in place* rather than
-        poisoning the batch — concurrent callers coalesced onto other
-        slots must still get their answers, so a failing batch call
-        falls back to per-request evaluation of its group.
-
-        ``keys`` are the per-request fingerprints: model failures come
-        back as :class:`RequestError` carrying the failing request's
-        fingerprint and scheduler.  Non-Repro exceptions stay
-        unwrapped — those are server bugs.
-        """
-        self.inflight.inc(len(requests))
+    ``keys`` are the per-request fingerprints: model failures come back
+    as :class:`RequestError` carrying the failing request's fingerprint
+    and scheduler.  Non-Repro exceptions stay unwrapped — those are
+    server bugs.
+    """
+    groups: dict[str, list[int]] = {}
+    for i, request in enumerate(requests):
+        groups.setdefault(request.scheduler.lower(), []).append(i)
+    out: list[AllocationDecision | Exception | None] = [None] * len(requests)
+    for name, idxs in groups.items():
+        group = [requests[i] for i in idxs]
         try:
-            out = self._evaluate(requests)
-        finally:
-            self.inflight.dec(len(requests))
-        for i, result in enumerate(out):
-            if (isinstance(result, ReproError)
-                    and not isinstance(result, RequestError)):
-                out[i] = RequestError(result, keys[i], requests[i].scheduler)
-        return out
-
-    def _evaluate(self, requests: Sequence[AllocationRequest],
-                  ) -> list[AllocationDecision | Exception]:
-        if len(requests) == 1:
-            return [_compute_or_error(requests[0])]
-
-        out: list[AllocationDecision | Exception | None] = [None] * len(requests)
-        groups: dict[str, list[int]] = {}
-        for i, req in enumerate(requests):
-            try:
-                entry = get_entry(req.scheduler)
-            except Exception:
-                entry = None
-            if entry is not None and entry.batch_fn is not None:
-                groups.setdefault(entry.name, []).append(i)
-            else:
-                out[i] = _compute_or_error(req)
-        for name, idxs in groups.items():
-            if len(idxs) == 1:
-                out[idxs[0]] = _compute_or_error(requests[idxs[0]])
-                continue
-            entry = get_entry(name)
-            group = [requests[i] for i in idxs]
-            try:
-                schedules = entry.batch_fn(
-                    [(req.workload(), req.platform) for req in group],
-                    [_request_rng(req) for req in group])
-                for i, req, schedule in zip(idxs, group, schedules):
-                    out[i] = _decision_from_schedule(req, entry.name, schedule)
-            except Exception:
-                # Per-request evaluation isolates the failing slot(s).
-                for i, req in zip(idxs, group):
-                    out[i] = _compute_or_error(req)
-        return out
+            schedules = schedule_batch(
+                name, [(req.workload(), req.platform) for req in group],
+                [req.effective_seed() for req in group])
+            results = [_decision_from_schedule(req, name, schedule)
+                       for req, schedule in zip(group, schedules)]
+        except Exception:
+            results = [_compute_or_error(req) for req in group]
+        for i, result in zip(idxs, results):
+            if isinstance(result, ReproError):
+                result = RequestError(result, keys[i], requests[i].scheduler)
+            out[i] = result
+    return out

@@ -1,14 +1,6 @@
 """Workload data sets: measured NPB constants and synthetic generators."""
 
 from .npb import NPB_DESCRIPTIONS, NPB_TABLE2, npb6_workload_data, npb_application
-from .specs import (
-    application_from_dict,
-    application_to_dict,
-    load_spec,
-    platform_from_dict,
-    platform_to_dict,
-    save_spec,
-)
 from .synthetic import (
     DATASETS,
     SEQ_RANGE,
@@ -31,10 +23,4 @@ __all__ = [
     "DATASETS",
     "WORK_RANGE",
     "SEQ_RANGE",
-    "save_spec",
-    "load_spec",
-    "application_to_dict",
-    "application_from_dict",
-    "platform_to_dict",
-    "platform_from_dict",
 ]

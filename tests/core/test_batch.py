@@ -12,6 +12,8 @@ of one), so they are checked against the frozen scalar loops of
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -316,14 +318,34 @@ class TestScheduleBatchRegistry:
             assert np.array_equal(ref.procs, s.procs)
             assert np.array_equal(ref.cache, s.cache)
 
+    def test_failed_batch_reruns_scalar_on_fresh_generators(self, monkeypatch):
+        """A randomized batch_fn that draws from every generator and then
+        raises: the result is the scalar path's on fresh generators
+        built from the same seeds, not on the drained ones."""
+        real = get_scheduler("randompart")
+
+        def draining(instances, rngs):
+            for rng in rngs:
+                rng.random(64)
+            raise RuntimeError("batch kernel failed")
+
+        monkeypatch.setitem(registry._REGISTRY, "randompart",
+                            dataclasses.replace(real, batch_fn=draining))
+        instances = _ragged_instances(4, seed=3)
+        seeds = [11, 12, np.random.SeedSequence(13), 14]
+        got = schedule_batch("randompart", instances, seeds=seeds)
+        for s, (wl, pf), seed in zip(got, instances, seeds):
+            ref = real(wl, pf, np.random.default_rng(seed))
+            assert np.array_equal(ref.procs, s.procs)
+            assert np.array_equal(ref.cache, s.cache)
+
     def test_empty_instances(self):
         assert schedule_batch("dominant-minratio", []) == []
 
-    def test_rng_length_mismatch(self):
+    def test_seed_length_mismatch(self):
         instances = _ragged_instances(3, seed=1)
-        with pytest.raises(ModelError, match="rngs"):
-            schedule_batch("dominant-random", instances,
-                           rngs=[np.random.default_rng(0)])
+        with pytest.raises(ModelError, match="seeds has 1 entries for 3"):
+            schedule_batch("dominant-random", instances, seeds=[0])
 
     def test_paper_heuristics_expose_batch_fn(self):
         from repro.core import PAPER_HEURISTICS

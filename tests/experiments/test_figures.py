@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.experiments.engine as engine_mod
+import repro.core.registry as registry_mod
 from repro.experiments import (
     FIGURE_NORMALIZATIONS,
     FIGURES,
@@ -84,9 +84,9 @@ class TestEveryFigureRuns:
         exp = build_figure(figure_id, reps=1, seed=3,
                            points=_SMALL_POINTS[figure_id])
         batched = run_experiment(exp, use_cache=False)
-        real = engine_mod.get_entry
+        real = registry_mod.get_entry
         monkeypatch.setattr(
-            engine_mod, "get_entry",
+            registry_mod, "get_entry",
             lambda name: dataclasses.replace(real(name), batch_fn=None))
         scalar = run_experiment(exp, use_cache=False)
         assert batched.schedulers == scalar.schedulers

@@ -7,7 +7,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.experiments.engine as engine_mod
 from repro.core import baselines, get_entry, get_scheduler, register, registry
 from repro.experiments import (
     Experiment,
@@ -324,16 +323,17 @@ class TestResultCache:
 
     def test_warm_cache_figure_counts_invocations(self, tmp_path, monkeypatch):
         """Acceptance criterion: a warm-cache figure rerun invokes no
-        scheduler at all (counted through the engine's entry lookup)."""
+        scheduler at all (counted through the registry lookup that
+        ``schedule_batch`` makes)."""
         exp = build_figure("fig1", reps=1, points=np.array([2.0]))
         lookups = []
-        real = engine_mod.get_entry
+        real = registry.get_entry
 
         def counted(name):
             lookups.append(name)
             return real(name)
 
-        monkeypatch.setattr(engine_mod, "get_entry", counted)
+        monkeypatch.setattr(registry, "get_entry", counted)
         run_experiment(exp, cache_dir=tmp_path)
         assert lookups  # cold run did schedule
         lookups.clear()

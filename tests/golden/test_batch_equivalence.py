@@ -83,12 +83,13 @@ class TestSchedulerBatchPath:
         entry = get_scheduler(name)
         instances = _instances(seed)
 
-        def rng(i):
-            return (np.random.default_rng(seed * 100 + i)
-                    if entry.randomized else None)
+        seeds = [seed * 100 + i if entry.randomized else None
+                 for i in range(len(instances))]
 
-        batch = schedule_batch(name, instances,
-                               [rng(i) for i in range(len(instances))])
+        def rng(i):
+            return None if seeds[i] is None else np.random.default_rng(seeds[i])
+
+        batch = schedule_batch(name, instances, seeds=seeds)
         live = [entry(wl, pf, rng(i)) for i, (wl, pf) in enumerate(instances)]
         legacy = (legacy_schedule if name in DOMINANT_HEURISTICS
                   else legacy_baseline if name in PAPER_BASELINES else None)
@@ -158,14 +159,14 @@ class TestEngineBatchGrouping:
     def test_run_experiment_unchanged(self, seed, monkeypatch):
         """The engine's batch grouping changes no experiment floats."""
         from repro.experiments import build_figure, run_experiment
-        from repro.experiments import engine as engine_mod
+        from repro.core import registry as registry_mod
 
         exp = build_figure("fig1", reps=2, seed=2017 + seed,
                            points=np.array([2.0, 5.0, 9.0]))
         batched = run_experiment(exp, use_cache=False)
 
         # Disable every batch_fn: same tasks, pure scalar evaluation.
-        real_get_entry = engine_mod.get_entry
+        real_get_entry = registry_mod.get_entry
 
         class _ScalarOnly:
             def __init__(self, entry):
@@ -178,7 +179,7 @@ class TestEngineBatchGrouping:
             def __call__(self, *args, **kwargs):
                 return self._entry(*args, **kwargs)
 
-        monkeypatch.setattr(engine_mod, "get_entry",
+        monkeypatch.setattr(registry_mod, "get_entry",
                             lambda name: _ScalarOnly(real_get_entry(name)))
         scalar = run_experiment(exp, use_cache=False)
 

@@ -8,7 +8,8 @@ import threading
 import pytest
 
 from repro.service.batcher import QueueFullError, RequestBatcher
-from repro.service.dispatcher import Dispatcher, RequestError
+from repro.service import dispatcher
+from repro.service.dispatcher import RequestError
 from repro.service.protocol import AllocationRequest, request_from_payload
 from repro.types import ModelError, ReproError
 
@@ -129,7 +130,6 @@ class TestDispatcherRequestError:
         })
 
     def test_model_failure_wrapped_with_fingerprint(self):
-        dispatcher = Dispatcher()
         good = self._request("dominant-minratio")
         requests = [good]
         out = dispatcher.evaluate(requests, keys=["fp-good"])
@@ -147,9 +147,3 @@ class TestDispatcherRequestError:
         payload = out[1].to_payload()
         assert payload["request_id"] == "fp-b"
         assert payload["scheduler"] == "no-such-strategy"
-
-    def test_inflight_gauge_settles(self):
-        dispatcher = Dispatcher()
-        dispatcher.evaluate([self._request("dominant-minratio")],
-                            keys=["fp"])
-        assert dispatcher.inflight.value == 0

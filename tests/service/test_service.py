@@ -74,12 +74,38 @@ class TestComputeDecision:
                 platform=request6.platform, scheduler="magic"))
 
 
+class TestDispatcherEvaluate:
+    def test_mixed_batch_matches_compute_decision(self):
+        """One batch mixing a two-request group, one-request groups, a
+        scheduler without ``batch_fn``, a seeded randomized one and an
+        unknown name: each slot equals its own scalar evaluation."""
+        rng = np.random.default_rng(4)
+
+        def request(scheduler, seed=None):
+            return AllocationRequest(applications=tuple(npb_synth(5, rng)),
+                                     platform=taihulight(),
+                                     scheduler=scheduler, seed=seed)
+
+        requests = [request("dominant-minratio"), request("fair"),
+                    request("Dominant-MinRatio"), request("speedup-aware"),
+                    request("randompart", seed=7), request("no-such-strategy")]
+        assert get_scheduler("speedup-aware").batch_fn is None
+        keys = [f"k{i}" for i in range(len(requests))]
+        out = dispatcher_mod.evaluate(requests, keys)
+        for req, key, got in zip(requests[:-1], keys, out):
+            want = compute_decision(req)
+            assert got.canonical_bytes() == want.canonical_bytes(), key
+        assert isinstance(out[-1], RequestError)
+        assert out[-1].request_id == "k5"
+        assert out[-1].scheduler == "no-such-strategy"
+
+
 class TestServing:
     def test_cold_then_warm(self, service, request6, monkeypatch):
         computes = []
-        real = compute_decision
-        monkeypatch.setattr(dispatcher_mod, "compute_decision",
-                            lambda req: (computes.append(1), real(req))[1])
+        real = dispatcher_mod.schedule_batch
+        monkeypatch.setattr(dispatcher_mod, "schedule_batch",
+                            lambda *args: (computes.append(1), real(*args))[1])
         cold = service.allocate(request6)
         warm = service.allocate(request6)
         # the acceptance property: a warm repeat is a decision-cache hit,
@@ -211,6 +237,7 @@ class TestServing:
                                 platform=request6.platform, scheduler="magic")
         with pytest.raises(ModelError):
             service.allocate(bad)
+        assert service.metrics()["decisions.inflight"] == 0
         ok = service.allocate(request6)
         assert ok.decision.makespan > 0
         assert service.metrics()["decisions.errors"] == 1
