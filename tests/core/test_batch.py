@@ -339,6 +339,52 @@ class TestScheduleBatchRegistry:
             assert np.array_equal(ref.procs, s.procs)
             assert np.array_equal(ref.cache, s.cache)
 
+    def test_failed_batch_raises_the_scalar_error(self, monkeypatch):
+        """When both paths fail, the caller sees the scalar path's error,
+        not the batch kernel's."""
+        def batch(instances, rngs):
+            raise RuntimeError("batch-only message")
+
+        def scalar(workload, platform, rng=None):
+            raise ModelError("scalar-path message")
+
+        monkeypatch.setitem(registry._REGISTRY, "failing", SchedulerEntry(
+            "failing", scalar, batch_fn=batch))
+        with pytest.raises(ModelError, match="scalar-path message"):
+            schedule_batch("failing", _ragged_instances(2, seed=5))
+
+    def test_batch_fn_gets_one_generator_per_seed(self, monkeypatch):
+        """None seeds stay None; every other seed becomes its own
+        ``default_rng(seed)`` stream."""
+        seen = []
+        real = get_scheduler("randompart")
+
+        def recording(instances, rngs):
+            seen.extend(None if rng is None else rng.bit_generator.state
+                        for rng in rngs)
+            return [real(wl, pf, rng) for (wl, pf), rng in zip(instances, rngs)]
+
+        monkeypatch.setitem(registry._REGISTRY, "randompart",
+                            dataclasses.replace(real, batch_fn=recording))
+        seeds = [None, 3, np.random.SeedSequence(4)]
+        schedule_batch("randompart", _ragged_instances(3, seed=8), seeds=seeds)
+        assert seen[0] is None
+        for state, seed in zip(seen[1:], seeds[1:]):
+            assert state == np.random.default_rng(seed).bit_generator.state
+
+    def test_unknown_name_raises_even_without_instances(self):
+        with pytest.raises(ModelError, match="unknown scheduler 'no-such'"):
+            schedule_batch("no-such", [])
+
+    def test_instances_may_be_any_iterable(self):
+        instances = _ragged_instances(4, seed=9)
+        want = schedule_batch("fair", instances)
+        got = schedule_batch("fair", iter(instances))
+        assert len(got) == len(want)
+        for a, b in zip(want, got):
+            assert np.array_equal(a.procs, b.procs)
+            assert np.array_equal(a.cache, b.cache)
+
     def test_empty_instances(self):
         assert schedule_batch("dominant-minratio", []) == []
 

@@ -156,6 +156,22 @@ class TestEvaluation:
             alone = execute_tasks(exp, [tasks[i] for i in idx])
             assert alone == [full[i] for i in idx], name
 
+    def test_one_schedule_batch_call_per_scheduler(self, monkeypatch):
+        from repro.experiments import engine
+        calls = []
+        real = engine.schedule_batch
+
+        def counted(name, instances, seeds):
+            calls.append((name, len(instances), len(seeds)))
+            return real(name, instances, seeds)
+
+        monkeypatch.setattr(engine, "schedule_batch", counted)
+        exp = _exp()
+        execute_tasks(exp, generate_tasks(exp))
+        cells = exp.reps * exp.points.size
+        assert sorted(calls) == sorted((name, cells, cells)
+                                       for name in exp.schedulers)
+
     def test_failing_batch_call_falls_back_to_scalar(self, monkeypatch):
         calls = []
 

@@ -249,6 +249,24 @@ class TestRequestFromPayload:
             self._payload(platform={"p": 8.0, "cache_size": 2e7}))
         assert req.platform.cache_size == 2e7
 
+    def test_application_defaults_are_the_models(self):
+        req = request_from_payload(self._payload())
+        assert req.applications[1] == Application(name="app1", work=2e9)
+
+    def test_misspelled_application_field_rejected(self):
+        """A typo is an error, not a silently defaulted field."""
+        with pytest.raises(ModelError, match="acces_freq"):
+            request_from_payload(self._payload(applications=[
+                {"name": "T", "work": 1e9, "acces_freq": 0.5}]))
+
+    def test_explicit_platform_roundtrip(self):
+        platform = Platform(p=12.0, cache_size=3e7, latency_cache=0.2,
+                            latency_memory=1.5, alpha=0.4)
+        req = _request(platform=platform)
+        again = request_from_payload(req.canonical_payload())
+        assert again.platform == platform
+        assert again.applications == req.applications
+
     def test_null_footprint_means_infinite(self):
         payload = self._payload()
         payload["applications"][0]["footprint"] = None

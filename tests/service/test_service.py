@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core import get_scheduler
+from repro.core import get_scheduler, registry
+from repro.core.registry import SchedulerEntry
 from repro.machine import taihulight
 from repro.service import (
     AllocationRequest,
@@ -98,6 +100,62 @@ class TestDispatcherEvaluate:
         assert isinstance(out[-1], RequestError)
         assert out[-1].request_id == "k5"
         assert out[-1].scheduler == "no-such-strategy"
+
+    def test_empty_batch(self):
+        assert dispatcher_mod.evaluate([], []) == []
+
+    def test_one_schedule_batch_call_per_scheduler_group(self, request6,
+                                                          monkeypatch):
+        calls = []
+        real = dispatcher_mod.schedule_batch
+
+        def counted(name, instances, seeds):
+            calls.append((name, len(instances)))
+            return real(name, instances, seeds)
+
+        monkeypatch.setattr(dispatcher_mod, "schedule_batch", counted)
+        requests = [dataclasses.replace(request6, scheduler=name, seed=seed)
+                    for name, seed in (("fair", None), ("RandomPart", 1),
+                                       ("randompart", 2), ("FAIR", None))]
+        out = dispatcher_mod.evaluate(requests, ["a", "b", "c", "d"])
+        assert calls == [("fair", 2), ("randompart", 2)]
+        for req, got in zip(requests, out):
+            assert got.canonical_bytes() == compute_decision(req).canonical_bytes()
+
+    def test_failing_group_answers_each_request_in_place(self, request6,
+                                                         monkeypatch):
+        """A model error on one request of a group fails that slot only:
+        the group's other request still gets its decision."""
+        fair = get_scheduler("fair")
+
+        def picky(workload, platform, rng=None):
+            if workload.n == 1:
+                raise ModelError("needs two applications")
+            return fair(workload, platform, rng)
+
+        monkeypatch.setitem(registry._REGISTRY, "picky",
+                            SchedulerEntry("picky", picky))
+        ok = dataclasses.replace(request6, scheduler="picky")
+        lone = dataclasses.replace(ok, applications=ok.applications[:1])
+        out = dispatcher_mod.evaluate([ok, lone], ["k-ok", "k-lone"])
+        assert out[0].canonical_bytes() == compute_decision(ok).canonical_bytes()
+        assert isinstance(out[1], RequestError)
+        assert out[1].request_id == "k-lone"
+        assert "needs two applications" in str(out[1])
+
+    def test_non_repro_error_stays_unwrapped(self, request6, monkeypatch):
+        """A server bug is returned as itself, not as a client error,
+        and does not fail other groups of the batch."""
+        def buggy(workload, platform, rng=None):
+            raise RuntimeError("bug")
+
+        monkeypatch.setitem(registry._REGISTRY, "buggy",
+                            SchedulerEntry("buggy", buggy))
+        out = dispatcher_mod.evaluate(
+            [dataclasses.replace(request6, scheduler="buggy"), request6],
+            ["k-bug", "k-ok"])
+        assert type(out[0]) is RuntimeError
+        assert out[1].canonical_bytes() == compute_decision(request6).canonical_bytes()
 
 
 class TestServing:
