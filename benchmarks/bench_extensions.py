@@ -15,8 +15,6 @@ from repro.workloads import npb_synth
 
 
 def test_extensions(benchmark):
-    import repro.extensions  # noqa: F401
-
     pf = taihulight()
     names = ("dominant-minratio", "speedup-aware", "localsearch", "continuous-opt")
     box = {}

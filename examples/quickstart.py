@@ -13,8 +13,6 @@ from repro import get_scheduler, scheduler_names
 from repro.machine import taihulight
 from repro.workloads import npb_synth
 
-import repro.extensions  # noqa: F401  (registers the future-work schedulers)
-
 
 def main() -> None:
     rng = np.random.default_rng(42)

@@ -43,11 +43,6 @@ from .types import (
     SolverError,
 )
 
-# Importing extensions registers its schedulers (speedup-aware,
-# localsearch, continuous-opt) so they are always available from
-# get_scheduler()/the CLI.
-from . import extensions as _extensions  # noqa: E402,F401
-
 __version__ = "1.1.0"
 
 __all__ = [

@@ -26,9 +26,9 @@ import numpy as np
 
 from ..core.application import Workload
 from ..core.platform import Platform
-from ..online.engine import arrival_order, make_policy_allocator
+from ..online.engine import (
+    OnlineResult, arrival_order, check_arrivals, make_policy_allocator)
 from ..simulate.kernel import EventLog, run_phase_kernel
-from ..types import ModelError
 from .faults import CompiledFaults, FaultSpec, parse_fault_spec
 from .injector import FaultInjector
 from .probes import ProbeTimeline
@@ -37,14 +37,14 @@ __all__ = ["ChaosResult", "run_chaos", "estimate_horizon"]
 
 
 def estimate_horizon(workload: Workload, platform: Platform,
-                     arrivals: np.ndarray, *, slack: float = 2.0) -> float:
+                     arrivals: np.ndarray) -> float:
     """Pessimistic completion bound used as the fault-drawing horizon.
 
     Serialize everything — the fcfs worst case: each application runs
     alone on the whole machine with the whole cache (so its Eq. 2
     factor is its best one), its sequential phase on one processor —
-    and multiply by *slack* to absorb crash-destroyed work and outage
-    time.  Faults are only drawn up to the horizon; a run outliving it
+    and double it to absorb crash-destroyed work and outage time.
+    Faults are only drawn up to the horizon; a run outliving it
     (possible in principle, with enough lost work) simply sees a calm
     platform afterwards.  Tighter is better here: the horizon sets how
     many hazard-driven events are compiled, and with it the kernel's
@@ -56,27 +56,20 @@ def estimate_horizon(workload: Workload, platform: Platform,
                                       np.ones(workload.n))
     serial = (workload.seq * workload.work
               + (1.0 - workload.seq) * workload.work / platform.p)
-    return float(arrivals.max() + slack * (serial * factor_alone).sum())
+    return float(arrivals.max() + 2.0 * (serial * factor_alone).sum())
 
 
-@dataclass(frozen=True)
-class ChaosResult:
+@dataclass(frozen=True, kw_only=True)
+class ChaosResult(OnlineResult):
     """Outcome of a fault-injected online run.
 
-    Carries the same core metrics as
-    :class:`repro.online.OnlineResult` (arrival/finish times, flow
-    times, makespan, processor usage, event log) plus the chaos view:
-    the compiled fault stream, the stepwise pool history, the probe
-    timeline, and the fault counters.
+    The :class:`repro.online.OnlineResult` of the run (arrival/finish
+    times, flow times, makespan, processor usage, event log) plus the
+    chaos view: the compiled fault stream, the stepwise pool history,
+    the probe timeline, and the fault counters.
     """
 
-    policy: str
     faults: CompiledFaults
-    arrival_times: np.ndarray
-    finish_times: np.ndarray
-    events: int
-    log: EventLog = field(repr=False)
-    processor_usage: list[tuple[float, float]] = field(repr=False)
     probe: ProbeTimeline = field(repr=False)
     pool_timeline: list[tuple[float, float]] = field(repr=False)
     crashes: int = 0
@@ -84,28 +77,6 @@ class ChaosResult:
     dropped_faults: int = 0
     lost_work: float = 0.0
     total_work: float = 0.0
-
-    @property
-    def flow_times(self) -> np.ndarray:
-        return self.finish_times - self.arrival_times
-
-    @property
-    def makespan(self) -> float:
-        return float(self.finish_times.max())
-
-    @property
-    def mean_flow(self) -> float:
-        return float(self.flow_times.mean())
-
-    @property
-    def max_flow(self) -> float:
-        return float(self.flow_times.max())
-
-    @property
-    def peak_processors(self) -> float:
-        if not self.processor_usage:
-            return 0.0
-        return max(used for _, used in self.processor_usage)
 
     @property
     def goodput(self) -> float:
@@ -144,9 +115,11 @@ def run_chaos(
     probe_interval: float | None = None,
     horizon: float | None = None,
     max_samples: int = 2048,
-    max_events: int | None = None,
 ) -> ChaosResult:
     """Run one policy under one fault stream, with cadence probes.
+
+    The kernel's event budget covers the base online budget plus every
+    fault event, restart, and probe tick.
 
     Parameters
     ----------
@@ -172,18 +145,11 @@ def run_chaos(
         Fault-drawing horizon; defaults to :func:`estimate_horizon`.
     max_samples : int
         Probe budget (see :class:`~repro.chaos.probes.ProbeTimeline`).
-    max_events : int, optional
-        Kernel event budget; the default covers the base online budget
-        plus every fault event, restart, and probe tick.
     """
     if arrival_times is None:
         arrivals = np.zeros(workload.n)
     else:
-        arrivals = np.asarray(arrival_times, dtype=np.float64)
-        if arrivals.shape != (workload.n,):
-            raise ModelError(f"arrival_times must have shape ({workload.n},)")
-        if np.any(arrivals < 0):
-            raise ModelError("arrival times must be >= 0")
+        arrivals = check_arrivals(workload, arrival_times)
 
     if horizon is None:
         horizon = estimate_horizon(workload, platform, arrivals)
@@ -210,10 +176,9 @@ def run_chaos(
         allocate=allocate, log=log, arrivals=arrivals, probe=probe,
     )
 
-    if max_events is None:
-        max_events = (20 * workload.n + 10
-                      + 8 * len(compiled.events)
-                      + 2 * probe.max_samples + 64)
+    max_events = (20 * workload.n + 10
+                  + 8 * len(compiled.events)
+                  + 2 * probe.max_samples + 64)
 
     result = run_phase_kernel(
         workload.work,
@@ -225,7 +190,7 @@ def run_chaos(
         max_events=max_events,
         budget_message=(
             f"chaos run ({policy!r}) exceeded its event budget of "
-            f"{max_events}; raise max_events or loosen the fault spec"),
+            f"{max_events}; loosen the fault spec"),
         log=log,
     )
     injector.finalize(result.now)

@@ -13,7 +13,7 @@ dispatcher (one call per scheduler per coalesced request batch) use,
 and directly from the benchmark grids.  The scalar
 dominant heuristics are batches of one: a single instance is packed
 without padding, as read-only views of its workload's columns, so a
-batch of one costs what the scalar path used to.
+batch of one copies nothing.
 
 Bit-identity contract
 ---------------------
@@ -217,7 +217,7 @@ def execution_times_batch(problem: BatchProblem, procs, cache_fractions) -> np.n
 
 
 def equal_finish_allocation_batch(
-    problem: BatchProblem, cache_fractions, *, xtol: float = 1e-12
+    problem: BatchProblem, cache_fractions
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched equal-finish allocation for given cache fractions.
 
@@ -225,8 +225,7 @@ def equal_finish_allocation_batch(
     padding) and ``K`` the per-row makespans, shape ``(B,)``.
     """
     c = sequential_times_batch(problem, cache_fractions)
-    return equal_finish_batch(problem.seq, c, problem.valid, problem.p,
-                              xtol=xtol)
+    return equal_finish_batch(problem.seq, c, problem.valid, problem.p)
 
 
 class BatchSchedule:
@@ -269,8 +268,8 @@ class BatchSchedule:
         """Per-row makespans ``max_i Exe_i``, shape ``(B,)``."""
         return np.where(self.problem.valid, self.times(), -np.inf).max(axis=1)
 
-    def schedules(self, *, validate: bool = True) -> list[Schedule]:
-        """Materialize one :class:`Schedule` per row.
+    def schedules(self) -> list[Schedule]:
+        """Materialize one validated :class:`Schedule` per row.
 
         Each schedule gets its row of :meth:`times` (bit-identical to
         a scalar recompute), so its ``times()`` and ``makespan()`` cost
@@ -281,7 +280,7 @@ class BatchSchedule:
         for i, (wl, pf) in enumerate(self.problem.instances):
             n = wl.n
             out.append(Schedule(wl, pf, self.procs[i, :n].copy(),
-                                self.cache[i, :n].copy(), validate=validate,
+                                self.cache[i, :n].copy(),
                                 times=times[i, :n].copy()))
         return out
 

@@ -69,7 +69,13 @@ __all__ = [
     "equal_finish_batch",
     "build_equal_finish_schedule",
     "processor_demand",
+    "XTOL",
 ]
+
+#: Relative tolerance on the makespan ``K`` of every equal-finish solve.
+#: One value for the scalar and the batch path, which is part of what
+#: keeps them bit-identical.
+XTOL = 1e-12
 
 
 def lemma2_processor_allocation(
@@ -113,8 +119,6 @@ def equal_finish_batch(
     c: np.ndarray,
     valid: np.ndarray,
     p: np.ndarray,
-    *,
-    xtol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized equal-finish solve for a batch of independent instances.
 
@@ -128,8 +132,6 @@ def equal_finish_batch(
         padding).  Every row needs at least one valid application.
     p : (B,) float array
         Per-row processor budget.
-    xtol : float
-        Relative tolerance on the makespan ``K``.
 
     Returns
     -------
@@ -158,7 +160,7 @@ def equal_finish_batch(
         # the golden batch-equivalence sweep asserts.
         idx = np.flatnonzero(valid[0])
         procs_row, K1 = _equal_finish_single(
-            seq[0, idx].tolist(), c[0, idx].tolist(), float(p[0]), xtol)
+            seq[0, idx].tolist(), c[0, idx].tolist(), float(p[0]))
         procs = np.zeros((1, N))
         procs[0, idx] = procs_row
         return procs, np.array([K1])
@@ -221,7 +223,7 @@ def equal_finish_batch(
     fb = f_hi
     live = active.copy()
     for it in range(200):
-        live &= (b - a) > xtol * np.maximum(1.0, a)
+        live &= (b - a) > XTOL * np.maximum(1.0, a)
         if not live.any():
             break
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -260,7 +262,7 @@ def equal_finish_batch(
     return procs, K
 
 
-def _equal_finish_single(seq, c, p, xtol):
+def _equal_finish_single(seq, c, p):
     """:func:`equal_finish_batch` for one instance, on Python floats.
 
     Exact transcription of the vectorized body for a single row —
@@ -308,7 +310,7 @@ def _equal_finish_single(seq, c, p, xtol):
                 raise SolverError("could not bracket the equal-finish makespan")
         a, b = lo, hi
         for it in range(200):
-            if not (b - a) > xtol * max(1.0, a):
+            if not (b - a) > XTOL * max(1.0, a):
                 break
             newton = a - fa / fpa if fpa != 0.0 else np.inf
             n_ok = np.isfinite(newton) and a < newton < b
@@ -347,7 +349,6 @@ def equal_finish_makespan(
     platform: Platform,
     cache_fractions,
     *,
-    xtol: float = 1e-12,
     method: str = "hybrid",
 ) -> float:
     """Solve ``g(K) = p`` for the equal-finish makespan ``K``.
@@ -356,14 +357,12 @@ def equal_finish_makespan(
     ----------
     workload, platform, cache_fractions
         The co-schedule being priced.
-    xtol : float
-        Relative tolerance on ``K``.
     method : {"hybrid", "brentq", "bisect"}
-        Root finder.  ``"hybrid"`` (default) is the vectorized
-        Newton-bisection shared with :func:`equal_finish_batch`;
-        ``"bisect"`` is the paper's literal binary search and
-        ``"brentq"`` the previous SciPy default, both kept for the
-        solver-ablation benchmark.
+        Root finder, each to relative tolerance :data:`XTOL` on ``K``.
+        ``"hybrid"`` (default) is the vectorized Newton-bisection
+        shared with :func:`equal_finish_batch`; ``"bisect"`` is the
+        paper's literal binary search and ``"brentq"`` SciPy's
+        bracketing solver, both kept for the solver-ablation benchmark.
 
     Returns
     -------
@@ -382,7 +381,7 @@ def equal_finish_makespan(
         _, K = equal_finish_batch(
             seq[None, :], c[None, :],
             np.ones((1, workload.n), dtype=bool),
-            np.array([float(p)]), xtol=xtol)
+            np.array([float(p)]))
         return float(K[0])
 
     # Lower bound: every application on all p processors (finishing
@@ -409,18 +408,18 @@ def equal_finish_makespan(
             raise SolverError("could not bracket the equal-finish makespan")
 
     if method == "bisect":
-        return _bisect(g, lo, hi, xtol=xtol)
+        return _bisect(g, lo, hi)
     if method != "brentq":
         raise ValueError(f"unknown method {method!r}")
     from scipy.optimize import brentq  # deferred: only this ablation needs scipy
 
     try:
-        return float(brentq(g, lo, hi, xtol=max(xtol * lo, 1e-300), rtol=1e-14))
+        return float(brentq(g, lo, hi, xtol=max(XTOL * lo, 1e-300), rtol=1e-14))
     except ValueError as exc:  # pragma: no cover - bracket guaranteed above
         raise SolverError(f"brentq failed on [{lo}, {hi}]: {exc}") from exc
 
 
-def _bisect(g: Callable[[float], float], lo: float, hi: float, *, xtol: float) -> float:
+def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
     """Plain binary search on a decreasing function, paper-style."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -428,7 +427,7 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float, *, xtol: float) -
             lo = mid
         else:
             hi = mid
-        if hi - lo <= xtol * max(1.0, lo):
+        if hi - lo <= XTOL * max(1.0, lo):
             break
     return 0.5 * (lo + hi)
 
@@ -437,8 +436,6 @@ def equal_finish_allocation(
     workload: Workload,
     platform: Platform,
     cache_fractions,
-    *,
-    method: str = "hybrid",
 ) -> tuple[np.ndarray, float]:
     """Processor allocation making all applications finish together.
 
@@ -449,37 +446,18 @@ def equal_finish_allocation(
     nothing for perfectly parallel apps already at their bound and keep
     the schedule feasible.
     """
-    seq = workload.seq
     c = sequential_times(workload, platform, cache_fractions)
-    if method == "hybrid":
-        procs2, K2 = equal_finish_batch(
-            seq[None, :], c[None, :],
-            np.ones((1, workload.n), dtype=bool),
-            np.array([float(platform.p)]))
-        return procs2[0].copy(), float(K2[0])
-    K = equal_finish_makespan(workload, platform, cache_fractions, method=method)
-    if workload.n == 1:
-        return np.array([float(platform.p)]), K
-    denom = K / c - seq
-    # Guard against roundoff putting a denominator at/below zero for the
-    # slowest application: clamp to the smallest positive share.
-    denom = np.maximum(denom, 1e-300)
-    procs = (1.0 - seq) / denom
-    # A fully sequential application (s == 1) demands 0 processors in
-    # the limit; give it an epsilon so the schedule stays valid.
-    procs = np.maximum(procs, 1e-9)
-    total = procs.sum()
-    if total > platform.p:
-        procs *= platform.p / total
-    return procs, float(K)
+    procs, K = equal_finish_batch(
+        workload.seq[None, :], c[None, :],
+        np.ones((1, workload.n), dtype=bool),
+        np.array([float(platform.p)]))
+    return procs[0].copy(), float(K[0])
 
 
 def build_equal_finish_schedule(
     workload: Workload,
     platform: Platform,
     cache_fractions,
-    *,
-    method: str = "hybrid",
 ) -> Schedule:
     """Construct the :class:`Schedule` for a given cache partition.
 
@@ -487,5 +465,5 @@ def build_equal_finish_schedule(
     the paper: fractions come from the partitioning strategy, processors
     from the equal-finish solver.
     """
-    procs, _ = equal_finish_allocation(workload, platform, cache_fractions, method=method)
+    procs, _ = equal_finish_allocation(workload, platform, cache_fractions)
     return Schedule(workload, platform, procs, cache_fractions)

@@ -15,11 +15,14 @@ which extension package — it comes from).  Entries are callable, so
 unchanged.
 
 Deterministic strategies ignore ``rng``.  Use :func:`register` to add
-custom strategies (the extensions package registers itself on import).
+custom strategies.  The :mod:`repro.extensions` strategies are declared
+here too; each imports its module on its first call, so importing the
+registry loads only the core.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -228,6 +231,16 @@ def _make_dominant_batch(strategy: str, choice: str) -> BatchSchedulerFn:
     return batch
 
 
+def _make_extension(module: str, attr: str) -> SchedulerFn:
+    def scheduler(workload: Workload, platform: Platform,
+                  rng: Optional[np.random.Generator] = None) -> BaseSchedule:
+        loaded = importlib.import_module(f"..extensions.{module}", __package__)
+        return getattr(loaded, attr)(workload, platform, rng)
+
+    scheduler.__name__ = attr
+    return scheduler
+
+
 def _rng(seed) -> Optional[np.random.Generator]:
     return None if seed is None else np.random.default_rng(seed)
 
@@ -307,3 +320,15 @@ register("randompart", lambda wl, pf, rng=None: baselines.random_partition(wl, p
          provenance="paper §6.3 (baseline)",
          batch_fn=lambda instances, rngs=None: baselines.random_partition_batch(
              BatchProblem(instances), rngs).schedules())
+
+for _name, _module, _attr, _description in (
+    ("speedup-aware", "speedup_aware", "speedup_aware_schedule",
+     "dominant subset + Amdahl-aware KKT cache fractions"),
+    ("localsearch", "local_search", "local_search_schedule",
+     "dominant subset refined by add/drop/swap search"),
+    ("continuous-opt", "continuous", "continuous_schedule",
+     "SLSQP over cache fractions (reference upper bound)"),
+):
+    register(_name, _make_extension(_module, _attr),
+             description=_description,
+             provenance="extensions (paper §7 future work)")

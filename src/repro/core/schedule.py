@@ -133,7 +133,7 @@ class Schedule(BaseSchedule):
         """Boolean mask of the applications receiving a nonzero fraction."""
         return self.cache > 0.0
 
-    def feasibility_violations(self, *, slack: float = FEASIBILITY_SLACK) -> list[str]:
+    def feasibility_violations(self) -> list[str]:
         """Return a list of violated-constraint descriptions (empty if OK)."""
         issues: list[str] = []
         if (self.procs <= 0).any():
@@ -143,6 +143,7 @@ class Schedule(BaseSchedule):
             bad = np.flatnonzero((self.cache < 0) | (self.cache > 1))
             issues.append(f"cache fraction outside [0, 1] at indices {bad.tolist()}")
         total_p = float(self.procs.sum())
+        slack = FEASIBILITY_SLACK
         if total_p > self.platform.p * (1 + slack) + slack:
             issues.append(f"sum of processors {total_p:.9g} exceeds p={self.platform.p:g}")
         total_x = float(self.cache.sum())
@@ -150,13 +151,13 @@ class Schedule(BaseSchedule):
             issues.append(f"sum of cache fractions {total_x:.9g} exceeds 1")
         return issues
 
-    def is_feasible(self, *, slack: float = FEASIBILITY_SLACK) -> bool:
-        """True when all resource constraints hold (up to *slack*)."""
-        return not self.feasibility_violations(slack=slack)
+    def is_feasible(self) -> bool:
+        """True when all resource constraints hold, up to FEASIBILITY_SLACK."""
+        return not self.feasibility_violations()
 
-    def assert_feasible(self, *, slack: float = FEASIBILITY_SLACK) -> None:
+    def assert_feasible(self) -> None:
         """Raise :class:`InfeasibleScheduleError` listing any violations."""
-        issues = self.feasibility_violations(slack=slack)
+        issues = self.feasibility_violations()
         if issues:
             raise InfeasibleScheduleError("; ".join(issues))
 

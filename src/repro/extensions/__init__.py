@@ -1,42 +1,18 @@
 """Extensions beyond the paper (its Section 7 future-work directions).
 
-Importing this package registers three additional schedulers:
+Three of them are registered schedulers, declared in
+:mod:`repro.core.registry` and imported from here on their first call:
 
 * ``speedup-aware`` — dominant subset + Amdahl-aware KKT cache fractions;
 * ``localsearch``   — dominant subset refined by add/drop/swap search;
 * ``continuous-opt`` — SLSQP over the fractions (reference upper bound).
 """
 
-from ..core.registry import register
 from .continuous import continuous_schedule, optimize_fractions
 from .granularity import granularity_penalty, model_utility_curves, ways_schedule
 from .integer_procs import integer_schedule, round_processors, rounding_penalty
 from .local_search import LocalSearchResult, local_search_partition, local_search_schedule
 from .speedup_aware import speedup_aware_fractions, speedup_aware_schedule
-
-
-def _register_extensions() -> None:
-    from ..core.registry import scheduler_names
-
-    existing = set(scheduler_names())
-    if "speedup-aware" not in existing:
-        register("speedup-aware",
-                 lambda wl, pf, rng=None: speedup_aware_schedule(wl, pf, rng),
-                 description="dominant subset + Amdahl-aware KKT cache fractions",
-                 provenance="extensions (paper §7 future work)")
-    if "localsearch" not in existing:
-        register("localsearch",
-                 lambda wl, pf, rng=None: local_search_schedule(wl, pf, rng),
-                 description="dominant subset refined by add/drop/swap search",
-                 provenance="extensions (paper §7 future work)")
-    if "continuous-opt" not in existing:
-        register("continuous-opt",
-                 lambda wl, pf, rng=None: continuous_schedule(wl, pf, rng),
-                 description="SLSQP over cache fractions (reference upper bound)",
-                 provenance="extensions (paper §7 future work)")
-
-
-_register_extensions()
 
 __all__ = [
     "speedup_aware_fractions",

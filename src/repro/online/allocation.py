@@ -33,8 +33,6 @@ def remaining_equal_finish(
     par_ops,
     factors,
     p: float,
-    *,
-    xtol: float = 1e-12,
 ) -> tuple[np.ndarray, float]:
     """Processors equalizing the finish of partially executed apps.
 
@@ -77,5 +75,5 @@ def remaining_equal_finish(
     # The kernel clamps every share at _EPS_PROC before rescaling to p.
     c = seq_time + par_work
     procs, K = _equal_finish_single(
-        (seq_time / c).tolist(), c.tolist(), float(p), xtol)
+        (seq_time / c).tolist(), c.tolist(), float(p))
     return np.array(procs), float(K)

@@ -1,8 +1,7 @@
 """Arrival-time sources for the online engine.
 
-Historically :func:`repro.online.simulate_online` only ever saw
-hand-passed arrival arrays; this module grows the dynamic scenario
-space to *generated* and *replayed* streams, all returning plain
+Besides hand-passed arrival arrays, :func:`repro.online.simulate_online`
+takes *generated* and *replayed* streams from this module, all plain
 ``float64`` arrival-time arrays the engine (and the shared event
 kernel) consume unchanged:
 

@@ -10,9 +10,7 @@ under the Eq. 2 model until the next event.
 The clock is the shared event kernel (:mod:`repro.simulate.kernel`);
 this module contributes only the reallocation policies.  In
 particular, arrival admission uses the kernel's canonical combined
-abs+rel tolerance — the historical relative-only check admitted
-nothing early at ``now == 0`` except by accident and over-admitted at
-large ``now``.  Arrival streams beyond hand-passed arrays (constant
+abs+rel tolerance.  Arrival streams beyond hand-passed arrays (constant
 rate, inhomogeneous Poisson, trace replay) live in
 :mod:`repro.online.arrivals`.
 
@@ -66,6 +64,7 @@ __all__ = [
     "simulate_online",
     "BUILTIN_POLICIES",
     "arrival_order",
+    "check_arrivals",
     "make_policy_allocator",
 ]
 
@@ -252,6 +251,16 @@ def _allocate(
     return procs, access_cost_factor(workload, platform, cache)
 
 
+def check_arrivals(workload: Workload, arrival_times) -> np.ndarray:
+    """*arrival_times* as a float64 array: one instant >= 0 per application."""
+    arrivals = np.asarray(arrival_times, dtype=np.float64)
+    if arrivals.shape != (workload.n,):
+        raise ModelError(f"arrival_times must have shape ({workload.n},)")
+    if np.any(arrivals < 0):
+        raise ModelError("arrival times must be >= 0")
+    return arrivals
+
+
 def arrival_order(arrival_times) -> np.ndarray:
     """Stable arrival ranks (ties broken by index) for fcfs policies."""
     arrivals = np.asarray(arrival_times, dtype=np.float64)
@@ -307,12 +316,7 @@ def simulate_online(
     any registered concurrent scheduler name; *rng* feeds randomized
     registry policies (builtins ignore it).
     """
-    arrivals = np.asarray(arrival_times, dtype=np.float64)
-    if arrivals.shape != (workload.n,):
-        raise ModelError(f"arrival_times must have shape ({workload.n},)")
-    if np.any(arrivals < 0):
-        raise ModelError("arrival times must be >= 0")
-
+    arrivals = check_arrivals(workload, arrival_times)
     allocate = make_policy_allocator(
         workload, platform, policy,
         fcfs_order=arrival_order(arrivals), rng=rng,

@@ -115,26 +115,23 @@ class _ByteCache:
     *FIFO* mode: gets go through counter-free :meth:`peek` (this tier
     fronts the decision cache, whose counters stay authoritative via
     ``note_bytecache_hit``), so recency is never refreshed and the
-    LRU eviction order degenerates to insertion order — exactly the
-    bounded-FIFO behavior this tier has always had.
+    LRU eviction order degenerates to insertion order: a bounded FIFO
+    of 4096 request bodies.
     """
 
-    __slots__ = ("capacity", "_entries")
+    __slots__ = ("_entries",)
 
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        self._entries: LRUCache | None = (
-            LRUCache(capacity) if capacity >= 1 else None)
+    def __init__(self) -> None:
+        self._entries = LRUCache(4096)
 
     def get(self, body: bytes) -> bytes | None:
-        return self._entries.peek(body) if self._entries is not None else None
+        return self._entries.peek(body)
 
     def put(self, body: bytes, response) -> None:
         """Remember the replay prefix of *response* under *body*."""
-        entries_ = self._entries
-        if entries_ is None or entries_.peek(body) is not None:
+        if self._entries.peek(body) is not None:
             return
-        entries_.put(body, response_bytes(
+        self._entries.put(body, response_bytes(
             response.request_id, response.decision,
             cache_hit=True, coalesced=False, batch_size=0))
 
@@ -142,9 +139,9 @@ class _ByteCache:
 class AsyncDecisionServer:
     """Route table + shared state for one event loop's connections."""
 
-    def __init__(self, service: DecisionService, *, l0_capacity: int = 4096):
+    def __init__(self, service: DecisionService):
         self.service = service
-        self.l0 = _ByteCache(l0_capacity)
+        self.l0 = _ByteCache()
         # The registry is process-static: render /v1/schedulers once.
         payload = [
             {

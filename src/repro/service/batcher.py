@@ -260,14 +260,14 @@ class RequestBatcher:
                                 queue_depth=len(self._pending),
                                 rejected=self._rejected)
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop accepting work, wake the collector, join it."""
+    def close(self) -> None:
+        """Stop accepting work, wake the collector, join it (5 s at most)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._queue.put(_SHUTDOWN)
-        self._collector.join(timeout=timeout)
+        self._collector.join(timeout=5.0)
 
     def __enter__(self) -> "RequestBatcher":
         return self

@@ -73,8 +73,7 @@ class DecisionService:
         decision is also written through to disk and a new process
         answers previously-seen requests as cache hits from its very
         first call — a cross-restart warm start.  None with no env var
-        keeps the cache memory-only (the historical behavior, with
-        bit-identical counters).
+        keeps the cache memory-only.
     """
 
     def __init__(

@@ -11,13 +11,12 @@ serving layer shares:
     linear interpolation inside the owning bucket — the classic
     Prometheus histogram estimate — and the text exposition renders
     the cumulative ``_bucket{le=...}`` / ``_sum`` / ``_count`` series
-    scrapers expect.  Buckets are *fixed* on purpose: histograms from
-    different processes (or different scrape intervals) stay mergeable
-    by addition.
+    scrapers expect.  Every histogram uses the same
+    :data:`LATENCY_BUCKETS`, so histograms from different processes
+    (or different scrape intervals) stay mergeable by addition.
 
 :class:`Gauge`
-    A thread-safe up/down counter for in-flight work.  ``track()``
-    wraps a with-block so the decrement survives exceptions.
+    A thread-safe up/down counter for in-flight work.
 
 Both are cheap enough for the per-request hot path: one lock acquire
 and a couple of integer updates per observation.
@@ -39,7 +38,7 @@ if TYPE_CHECKING:
 __all__ = ["LatencyHistogram", "Gauge", "LATENCY_BUCKETS",
            "render_metrics_text"]
 
-#: Default latency bucket bounds in seconds: log-spaced, x2 per step,
+#: Latency bucket bounds in seconds: log-spaced, x2 per step,
 #: 100 µs .. ~6.6 s (17 bounds; the implicit +Inf bucket catches the rest).
 LATENCY_BUCKETS: tuple[float, ...] = tuple(1e-4 * 2.0 ** k for k in range(17))
 
@@ -53,61 +52,37 @@ class Gauge:
         self._value = 0
         self._lock = threading.Lock()
 
-    def inc(self, n: int = 1) -> None:
+    def inc(self) -> None:
         with self._lock:
-            self._value += n
+            self._value += 1
 
-    def dec(self, n: int = 1) -> None:
+    def dec(self) -> None:
         with self._lock:
-            self._value -= n
+            self._value -= 1
 
     @property
     def value(self) -> int:
         return self._value
 
-    def track(self) -> "_GaugeSpan":
-        """``with gauge.track(): ...`` — inc on entry, dec on exit."""
-        return _GaugeSpan(self)
-
-
-class _GaugeSpan:
-    __slots__ = ("_gauge",)
-
-    def __init__(self, gauge: Gauge):
-        self._gauge = gauge
-
-    def __enter__(self) -> None:
-        self._gauge.inc()
-
-    def __exit__(self, *exc) -> None:
-        self._gauge.dec()
-
 
 class LatencyHistogram:
-    """Thread-safe fixed-bucket latency histogram.
+    """Thread-safe latency histogram over :data:`LATENCY_BUCKETS`.
 
-    Parameters
-    ----------
-    buckets : sequence of float
-        Strictly increasing upper bounds in seconds.  Observations
-        above the last bound land in the implicit ``+Inf`` bucket.
+    Observations above the last bound land in the implicit ``+Inf``
+    bucket.
     """
 
-    __slots__ = ("_bounds", "_counts", "_count", "_sum", "_lock")
+    __slots__ = ("_counts", "_count", "_sum", "_lock")
 
-    def __init__(self, buckets: tuple[float, ...] = LATENCY_BUCKETS):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("histogram buckets must be strictly increasing")
-        self._bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)  # + the +Inf bucket
+    def __init__(self) -> None:
+        self._counts = [0] * (len(LATENCY_BUCKETS) + 1)  # + the +Inf bucket
         self._count = 0
         self._sum = 0.0
         self._lock = threading.Lock()
 
     # -- write side --------------------------------------------------------
     def observe(self, seconds: float) -> None:
-        idx = bisect_left(self._bounds, seconds)
+        idx = bisect_left(LATENCY_BUCKETS, seconds)
         with self._lock:
             self._counts[idx] += 1
             self._count += 1
@@ -145,14 +120,14 @@ class LatencyHistogram:
             if n == 0:
                 continue
             if cumulative + n >= rank:
-                lo = self._bounds[i - 1] if i > 0 else 0.0
-                if i >= len(self._bounds):  # +Inf bucket
-                    return self._bounds[-1]
-                hi = self._bounds[i]
+                lo = LATENCY_BUCKETS[i - 1] if i > 0 else 0.0
+                if i >= len(LATENCY_BUCKETS):  # +Inf bucket
+                    return LATENCY_BUCKETS[-1]
+                hi = LATENCY_BUCKETS[i]
                 frac = (rank - cumulative) / n
                 return lo + (hi - lo) * frac
             cumulative += n
-        return self._bounds[-1]
+        return LATENCY_BUCKETS[-1]
 
     def as_dict(self) -> dict[str, float]:
         """Flat quantile summary for the JSON metrics mapping."""
@@ -171,7 +146,7 @@ class LatencyHistogram:
         counts, total, total_s = self.snapshot()
         yield f"# TYPE {name} histogram"
         cumulative = 0
-        for bound, n in zip(self._bounds, counts):
+        for bound, n in zip(LATENCY_BUCKETS, counts):
             cumulative += n
             yield f'{name}_bucket{{le="{bound:.10g}"}} {cumulative}'
         yield f'{name}_bucket{{le="+Inf"}} {total}'

@@ -1,16 +1,11 @@
 """The one discrete-event kernel behind every simulation.
 
-Before this module the repository carried independently hand-rolled
-time-stepping loops — the offline phase loop
-(:func:`repro.simulate.simulate_schedule`) and the online arrival loop
-(:func:`repro.online.simulate_online`) — each with its own subtly
-different boundary handling.  That bred a whole family of epsilon
-bugs: a phase residue tolerated by one loop but not another, and a
-relative-only arrival admission that degenerates at ``now == 0`` and
-drifts at large ``now``.  Both are now thin adapters over the one
-phase clock of this module, run one instance at a time
-(:func:`run_phase_kernel`) or as a lockstep batch
-(:func:`run_phase_kernel_batch`).
+The offline phase loop (:func:`repro.simulate.simulate_schedule`) and
+the online arrival loop (:func:`repro.online.simulate_online`) are thin
+adapters over the one phase clock of this module, run one instance at
+a time (:func:`run_phase_kernel`) or as a lockstep batch
+(:func:`run_phase_kernel_batch`), so every boundary decision — a
+phase residue, an arrival admitted at ``now`` — is made one way.
 
 Tolerance convention
 --------------------

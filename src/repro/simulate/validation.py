@@ -17,7 +17,12 @@ import numpy as np
 from ..core.schedule import Schedule
 from .engine import SimulationResult, simulate_schedule
 
-__all__ = ["ValidationReport", "validate_schedule", "work_conserving_gain"]
+__all__ = ["ValidationReport", "validate_schedule", "work_conserving_gain",
+           "TOLERANCE"]
+
+#: Largest relative model-vs-simulation error that still counts as
+#: agreement: the two compute the same times up to rounding.
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,7 +38,7 @@ class ValidationReport:
     max_relative_error : float
         ``max |sim - model| / model``.
     agrees : bool
-        Whether the error is below *tolerance*.
+        Whether the error is at most :data:`TOLERANCE`.
     """
 
     model_times: np.ndarray
@@ -42,7 +47,7 @@ class ValidationReport:
     agrees: bool
 
 
-def validate_schedule(schedule: Schedule, *, tolerance: float = 1e-9) -> ValidationReport:
+def validate_schedule(schedule: Schedule) -> ValidationReport:
     """Simulate *schedule* and compare with the analytical times."""
     model = schedule.times()
     sim = simulate_schedule(schedule, policy="static").finish_times
@@ -51,7 +56,7 @@ def validate_schedule(schedule: Schedule, *, tolerance: float = 1e-9) -> Validat
         model_times=model,
         simulated_times=sim,
         max_relative_error=rel,
-        agrees=rel <= tolerance,
+        agrees=rel <= TOLERANCE,
     )
 
 

@@ -15,6 +15,7 @@ from repro.chaos import (
     run_chaos,
 )
 from repro.core.registry import scheduler_names
+from repro.online import OnlineResult, simulate_online
 from repro.simulate.kernel import EventLog
 from repro.types import ModelError
 
@@ -56,6 +57,30 @@ def test_clean_run_checks_out(chaos_workload, chaos_platform, chaos_arrivals):
     report.assert_ok()
     assert result.crashes == result.preemptions == 0
     assert result.pool_timeline == [(0.0, chaos_platform.p)]
+
+
+def test_chaos_result_is_an_online_result(
+        chaos_workload, chaos_platform, chaos_arrivals):
+    result = run_chaos(chaos_workload, chaos_platform, chaos_arrivals,
+                       faults=STRESS_SPEC, policy="dominant",
+                       fault_rng=np.random.default_rng(3))
+    assert isinstance(result, OnlineResult)
+    np.testing.assert_array_equal(
+        result.flow_times, result.finish_times - result.arrival_times)
+    assert result.makespan == result.finish_times.max()
+    assert result.peak_processors == max(u for _, u in result.processor_usage)
+
+
+@pytest.mark.parametrize("bad", ["shape", "negative"])
+def test_bad_arrivals_rejected_like_simulate_online(
+        bad, chaos_workload, chaos_platform):
+    n = chaos_workload.n
+    arrivals = np.zeros(n - 1) if bad == "shape" else -np.ones(n)
+    with pytest.raises(ModelError) as chaos_error:
+        run_chaos(chaos_workload, chaos_platform, arrivals)
+    with pytest.raises(ModelError) as online_error:
+        simulate_online(chaos_workload, chaos_platform, arrivals)
+    assert str(chaos_error.value) == str(online_error.value)
 
 
 def _fake_result(*, usage, samples, classes=None, low_share=0.0,

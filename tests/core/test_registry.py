@@ -71,8 +71,6 @@ class TestRegistry:
 
     def test_every_scheduler_runs(self, synth16):
         """Every registered strategy yields a valid schedule on NPB-SYNTH."""
-        import repro.extensions  # noqa: F401  (registers extensions)
-
         pf = taihulight()
         rng = np.random.default_rng(0)
         for name in scheduler_names():

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.extensions  # noqa: F401  (registers speedup-aware & co.)
 from repro.core import (
     DOMINANT_HEURISTICS,
     PAPER_BASELINES,

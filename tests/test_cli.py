@@ -157,6 +157,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ok" in out and "MISMATCH" not in out
 
+    def test_validate_fails_when_one_report_disagrees(self, capsys, monkeypatch):
+        import dataclasses
+
+        import repro.simulate as simulate
+
+        real = simulate.validate_schedule
+        reports = []
+
+        def first_disagrees(schedule):
+            report = real(schedule)
+            reports.append(report)
+            return dataclasses.replace(report, agrees=len(reports) > 1)
+
+        monkeypatch.setattr(simulate, "validate_schedule", first_disagrees)
+        assert main(["validate", "--napps", "6"]) == 1
+        assert len(reports) > 1
+        assert capsys.readouterr().out.count("MISMATCH") == 1
+
     def test_list_schedulers_sorted(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

@@ -35,18 +35,33 @@ def test_import_service_loads_no_engine_or_threaded_server():
     assert loaded == "[]"
 
 
-def test_import_repro_loads_only_the_model_and_registered_extensions():
-    """``import repro`` loads the core, the extension schedulers it
-    registers, and the cache simulator they build on — nothing else."""
+def test_import_repro_loads_only_the_core():
+    """``import repro`` loads the model core and nothing else: the
+    extension schedulers are registered but not imported."""
     loaded = _run(
         "import sys, repro; "
         "print(' '.join(sorted(m for m in sys.modules "
         "if m == 'repro' or m.startswith('repro.'))))").split()
-    packages = ("repro.core", "repro.extensions", "repro.cachesim")
     stray = [m for m in loaded
-             if m not in ("repro", "repro.types") + packages
-             and not m.startswith(tuple(p + "." for p in packages))]
+             if m not in ("repro", "repro.types", "repro.core")
+             and not m.startswith("repro.core.")]
+    assert "repro.core.registry" in loaded
     assert stray == []
+
+
+def test_extension_scheduler_loads_on_first_call():
+    """A registered extension runs without importing repro.extensions first."""
+    out = _run(
+        "import sys\n"
+        "import numpy as np\n"
+        "from repro import get_scheduler\n"
+        "from repro.machine import taihulight\n"
+        "from repro.workloads import npb_synth\n"
+        "wl = npb_synth(6, np.random.default_rng(0))\n"
+        "before = 'repro.extensions' in sys.modules\n"
+        "schedule = get_scheduler('continuous-opt')(wl, taihulight(), None)\n"
+        "print(before, 'repro.extensions' in sys.modules, schedule.is_feasible())\n")
+    assert out == "False True True"
 
 
 def test_import_experiments_loads_no_online_chaos_or_simulate():
