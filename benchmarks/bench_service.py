@@ -30,10 +30,8 @@ machine's speed drifting during the run), and must be at most
 ``LONE_MISS_OVER_COMPUTE``.  It is a ratio, so it holds on any
 machine: it measures what the serving path adds to the scheduler.
 
-Run under pytest (``pytest benchmarks/bench_service.py``) for
-pytest-benchmark timing rows, or standalone
-(``PYTHONPATH=src python benchmarks/bench_service.py``) for the plain
-table.
+Run it with ``PYTHONPATH=src python benchmarks/bench_service.py``: it
+prints the table and exits 1 when a bar is missed.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from repro.workloads import npb_synth
 N_REQUESTS = 32
 NAPPS = 8
 
-#: Throughputs (requests/second) by regime, filled as the tests run.
+#: Throughputs (requests/second) by regime, filled by :func:`main`.
 RESULTS: dict[str, float] = {}
 
 #: The ISSUE-4 acceptance bar: warm must beat cold by at least this.
@@ -159,107 +157,16 @@ def report() -> None:
     print(f"decision-service throughput ({N_REQUESTS} requests, "
           f"{NAPPS} apps each):")
     for mode in ("cold", "warm", "disk-warm", "batched"):
-        if mode in RESULTS:
-            print(f"  {mode:<10}{RESULTS[mode]:>12.0f} req/s")
-    if "cold" in RESULTS and "warm" in RESULTS:
-        print(f"  warm/cold ratio: {RESULTS['warm'] / RESULTS['cold']:.1f}x "
-              f"(bar: {WARM_OVER_COLD:.0f}x)")
-    if "cold" in RESULTS and "disk-warm" in RESULTS:
-        print(f"  disk-warm/cold ratio: "
-              f"{RESULTS['disk-warm'] / RESULTS['cold']:.1f}x "
-              f"(bar: {DISK_WARM_OVER_COLD:.0f}x)")
-    if "lone-miss" in RESULTS:
-        print(f"  lone miss / compute: {RESULTS['lone-miss']:.2f}x "
-              f"(median of {LONE_MISS_REQUESTS} paired requests; "
-              f"bar: <= {LONE_MISS_OVER_COMPUTE:.1f}x)")
+        print(f"  {mode:<10}{RESULTS[mode]:>12.0f} req/s")
+    print(f"  warm/cold ratio: {RESULTS['warm'] / RESULTS['cold']:.1f}x "
+          f"(bar: {WARM_OVER_COLD:.0f}x)")
+    print(f"  disk-warm/cold ratio: "
+          f"{RESULTS['disk-warm'] / RESULTS['cold']:.1f}x "
+          f"(bar: {DISK_WARM_OVER_COLD:.0f}x)")
+    print(f"  lone miss / compute: {RESULTS['lone-miss']:.2f}x "
+          f"(median of {LONE_MISS_REQUESTS} paired requests; "
+          f"bar: <= {LONE_MISS_OVER_COMPUTE:.1f}x)")
 
-
-# -- pytest entry points ---------------------------------------------------
-
-# The standalone path (CI's service-smoke job) runs without pytest
-# installed; only define the pytest surface when it is importable.
-try:
-    import pytest  # noqa: E402
-except ImportError:  # pragma: no cover - standalone run
-    pytest = None
-
-if pytest is not None:
-    @pytest.fixture(scope="module")
-    def requests_():
-        return build_requests()
-
-    @pytest.fixture(scope="module")
-    def service():
-        with DecisionService(max_batch_size=16) as svc:
-            yield svc
-
-    def test_cold_sequential(benchmark, service, requests_):
-        def run():
-            elapsed, responses = run_sequential(service, requests_)
-            assert not any(r.cache_hit for r in responses)
-            RESULTS["cold"] = len(requests_) / elapsed
-
-        benchmark.pedantic(run, iterations=1, rounds=1)
-
-    def test_warm_sequential(benchmark, service, requests_):
-        def run():
-            elapsed, responses = run_sequential(service, requests_)
-            # every repeat answered from the decision cache
-            assert all(r.cache_hit for r in responses)
-            RESULTS["warm"] = len(requests_) / elapsed
-
-        benchmark.pedantic(run, iterations=1, rounds=1)
-        assert RESULTS["warm"] >= WARM_OVER_COLD * RESULTS["cold"], (
-            f"warm {RESULTS['warm']:.0f} req/s vs cold {RESULTS['cold']:.0f} "
-            f"req/s: below the {WARM_OVER_COLD:.0f}x bar")
-
-    def test_disk_warm_restart(benchmark, requests_, tmp_path_factory):
-        cache_dir = tmp_path_factory.mktemp("decision-cache")
-        # Warm the persistent tier, then throw the service (and its
-        # memory tier) away — the restart.
-        with DecisionService(max_batch_size=16,
-                             cache_dir=cache_dir) as warmer:
-            for request in requests_:
-                warmer.allocate(request)
-
-        with DecisionService(max_batch_size=16,
-                             cache_dir=cache_dir) as restarted:
-            def run():
-                elapsed, responses = run_sequential(restarted, requests_)
-                # every request answered without a scheduler run
-                assert all(r.cache_hit for r in responses)
-                RESULTS["disk-warm"] = len(requests_) / elapsed
-
-            benchmark.pedantic(run, iterations=1, rounds=1)
-            stats = restarted.cache.stats()
-            assert stats.disk_hits == len(requests_)
-        if "cold" in RESULTS:
-            assert RESULTS["disk-warm"] >= (
-                DISK_WARM_OVER_COLD * RESULTS["cold"]), (
-                f"disk-warm {RESULTS['disk-warm']:.0f} req/s vs cold "
-                f"{RESULTS['cold']:.0f} req/s: below the "
-                f"{DISK_WARM_OVER_COLD:.0f}x bar")
-
-    def test_batched_concurrent(benchmark, requests_):
-        with DecisionService(max_batch_size=16) as fresh:
-            def run():
-                elapsed, responses = run_concurrent(fresh, requests_)
-                assert all(r is not None for r in responses)
-                # concurrency actually produced multi-request batches
-                assert fresh.metrics()["batcher.max_batch_seen"] > 1
-                RESULTS["batched"] = len(requests_) / elapsed
-
-            benchmark.pedantic(run, iterations=1, rounds=1)
-
-    def test_lone_miss_over_compute():
-        RESULTS["lone-miss"] = lone_miss_ratio()
-        report()
-        assert RESULTS["lone-miss"] <= LONE_MISS_OVER_COMPUTE, (
-            f"lone miss {RESULTS['lone-miss']:.2f}x compute: above the "
-            f"{LONE_MISS_OVER_COMPUTE:.1f}x bar")
-
-
-# -- standalone entry point ------------------------------------------------
 
 def main() -> int:
     import tempfile
@@ -282,7 +189,10 @@ def main() -> int:
             assert svc.cache.stats().disk_hits == len(requests)
             RESULTS["disk-warm"] = len(requests) / elapsed
     with DecisionService(max_batch_size=16) as svc:
-        elapsed, _ = run_concurrent(svc, requests)
+        elapsed, responses = run_concurrent(svc, requests)
+        assert all(r is not None for r in responses)
+        # concurrency actually produced multi-request batches
+        assert svc.metrics()["batcher.max_batch_seen"] > 1
         RESULTS["batched"] = len(requests) / elapsed
     RESULTS["lone-miss"] = lone_miss_ratio()
     report()

@@ -85,11 +85,6 @@ class LRUCache:
         total = self.accesses
         return self.misses / total if total else 0.0
 
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters (contents are kept)."""
-        self.hits = 0
-        self.misses = 0
-
     def access(self, line: int) -> bool:
         """Access one line; returns True on hit.
 
@@ -131,7 +126,7 @@ class _Fenwick:
 
     def __init__(self, n: int):
         self.n = n
-        self.tree = np.zeros(n + 1, dtype=np.int64)
+        self.tree = [0] * (n + 1)  # a list: scalar numpy indexing is slower
 
     def add(self, i: int, delta: int) -> None:
         i += 1
@@ -146,7 +141,7 @@ class _Fenwick:
         total = 0
         tree = self.tree
         while i > 0:
-            total += int(tree[i])
+            total += tree[i]
             i -= i & (-i)
         return total
 

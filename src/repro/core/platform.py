@@ -79,10 +79,6 @@ class Platform:
             return math.inf
         return self.latency_memory / self.latency_cache
 
-    def with_processors(self, p: float) -> "Platform":
-        """Return a copy of this platform with a different processor count."""
-        return replace(self, p=p)
-
     def with_cache_size(self, cache_size: float) -> "Platform":
         """Return a copy of this platform with a different LLC size."""
         return replace(self, cache_size=cache_size)

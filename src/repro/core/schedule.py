@@ -218,9 +218,5 @@ class SequentialSchedule(BaseSchedule):
             )
         return self._times
 
-    def completion_times(self) -> np.ndarray:
-        """Cumulative completion instants (prefix sums of the times)."""
-        return np.cumsum(self.times())
-
     def makespan(self) -> float:
         return float(self.times().sum())

@@ -3,7 +3,7 @@
 Each ``figureNN`` builder returns an :class:`Experiment` reproducing
 the corresponding figure's sweep; run it with
 :func:`repro.experiments.runner.run_experiment` and normalize per the
-paper's caption (the benchmark harness and the CLI do this).  Figure
+paper's caption (``repro figure`` does this).  Figure
 numbering follows the research report RR-8965: Figs. 1-7 in the body,
 Figs. 8-18 in Appendix A.
 

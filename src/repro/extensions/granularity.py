@@ -10,7 +10,8 @@ giving both
 * a *deployable* scheduler (``ways_schedule``) whose cache allocation
   a real CAT mask can express, and
 * the granularity penalty vs the continuous Theorem-3 optimum
-  (``granularity_penalty``), reported by ``bench_ablation_ucp.py``.
+  (``granularity_penalty``), checked by the ``ucp-way-granularity-cost``
+  row of ``tests/test_paper_claims.py``.
 
 For perfectly parallel applications, minimizing the makespan is
 minimizing ``sum_i Exe_i(1, x_i)`` (Lemma 3), so the per-application

@@ -10,7 +10,8 @@ of that restriction:
 * :func:`integer_schedule` — apply the rounding to any scheduler's
   output and rebuild the schedule;
 * :func:`rounding_penalty` — the relative makespan degradation, the
-  quantity reported by ``benchmarks/bench_ablation_integer.py``.
+  quantity the ``integer-rounding-cost`` row of
+  ``tests/test_paper_claims.py`` checks.
 
 Rounding floors every allocation (never exceeding the budget), then
 redistributes the leftover whole processors greedily:

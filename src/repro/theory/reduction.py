@@ -30,7 +30,6 @@ the optimal fractions within a subset).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -210,31 +209,3 @@ def decide_reduced(reduced: ReducedInstance) -> tuple[bool, np.ndarray | None]:
         if reduced.accepts(x):
             return True, x
     return False, None
-
-
-def exact_bound_fraction(reduced: ReducedInstance) -> Fraction:
-    """The bound ``K`` recomputed in exact rational arithmetic.
-
-    Only available for the default construction parameters
-    (``ls = 0``, ``ll = 1``, ``f = 1``); used by tests to confirm the
-    float construction did not drift.
-    """
-    inst = reduced.source
-    if reduced.platform.latency_cache != 0.0 or reduced.platform.latency_memory != 1.0:
-        raise ModelError("exact bound only defined for ls=0, ll=1")
-    n = inst.n
-    N = max(n, 2 * inst.capacity + 1)
-    eps = Fraction(1, N * (N + 1))
-    eta = 1 - Fraction(1, N)
-    total = Fraction(0)
-    for u_i, v_i in zip(inst.sizes, inst.values):
-        droot = Fraction(u_i) * eta / inst.capacity
-        eroot = droot + eps
-        # z_i = v_i / (1 - d/e); with alpha rational this is not exactly
-        # representable in general, so the exact check is restricted to
-        # alpha = 1 where d/e = droot/eroot.
-        if reduced.platform.alpha != 1.0:
-            raise ModelError("exact bound only defined for alpha = 1")
-        z = Fraction(v_i) / (1 - droot / eroot)
-        total += 2 * z  # w_i (1 + 0) + z_i with w_i = z_i
-    return (total - inst.target) / Fraction(reduced.platform.p)

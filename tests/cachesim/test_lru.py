@@ -56,14 +56,6 @@ class TestLRUCache:
         assert c.accesses == 5
         assert c.miss_rate == pytest.approx(0.8)
 
-    def test_reset_counters(self):
-        c = LRUCache(1, 2)
-        c.run(np.array([1, 2, 3]))
-        c.reset_counters()
-        assert c.accesses == 0
-        assert c.miss_rate == 0.0
-        assert c.access(3)  # contents survived the reset
-
     def test_rejects_bad_geometry(self):
         with pytest.raises(ModelError):
             LRUCache(0, 4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Application, Platform, Workload, registry
+from repro.experiments import regenerate_table2
 from repro.machine import taihulight
 from repro.workloads import npb6, npb_synth
 
@@ -26,6 +27,12 @@ def _isolated_scheduler_registry():
     yield
     registry._REGISTRY.clear()
     registry._REGISTRY.update(saved)
+
+
+@pytest.fixture(scope="session")
+def table2():
+    """Table 2 regenerated at full trace length, once per session."""
+    return regenerate_table2()
 
 
 @pytest.fixture

@@ -42,11 +42,6 @@ class TestPlatform:
         pf = Platform(p=1, cache_size=1e6, latency_cache=0.0)
         assert pf.miss_penalty_ratio == math.inf
 
-    def test_with_processors(self):
-        pf = Platform(p=4, cache_size=1e6).with_processors(8)
-        assert pf.p == 8
-        assert pf.cache_size == 1e6
-
     def test_with_cache_size(self):
         pf = Platform(p=4, cache_size=1e6).with_cache_size(2e6)
         assert pf.cache_size == 2e6

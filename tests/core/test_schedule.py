@@ -109,9 +109,3 @@ class TestSequentialSchedule:
             np.full(2, tiny_platform.p), np.ones(2),
         )
         assert np.allclose(s.times(), expected)
-
-    def test_completion_times_monotone(self, two_apps, tiny_platform):
-        s = SequentialSchedule(two_apps, tiny_platform)
-        ct = s.completion_times()
-        assert np.all(np.diff(ct) > 0)
-        assert ct[-1] == pytest.approx(s.makespan())

@@ -1,9 +1,8 @@
 """Tests for the per-figure experiment definitions.
 
 Every figure must build, run at reduced size, and produce the series
-the paper plots (the *shape* assertions live in test_integration.py
-and the benchmark harness; here we verify plumbing and normalization
-targets).
+the paper plots (the *shape* assertions live in test_paper_claims.py;
+here we verify plumbing and normalization targets).
 """
 
 from __future__ import annotations

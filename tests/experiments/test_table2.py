@@ -4,45 +4,38 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import regenerate_table2
 from repro.workloads import NPB_TABLE2
 
 
-@pytest.fixture(scope="module")
-def profiled():
-    # Short traces keep the test quick; the bench uses the full length.
-    return regenerate_table2(trace_length=40_000, cache_points=8)
-
-
 class TestRegenerateTable2:
-    def test_all_six_benchmarks(self, profiled):
-        assert [b.name for b in profiled] == list(NPB_TABLE2)
+    def test_all_six_benchmarks(self, table2):
+        assert [b.name for b in table2] == list(NPB_TABLE2)
 
-    def test_paper_constants_carried(self, profiled):
-        for b in profiled:
+    def test_paper_constants_carried(self, table2):
+        for b in table2:
             w, f, m = NPB_TABLE2[b.name]
             assert b.paper_work == w
             assert b.paper_freq == f
             assert b.paper_miss == m
 
-    def test_apps_inherit_work_and_freq(self, profiled):
-        for b in profiled:
+    def test_apps_inherit_work_and_freq(self, table2):
+        for b in table2:
             assert b.app.work == b.paper_work
             assert b.app.access_freq == pytest.approx(b.paper_freq)
 
-    def test_miss_rates_in_measured_regime(self, profiled):
+    def test_miss_rates_in_measured_regime(self, table2):
         """Simulated m40MB lands in the paper's small-rate regime."""
-        for b in profiled:
+        for b in table2:
             assert 0.0 < b.app.miss_rate < 0.1, b.name
 
-    def test_fits_have_positive_alpha(self, profiled):
-        for b in profiled:
+    def test_fits_have_positive_alpha(self, table2):
+        for b in table2:
             assert b.fit_alpha > 0.0, b.name
 
-    def test_profiled_workload_schedulable(self, profiled):
+    def test_profiled_workload_schedulable(self, table2):
         from repro.core import Workload, dominant_schedule
         from repro.machine import taihulight
 
-        wl = Workload([b.app for b in profiled])
+        wl = Workload([b.app for b in table2])
         sched = dominant_schedule(wl, taihulight())
         assert sched.is_feasible()

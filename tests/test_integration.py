@@ -1,89 +1,16 @@
-"""Cross-module integration tests: the paper's headline claims.
+"""Cross-module integration tests: model vs simulation, traces to schedules.
 
-These tests assert the *shapes* the evaluation section reports, at
-reduced repetition counts — the benchmark harness regenerates the full
-figures.
+The paper's claims themselves are checked in test_paper_claims.py.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import get_scheduler
-from repro.experiments import build_figure, run_experiment
 from repro.machine import taihulight
 from repro.simulate import validate_schedule
 from repro.workloads import npb_synth
-
-
-class TestHeadlineClaims:
-    def test_fig1_85_percent_gain_at_scale(self):
-        """Fig. 1: >= ~85% gain over AllProcCache once n >= 50."""
-        exp = build_figure("fig1", reps=3, points=np.array([64.0, 128.0]))
-        res = run_experiment(exp)
-        norm = res.normalized(by="allproccache")
-        for name in res.schedulers:
-            if name == "allproccache":
-                continue
-            assert norm[name][0] < 0.25, name   # n = 64
-            assert norm[name][1] < 0.15, name   # n = 128
-
-    def test_fig1_six_heuristics_similar(self):
-        """Fig. 1: the six variants are within a few percent of each other."""
-        exp = build_figure("fig1", reps=3, points=np.array([64.0]))
-        res = run_experiment(exp)
-        spans = [res.mean(n)[0] for n in res.schedulers if n != "allproccache"]
-        assert max(spans) / min(spans) < 1.1
-
-    def test_fig3_ranking(self):
-        """Fig. 3: DominantMinRatio < RandomPart/0cache < Fair at n=128."""
-        exp = build_figure("fig3", reps=5, points=np.array([128.0]))
-        res = run_experiment(exp)
-        norm = res.normalized(by="dominant-minratio")
-        assert norm["randompart"][0] > 1.0
-        assert norm["0cache"][0] > 1.0
-        assert norm["fair"][0] > norm["0cache"][0]
-
-    def test_fig5_cache_allocation_gain_over_0cache(self):
-        """Fig. 5: clever cache allocation buys > 20% vs 0cache."""
-        exp = build_figure("fig5", reps=5, points=np.array([256.0]))
-        res = run_experiment(exp)
-        norm = res.normalized(by="dominant-minratio")
-        assert norm["0cache"][0] > 1.2
-
-    def test_fig6_fair_approaches_dominant_as_s_grows(self):
-        """Fig. 6: Fair gets closer to DominantMinRatio at larger s."""
-        exp = build_figure("fig6", reps=5, points=np.array([0.01, 0.15]))
-        res = run_experiment(exp)
-        norm = res.normalized(by="dominant-minratio")
-        assert norm["fair"][1] < norm["fair"][0]
-
-    def test_fig6_coscheduling_gain_even_at_tiny_s(self):
-        """Fig. 6's surprise: > 50% gain vs AllProcCache at s = 0.01."""
-        exp = build_figure("fig6", reps=5, points=np.array([0.01]))
-        res = run_experiment(exp)
-        norm = res.normalized(by="allproccache")
-        assert norm["dominant-minratio"][0] < 0.55
-
-    def test_fig2_choice_function_ranking(self):
-        """Fig. 2: Dominant+MinRatio ~ DominantRev+MaxRatio best;
-        Dominant+MaxRatio ~ DominantRev+MinRatio worst (high miss rate,
-        1 GB LLC)."""
-        exp = build_figure("fig2", reps=8, points=np.array([0.6]))
-        res = run_experiment(exp)
-        norm = res.normalized(by="dominant-minratio")
-        good = max(norm["dominant-minratio"][0], norm["dominantrev-maxratio"][0])
-        bad = min(norm["dominant-maxratio"][0], norm["dominantrev-minratio"][0])
-        assert bad >= good * 0.999
-
-    def test_fig7_spread_shrinks_with_napps(self):
-        """Fig. 7: per-app allocation spread decreases as n grows."""
-        exp = build_figure("fig7", reps=3, points=np.array([8.0, 128.0]))
-        res = run_experiment(exp)
-        spread = (res.mean("dominant-minratio", "proc_max")
-                  - res.mean("dominant-minratio", "proc_min"))
-        assert spread[1] < spread[0]
 
 
 class TestModelSimulationAgreement:
