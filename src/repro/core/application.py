@@ -16,27 +16,32 @@ needs (Section 3):
     miss rate measured on a baseline cache of size ``C0`` (40 MB for
     the NPB measurements of Table 2).
 
-A :class:`Workload` packs ``n`` applications into contiguous numpy
-arrays so the cost model, dominance ratios, and heuristics can operate
-vectorized — the experiments sweep up to 256 applications times many
-seeds, and per-application Python loops would dominate the runtime.
+A :class:`Workload` *is* its six float columns, which the cost model
+and the heuristics use vectorized.  The experiments sweep up to 256
+applications times many seeds, so generators build workloads from drawn
+columns (:meth:`Workload.from_columns`, one vector validation), every
+reshaping stays on arrays, and :class:`Application` objects are built
+only when a caller iterates or indexes.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..types import ModelError, as_float_array
+from ..types import ModelError
 from .platform import Platform
 
 __all__ = ["Application", "Workload", "BASELINE_CACHE_BYTES"]
 
 #: Baseline cache size ``C0`` used for the NPB miss rates of Table 2.
 BASELINE_CACHE_BYTES: float = 40e6
+
+#: :class:`Workload` column names, in :class:`Application` field order.
+_COLUMNS = ("work", "seq", "freq", "miss0", "footprint", "baseline_cache")
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,43 +122,99 @@ class Application:
 
 
 class Workload(Sequence[Application]):
-    """An immutable collection of applications with vectorized columns.
+    """An immutable collection of applications, stored as its columns.
 
     The columns (``work``, ``seq``, ``freq``, ``miss0``, ``footprint``,
     ``baseline_cache``) are read-only ``float64`` arrays of length
-    ``n``; downstream code indexes them with boolean masks to express
-    partitions ``(IC, not IC)``.
+    ``n`` and are the workload's whole state; downstream code indexes
+    them with boolean masks to express partitions ``(IC, not IC)``.
+    ``Workload(applications)`` keeps the given :class:`Application`
+    objects; a workload built by :meth:`from_columns` (or reshaped from
+    another one) builds them on the first iteration or indexing.
     """
 
-    __slots__ = ("_apps", "work", "seq", "freq", "miss0", "footprint", "baseline_cache")
+    __slots__ = ("_apps", "_names", "_cols", *_COLUMNS)
 
     def __init__(self, applications: Iterable[Application]):
         apps = tuple(applications)
         if not apps:
             raise ModelError("a workload needs at least one application")
-        self._apps = apps
-        self.work = _readonly([a.work for a in apps], "work")
-        self.seq = _readonly([a.seq_fraction for a in apps], "seq_fraction")
-        self.freq = _readonly([a.access_freq for a in apps], "access_freq")
-        self.miss0 = _readonly([a.miss_rate for a in apps], "miss_rate")
-        self.footprint = np.asarray([a.footprint for a in apps], dtype=np.float64)
-        self.footprint.flags.writeable = False
-        self.baseline_cache = _readonly([a.baseline_cache for a in apps], "baseline_cache")
+        self._init(tuple(a.name for a in apps), np.array(
+            [(a.work, a.seq_fraction, a.access_freq, a.miss_rate, a.footprint,
+              a.baseline_cache) for a in apps], dtype=np.float64).T.copy(), apps)
+
+    def _init(self, names: tuple[str, ...], cols: np.ndarray, apps) -> None:
+        """Adopt *cols*, the ``(6, n)`` stack of valid columns, read-only."""
+        cols.flags.writeable = False
+        self._names, self._cols, self._apps = names, cols, apps
+        (self.work, self.seq, self.freq, self.miss0, self.footprint,
+         self.baseline_cache) = cols
+
+    @classmethod
+    def from_columns(cls, names: Iterable[str], work, seq, freq, miss0,
+                     footprint=math.inf,
+                     baseline_cache=BASELINE_CACHE_BYTES) -> "Workload":
+        """Build a workload from its columns, validated in one vector pass.
+
+        Each column is a scalar (shared by every application) or has one
+        entry per name; the values are copied.  The checks are the ones
+        :class:`Application` makes; when a column fails them, the
+        per-application constructors run instead, so the
+        :class:`~repro.types.ModelError` names the first bad application
+        exactly as ``Workload(applications)`` would.
+        """
+        names = tuple(names)
+        if not names:
+            raise ModelError("a workload needs at least one application")
+        cols = np.empty((len(_COLUMNS), len(names)))
+        for row, values, name in zip(
+                cols, (work, seq, freq, miss0, footprint, baseline_cache), _COLUMNS):
+            values = np.asarray(values, dtype=np.float64)
+            if values.shape not in ((), row.shape):
+                raise ModelError(
+                    f"{name} must be a scalar or have shape {row.shape}, got {values.shape}")
+            row[:] = values
+        w, s, f, m, a, c = cols
+        if not ((w > 0) & (w < math.inf) & (s >= 0) & (s <= 1) & (f >= 0)
+                & (f < math.inf) & (m >= 0) & (m <= 1) & (a > 0) & (c > 0)
+                & (c < math.inf)).all():
+            return cls(_build_applications(names, cols))
+        return cls._of(names, cols)
+
+    @classmethod
+    def _of(cls, names: tuple[str, ...], cols: np.ndarray, apps=None) -> "Workload":
+        wl = cls.__new__(cls)
+        wl._init(names, cols, apps)
+        return wl
+
+    def _applications(self) -> tuple[Application, ...]:
+        if self._apps is None:
+            self._apps = tuple(_build_applications(self._names, self._cols))
+        return self._apps
+
+    def _take(self, idx: np.ndarray) -> "Workload":
+        """The workload of the applications at integer positions *idx*."""
+        if not idx.size:
+            raise ModelError("a workload needs at least one application")
+        picks = idx.tolist()
+        apps = None if self._apps is None else tuple(self._apps[i] for i in picks)
+        return Workload._of(tuple(self._names[i] for i in picks),
+                            self._cols[:, idx], apps)
 
     # -- Sequence protocol -------------------------------------------------
     def __len__(self) -> int:
-        return len(self._apps)
+        return len(self._names)
 
     def __iter__(self) -> Iterator[Application]:
-        return iter(self._apps)
+        return iter(self._applications())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Workload(self._apps[index])
-        return self._apps[index]
+            return self._take(np.arange(self.n)[index])
+        return self._applications()[index]
 
     def __repr__(self) -> str:
-        names = ", ".join(a.name for a in self._apps[:6])
+        names = ", ".join(self._names[:6])
         more = "" if len(self) <= 6 else f", ... ({len(self)} total)"
         return f"Workload([{names}{more}])"
 
@@ -161,12 +222,12 @@ class Workload(Sequence[Application]):
     @property
     def n(self) -> int:
         """Number of applications."""
-        return len(self._apps)
+        return len(self._names)
 
     @property
     def names(self) -> tuple[str, ...]:
         """Application labels, in order."""
-        return tuple(a.name for a in self._apps)
+        return self._names
 
     @property
     def is_perfectly_parallel(self) -> bool:
@@ -189,30 +250,24 @@ class Workload(Sequence[Application]):
         if idx.dtype == bool:
             if idx.shape != (self.n,):
                 raise ModelError(f"boolean mask must have length {self.n}, got {idx.shape}")
-            chosen = [a for a, keep in zip(self._apps, idx) if keep]
-        else:
-            chosen = [self._apps[int(i)] for i in idx]
-        return Workload(chosen)
+            idx = np.flatnonzero(idx)
+        return self._take(idx.astype(np.intp, copy=False))
 
     def with_sequential_fraction(self, s) -> "Workload":
         """Return a copy whose applications all have sequential fraction *s*.
 
         *s* may be a scalar or a length-``n`` sequence.
         """
-        svals = np.broadcast_to(np.asarray(s, dtype=np.float64), (self.n,))
-        return Workload(
-            app.scaled(seq_fraction=float(si)) for app, si in zip(self._apps, svals)
-        )
+        return Workload.from_columns(self._names, self.work, s, self.freq,
+                                     self.miss0, self.footprint,
+                                     self.baseline_cache)
 
     def with_miss_rate(self, m0) -> "Workload":
         """Return a copy whose applications all have baseline miss rate *m0*."""
-        mvals = np.broadcast_to(np.asarray(m0, dtype=np.float64), (self.n,))
-        return Workload(
-            replace(app, miss_rate=float(mi)) for app, mi in zip(self._apps, mvals)
-        )
+        return Workload.from_columns(self._names, self.work, self.seq, self.freq,
+                                     m0, self.footprint, self.baseline_cache)
 
 
-def _readonly(values, name: str) -> np.ndarray:
-    arr = as_float_array(values, name=name)
-    arr.flags.writeable = False
-    return arr
+def _build_applications(names, cols: np.ndarray) -> list[Application]:
+    """One :class:`Application` per name from the ``(6, n)`` column stack."""
+    return [Application(name, *values) for name, *values in zip(names, *cols.tolist())]

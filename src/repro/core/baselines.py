@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .application import Workload
-from .batch import BatchProblem, BatchSchedule, equal_finish_allocation_batch
+from .batch import (BatchProblem, BatchSchedule, equal_finish_allocation_batch,
+                    execution_times_batch)
 from .dominance import cache_weights_batch, optimal_cache_fractions_batch
 from .heuristics import _row_rngs
 from .platform import Platform
@@ -40,8 +41,11 @@ __all__ = ["all_proc_cache", "fair", "zero_cache", "random_partition",
 
 
 def all_proc_cache_batch(problem: BatchProblem) -> list[SequentialSchedule]:
-    """AllProcCache for every row: one :class:`SequentialSchedule` each."""
-    return [SequentialSchedule(wl, pf) for wl, pf in problem.instances]
+    """AllProcCache for every row: one :class:`SequentialSchedule` each,
+    holding its row of the batch's whole-machine execution times."""
+    times = execution_times_batch(problem, problem.p[:, None], 1.0)
+    return [SequentialSchedule(wl, pf, times=times[i, :wl.n].copy())
+            for i, (wl, pf) in enumerate(problem.instances)]
 
 
 def fair_batch(problem: BatchProblem) -> BatchSchedule:

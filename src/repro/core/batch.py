@@ -43,7 +43,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from ..types import ModelError
+from ..types import FEASIBILITY_SLACK, ModelError
 from .application import Workload
 from .platform import Platform
 from .powerlaw import pow_rowwise
@@ -70,6 +70,9 @@ _PAD = {
     "footprint": np.inf,
     "baseline_cache": 1.0,
 }
+
+#: Relative margin below a capacity bound for BatchSchedule._suspect_rows.
+_SUM_MARGIN = 1e-12
 
 
 class BatchProblem:
@@ -115,17 +118,15 @@ class BatchProblem:
             for name in _PAD:
                 setattr(self, name, getattr(wl, name)[None, :])
         else:
-            B = len(pairs)
+            # One scatter per column: the row-major order of the valid
+            # cells is the order of the concatenated workloads.
             counts = np.array([wl.n for wl, _ in pairs], dtype=np.intp)
             self.counts = counts
-            valid = np.zeros((B, int(counts.max())), dtype=bool)
+            self.valid = np.arange(counts.max()) < counts[:, None]
             for name, fill in _PAD.items():
-                setattr(self, name, np.full(valid.shape, fill))
-            for i, (wl, _) in enumerate(pairs):
-                valid[i, :wl.n] = True
-                for name in _PAD:
-                    getattr(self, name)[i, :wl.n] = getattr(wl, name)
-            self.valid = valid
+                col = np.full(self.valid.shape, fill)
+                col[self.valid] = np.concatenate([getattr(wl, name) for wl, _ in pairs])
+                setattr(self, name, col)
         self.p = np.array([pf.p for _, pf in pairs])
         self.cache_size = np.array([pf.cache_size for _, pf in pairs])
         self.latency_cache = np.array([pf.latency_cache for _, pf in pairs])
@@ -236,10 +237,11 @@ class BatchSchedule:
     processor and cache arrays of shape ``(B, N)`` plus the originating
     :class:`BatchProblem`.  Execution times and makespans are computed
     vectorized; :meth:`schedules` materializes per-row
-    :class:`~repro.core.schedule.Schedule` objects (with full
-    validation) only when a consumer needs them — constructing ``B``
-    Schedule objects costs more than solving the batch, so the hot
-    paths stay on the arrays.
+    :class:`~repro.core.schedule.Schedule` objects only when a consumer
+    needs them — constructing ``B`` Schedule objects costs more than
+    solving the batch, so the hot paths stay on the arrays.  Their
+    feasibility is checked in bulk, with :class:`Schedule`'s per-row
+    check kept for the rows the bulk pass cannot clear.
     """
 
     __slots__ = ("problem", "procs", "cache", "_times")
@@ -269,20 +271,41 @@ class BatchSchedule:
         return np.where(self.problem.valid, self.times(), -np.inf).max(axis=1)
 
     def schedules(self) -> list[Schedule]:
-        """Materialize one validated :class:`Schedule` per row.
+        """Materialize one feasibility-checked :class:`Schedule` per row.
 
         Each schedule gets its row of :meth:`times` (bit-identical to
         a scalar recompute), so its ``times()`` and ``makespan()`` cost
-        nothing more.
+        nothing more.  Only the rows :meth:`_suspect_rows` flags take
+        :class:`Schedule`'s own check, so an infeasible batch raises the
+        per-row :class:`~repro.types.InfeasibleScheduleError` text.
         """
         times = self.times()
-        out = []
-        for i, (wl, pf) in enumerate(self.problem.instances):
-            n = wl.n
-            out.append(Schedule(wl, pf, self.procs[i, :n].copy(),
-                                self.cache[i, :n].copy(),
-                                times=times[i, :n].copy()))
-        return out
+        suspect = self._suspect_rows()
+        return [Schedule(wl, pf, self.procs[i, :wl.n].copy(),
+                         self.cache[i, :wl.n].copy(), validate=bool(suspect[i]),
+                         times=times[i, :wl.n].copy())
+                for i, (wl, pf) in enumerate(self.problem.instances)]
+
+    def _suspect_rows(self) -> np.ndarray:
+        """Rows that need the exact per-row feasibility check, shape ``(B,)``.
+
+        One pass clears a row whose procs are positive, whose fractions
+        lie in [0, 1], and whose sums stay ``_SUM_MARGIN`` below their
+        bounds: a padded sum may differ from the row's own pairwise sum
+        by ulps.  NaN clears nothing; a batch of one is always checked.
+        """
+        problem = self.problem
+        if len(problem) == 1:
+            return np.ones(1, dtype=bool)
+        valid = problem.valid
+        slack = FEASIBILITY_SLACK
+        clear = ((self.procs > 0) | ~valid).all(axis=1)
+        clear &= (((self.cache >= 0) & (self.cache <= 1)) | ~valid).all(axis=1)
+        clear &= (np.where(valid, self.procs, 0.0).sum(axis=1)
+                  < (problem.p * (1 + slack) + slack) * (1 - _SUM_MARGIN))
+        clear &= (np.where(valid, self.cache, 0.0).sum(axis=1)
+                  < (1 + slack) * (1 - _SUM_MARGIN))
+        return ~clear
 
     def schedule(self, i: int) -> Schedule:
         """Materialize the :class:`Schedule` of row *i*."""

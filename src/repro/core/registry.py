@@ -283,7 +283,8 @@ def schedule_batch(name: str, instances, seeds=None) -> list[BaseSchedule]:
         return []
     if entry.batch_fn is not None:
         try:
-            return entry.batch_fn(instances, [_rng(seed) for seed in seeds])
+            return entry.batch_fn(instances, [
+                _rng(seed) if entry.randomized else None for seed in seeds])
         except Exception:
             return _schedule_each(entry, instances, seeds)
     return _schedule_each(entry, instances, seeds)

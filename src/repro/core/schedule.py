@@ -114,13 +114,7 @@ class Schedule(BaseSchedule):
             raise ModelError(
                 f"cache must have shape ({workload.n},), got {self.cache.shape}"
             )
-        self._times: Optional[np.ndarray] = None
-        if times is not None:
-            times = np.ascontiguousarray(times, dtype=np.float64)
-            if times.shape != (workload.n,):
-                raise ModelError(
-                    f"times must have shape ({workload.n},), got {times.shape}")
-            self._times = times
+        self._times: Optional[np.ndarray] = _times_column(times, workload.n)
         if validate:
             self.assert_feasible()
 
@@ -183,29 +177,22 @@ class Schedule(BaseSchedule):
             return 0.0
         return float((t.max() - t.min()) / mx)
 
-    def with_cache(self, cache) -> "Schedule":
-        """Copy of this schedule with a different cache partition."""
-        return Schedule(self.workload, self.platform, self.procs, cache)
-
-    def with_procs(self, procs) -> "Schedule":
-        """Copy of this schedule with a different processor allocation."""
-        return Schedule(self.workload, self.platform, procs, self.cache)
-
 
 class SequentialSchedule(BaseSchedule):
     """Applications executed one after another, each owning the machine.
 
     This is the paper's ``AllProcCache`` reference point: every
     application gets all ``p`` processors and the whole LLC, and the
-    makespan is the sum of the individual execution times.
+    makespan is the sum of the individual execution times.  ``times``
+    takes precomputed execution times, as for :class:`Schedule`.
     """
 
-    def __init__(self, workload: Workload, platform: Platform):
+    def __init__(self, workload: Workload, platform: Platform, *, times=None):
         self.workload = workload
         self.platform = platform
         self.procs = np.full(workload.n, float(platform.p))
         self.cache = np.ones(workload.n)
-        self._times: Optional[np.ndarray] = None
+        self._times: Optional[np.ndarray] = _times_column(times, workload.n)
 
     @property
     def concurrent(self) -> bool:
@@ -220,3 +207,13 @@ class SequentialSchedule(BaseSchedule):
 
     def makespan(self) -> float:
         return float(self.times().sum())
+
+
+def _times_column(times, n: int) -> Optional[np.ndarray]:
+    """Precomputed execution times as a float64 array of shape ``(n,)``."""
+    if times is None:
+        return None
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    if times.shape != (n,):
+        raise ModelError(f"times must have shape ({n},), got {times.shape}")
+    return times

@@ -1,35 +1,14 @@
-"""Shared scalar types, numeric tolerances, and exceptions.
-
-Every floating-point comparison in the library goes through the
-tolerances defined here so that tests, heuristics, and validators agree
-on what "equal" means.  The values are deliberately loose enough to
-absorb accumulation error in the vectorized numpy paths while staying
-far below any physically meaningful difference in the model (makespans
-in the paper's setting are ``>= 1e8`` time units).
-"""
+"""The feasibility slack and the library's exceptions."""
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
-    "ATOL",
-    "RTOL",
     "FEASIBILITY_SLACK",
     "ReproError",
     "ModelError",
     "InfeasibleScheduleError",
     "SolverError",
-    "as_float_array",
-    "isclose",
-    "allclose",
 ]
-
-#: Absolute tolerance for scalar comparisons (time units / fractions).
-ATOL: float = 1e-9
-
-#: Relative tolerance for scalar comparisons.
-RTOL: float = 1e-9
 
 #: Slack allowed when checking resource-capacity constraints
 #: (``sum(p_i) <= p`` and ``sum(x_i) <= 1``).  Binary-search processor
@@ -52,40 +31,3 @@ class InfeasibleScheduleError(ReproError, ValueError):
 class SolverError(ReproError, RuntimeError):
     """Raised when a numeric solver fails to converge or bracket."""
 
-
-def as_float_array(values, *, name: str = "values") -> np.ndarray:
-    """Convert *values* to a contiguous 1-D float64 array.
-
-    Parameters
-    ----------
-    values : array_like
-        Input sequence.
-    name : str
-        Name used in error messages.
-
-    Returns
-    -------
-    numpy.ndarray
-        1-D ``float64`` array (a copy only if conversion requires one).
-
-    Raises
-    ------
-    ModelError
-        If the input is not 1-D or contains NaN.
-    """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ModelError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if np.isnan(arr).any():
-        raise ModelError(f"{name} contains NaN")
-    return arr
-
-
-def isclose(a: float, b: float, *, rtol: float = RTOL, atol: float = ATOL) -> bool:
-    """Scalar closeness with the library-wide default tolerances."""
-    return bool(np.isclose(a, b, rtol=rtol, atol=atol))
-
-
-def allclose(a, b, *, rtol: float = RTOL, atol: float = ATOL) -> bool:
-    """Array closeness with the library-wide default tolerances."""
-    return bool(np.allclose(a, b, rtol=rtol, atol=atol))

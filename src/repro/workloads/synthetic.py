@@ -23,13 +23,11 @@ reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from ..core.application import Application, Workload
+from ..core.application import Workload
 from ..types import ModelError
-from .npb import NPB_TABLE2, npb6_workload_data
+from .npb import NPB_TABLE2
 
 __all__ = [
     "WORK_RANGE",
@@ -51,18 +49,24 @@ SEQ_RANGE: tuple[float, float] = (0.01, 0.15)
 RANDOM_FREQ_RANGE: tuple[float, float] = (1e-1, 9e-1)
 RANDOM_MISS_RANGE: tuple[float, float] = (9e-4, 9e-2)
 
+#: Table 2 as columns: names and the ``w``, ``f``, ``m_40MB`` arrays.
+_NPB_NAMES = tuple(NPB_TABLE2)
+_NPB_WORK, _NPB_FREQ, _NPB_MISS = np.array(list(NPB_TABLE2.values())).T
 
-def _draw_seq(rng: np.random.Generator, n: int, seq_range=SEQ_RANGE) -> np.ndarray:
-    lo, hi = seq_range
-    return rng.uniform(lo, hi, size=n)
+
+def _draw_seq(rng: np.random.Generator, n: int, seq_range) -> np.ndarray | float:
+    """Sequential fractions uniform in *seq_range*, or 0 when it is None."""
+    return 0.0 if seq_range is None else rng.uniform(*seq_range, size=n)
 
 
 def _draw_loguniform(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
 
 
-def _draw_uniform(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
-    return rng.uniform(lo, hi, size=n)
+def _draw_work(rng: np.random.Generator, n: int, work_range, log_work: bool) -> np.ndarray:
+    if log_work:
+        return _draw_loguniform(rng, *work_range, n)
+    return rng.uniform(*work_range, size=n)
 
 
 def npb6(*, seq_range: tuple[float, float] | None = SEQ_RANGE,
@@ -72,15 +76,10 @@ def npb6(*, seq_range: tuple[float, float] | None = SEQ_RANGE,
     ``seq_range=None`` keeps them perfectly parallel; otherwise each
     application receives a random sequential fraction (needs *rng*).
     """
-    apps = npb6_workload_data()
-    if seq_range is None:
-        return Workload(apps)
-    if rng is None:
+    if rng is None and seq_range is not None:
         rng = np.random.default_rng()
-    seqs = _draw_seq(rng, len(apps), seq_range)
-    return Workload(
-        replace(app, seq_fraction=float(s)) for app, s in zip(apps, seqs)
-    )
+    seqs = _draw_seq(rng, len(_NPB_NAMES), seq_range)
+    return Workload.from_columns(_NPB_NAMES, _NPB_WORK, seqs, _NPB_FREQ, _NPB_MISS)
 
 
 def npb_synth(
@@ -99,24 +98,11 @@ def npb_synth(
     """
     if n < 1:
         raise ModelError(f"need at least one application, got n={n}")
-    profiles = list(NPB_TABLE2.items())
-    picks = rng.integers(len(profiles), size=n)
-    draw = _draw_loguniform if log_work else _draw_uniform
-    works = draw(rng, *work_range, n)
-    seqs = _draw_seq(rng, n, seq_range) if seq_range is not None else np.zeros(n)
-    apps = []
-    for i in range(n):
-        base_name, (_, f, m40) = profiles[int(picks[i])]
-        apps.append(
-            Application(
-                name=f"{base_name}-synth{i}",
-                work=float(works[i]),
-                seq_fraction=float(seqs[i]),
-                access_freq=f,
-                miss_rate=m40,
-            )
-        )
-    return Workload(apps)
+    picks = rng.integers(len(_NPB_NAMES), size=n)
+    works = _draw_work(rng, n, work_range, log_work)
+    seqs = _draw_seq(rng, n, seq_range)
+    names = [f"{_NPB_NAMES[k]}-synth{i}" for i, k in enumerate(picks.tolist())]
+    return Workload.from_columns(names, works, seqs, _NPB_FREQ[picks], _NPB_MISS[picks])
 
 
 def random_workload(
@@ -132,21 +118,12 @@ def random_workload(
     """The RANDOM data set: every parameter drawn independently."""
     if n < 1:
         raise ModelError(f"need at least one application, got n={n}")
-    draw = _draw_loguniform if log_work else _draw_uniform
-    works = draw(rng, *work_range, n)
+    works = _draw_work(rng, n, work_range, log_work)
     freqs = rng.uniform(*freq_range, size=n)
     misses = _draw_loguniform(rng, *miss_range, n)
-    seqs = _draw_seq(rng, n, seq_range) if seq_range is not None else np.zeros(n)
-    return Workload(
-        Application(
-            name=f"rand{i}",
-            work=float(works[i]),
-            seq_fraction=float(seqs[i]),
-            access_freq=float(freqs[i]),
-            miss_rate=float(misses[i]),
-        )
-        for i in range(n)
-    )
+    seqs = _draw_seq(rng, n, seq_range)
+    return Workload.from_columns([f"rand{i}" for i in range(n)], works, seqs,
+                                 freqs, misses)
 
 
 def generate(dataset: str, n: int, rng: np.random.Generator, **kwargs) -> Workload:

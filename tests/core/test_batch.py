@@ -16,9 +16,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BatchProblem,
+    BatchSchedule,
+    Schedule,
     cache_weights,
     cache_weights_batch,
     dominance_ratios,
@@ -44,7 +48,7 @@ from repro.core import registry
 from repro.core.heuristics import evict_until_dominant_batch
 from repro.core.registry import SchedulerEntry
 from repro.machine import small_llc, taihulight, xeon_e5_2690
-from repro.types import ModelError
+from repro.types import FEASIBILITY_SLACK, InfeasibleScheduleError, ModelError
 from repro.workloads import npb_synth, random_workload
 
 from golden import legacy_heuristics as legacy
@@ -295,7 +299,121 @@ class TestBatchSchedule:
                 assert ref.makespan() == s.makespan()
 
 
+def _nudge(values: list[float], ulps: int) -> list[float]:
+    """*values* with the last entry moved by *ulps* units in the last place."""
+    last = values[-1]
+    for _ in range(abs(ulps)):
+        last = np.nextafter(last, np.inf if ulps > 0 else -np.inf)
+    return values[:-1] + [float(last)]
+
+
+@st.composite
+def _allocation_rows(draw):
+    """One row of a hand-made allocation: (n, p, procs, cache).
+
+    Besides free values, a row may sit exactly at, or one ulp either
+    side of, a capacity bound (``k`` equal shares of the bound sum to
+    it exactly when ``k`` is a power of two), or hold a zero proc.
+    """
+    p = draw(st.sampled_from([1.0, 3.0, 16.0, 256.0]))
+    slack = FEASIBILITY_SLACK
+    kind = draw(st.sampled_from(["free", "procs-bound", "cache-bound", "zero-proc"]))
+    n = draw(st.sampled_from([1, 2, 4]) if kind.endswith("bound")
+             else st.integers(1, 6))
+    procs = draw(st.lists(st.floats(1e-3, p / n), min_size=n, max_size=n))
+    cache = draw(st.lists(st.floats(0.0, 1.0 / n), min_size=n, max_size=n))
+    ulps = draw(st.integers(-1, 1))
+    if kind == "free":
+        procs = draw(st.lists(st.one_of(st.floats(-1.0, 0.0), st.floats(1e-3, 2.0 * p)),
+                              min_size=n, max_size=n))
+        cache = draw(st.lists(st.floats(-0.1, 1.1), min_size=n, max_size=n))
+    elif kind == "procs-bound":
+        procs = _nudge([(p * (1 + slack) + slack) / n] * n, ulps)
+    elif kind == "cache-bound":
+        cache = _nudge([(1 + slack) / n] * n, ulps)
+    else:
+        procs[draw(st.integers(0, n - 1))] = 0.0
+    return n, p, procs, cache
+
+
+def _hand_made_batch(rows, seed=0):
+    """A BatchSchedule holding *rows*, with junk in its padding."""
+    rng = np.random.default_rng(seed)
+    problem = BatchProblem([(npb_synth(n, rng), taihulight(p=p))
+                            for n, p, _, _ in rows])
+    procs = np.full(problem.valid.shape, -1.0)
+    cache = np.full(problem.valid.shape, 7.0)
+    for i, (n, _, row_procs, row_cache) in enumerate(rows):
+        procs[i, :n], cache[i, :n] = row_procs, row_cache
+    return BatchSchedule(problem, procs, cache)
+
+
+def _row_issues(bs, i):
+    wl, pf = bs.problem.row(i)
+    return Schedule(wl, pf, bs.procs[i, :wl.n], bs.cache[i, :wl.n],
+                    validate=False).feasibility_violations()
+
+
+class TestBulkFeasibility:
+    """The bulk pass of BatchSchedule.schedules() agrees with the
+    per-row feasibility check."""
+
+    @given(rows=st.lists(_allocation_rows(), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_cleared_rows_are_feasible(self, rows):
+        bs = _hand_made_batch(rows)
+        suspect = bs._suspect_rows()
+        assert suspect.shape == (len(rows),)
+        if len(rows) == 1:
+            assert suspect.all()
+        for i in range(len(rows)):
+            if not suspect[i]:
+                assert _row_issues(bs, i) == [], i
+
+    @given(rows=st.lists(_allocation_rows().filter(
+        lambda row: min(row[2]) > 0), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_schedules_raise_the_first_per_row_error(self, rows):
+        bs = _hand_made_batch(rows)
+        issues = [_row_issues(bs, i) for i in range(len(rows))]
+        first = next((msg for msg in issues if msg), None)
+        if first is None:
+            schedules = bs.schedules()
+            times = bs.times()
+            for i, s in enumerate(schedules):
+                n = rows[i][0]
+                assert s.times().tobytes() == times[i, :n].tobytes()
+                assert s.procs.tobytes() == bs.procs[i, :n].tobytes()
+        else:
+            with pytest.raises(InfeasibleScheduleError) as err:
+                bs.schedules()
+            assert str(err.value) == "; ".join(first)
+
+    def test_bound_rows_are_suspect(self):
+        slack = FEASIBILITY_SLACK
+        rows = [(2, 16.0, [(16 * (1 + slack) + slack) / 2] * 2, [0.1, 0.1]),
+                (4, 16.0, [1.0] * 4, [(1 + slack) / 4] * 4),
+                (3, 16.0, [1.0, 0.0, 1.0], [0.1] * 3),
+                (3, 16.0, [1.0] * 3, [0.1] * 3)]
+        assert _hand_made_batch(rows)._suspect_rows().tolist() == [
+            True, True, True, False]
+
+
 class TestScheduleBatchRegistry:
+    def test_deterministic_batch_fn_gets_no_generators(self, monkeypatch):
+        """Only randomized entries get a generator per seed."""
+        seen = []
+        real = get_scheduler("fair")
+
+        def recording(instances, rngs):
+            seen.extend(rngs)
+            return real.batch_fn(instances, rngs)
+
+        monkeypatch.setitem(registry._REGISTRY, "fair",
+                            dataclasses.replace(real, batch_fn=recording))
+        schedule_batch("fair", _ragged_instances(3, seed=8), seeds=[1, 2, 3])
+        assert seen == [None, None, None]
+
     def test_mixed_platforms(self):
         instances = _ragged_instances(
             9, seed=100,

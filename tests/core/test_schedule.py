@@ -63,13 +63,6 @@ class TestSchedule:
         s = Schedule(two_apps, tiny_platform, procs, np.zeros(2))
         assert s.finish_time_spread() < 1e-12
 
-    def test_with_cache_and_procs(self, two_apps, tiny_platform):
-        s = Schedule(two_apps, tiny_platform, [1.0, 1.0], [0.0, 0.0])
-        s2 = s.with_cache([0.3, 0.3])
-        assert np.allclose(s2.cache, [0.3, 0.3])
-        s3 = s.with_procs([2.0, 2.0])
-        assert np.allclose(s3.procs, [2.0, 2.0])
-
     def test_describe_contains_apps(self, two_apps, tiny_platform):
         s = Schedule(two_apps, tiny_platform, [1.0, 1.0], [0.0, 0.0])
         text = s.describe()
@@ -101,6 +94,13 @@ class TestSequentialSchedule:
         s = SequentialSchedule(two_apps, tiny_platform)
         assert s.makespan() == pytest.approx(s.times().sum())
         assert not s.concurrent
+
+    def test_given_times_are_kept(self, two_apps, tiny_platform):
+        s = SequentialSchedule(two_apps, tiny_platform, times=[3.0, 4.0])
+        assert s.times().tolist() == [3.0, 4.0]
+        assert s.makespan() == 7.0
+        with pytest.raises(ModelError, match="times"):
+            SequentialSchedule(two_apps, tiny_platform, times=[3.0])
 
     def test_each_app_gets_everything(self, two_apps, tiny_platform):
         s = SequentialSchedule(two_apps, tiny_platform)

@@ -23,15 +23,6 @@ class TestRegenerateTable2:
             assert b.app.work == b.paper_work
             assert b.app.access_freq == pytest.approx(b.paper_freq)
 
-    def test_miss_rates_in_measured_regime(self, table2):
-        """Simulated m40MB lands in the paper's small-rate regime."""
-        for b in table2:
-            assert 0.0 < b.app.miss_rate < 0.1, b.name
-
-    def test_fits_have_positive_alpha(self, table2):
-        for b in table2:
-            assert b.fit_alpha > 0.0, b.name
-
     def test_profiled_workload_schedulable(self, table2):
         from repro.core import Workload, dominant_schedule
         from repro.machine import taihulight

@@ -150,18 +150,40 @@ class TestSimulationBatchPath:
             assert not res.finish_times[i, n:].any(), i
 
 
+#: One figure per instance-factory family (fig3 adds AllProcCache next
+#: to a heuristic, fig7 the repartition metrics), at 2-3 cheap points.
+_FAMILY_FIGURES = {
+    "fig3": [2.0, 5.0, 9.0],  # _synth_napps
+    "fig7": [2.0, 5.0, 9.0],  # _synth_napps, repartition metrics
+    "fig8": [2.0, 5.0, 9.0],  # _random_napps
+    "fig10": [16.0, 64.0],  # _npb6_nprocs
+    "fig6": [0.0, 0.04, 0.15],  # _synth_seq
+    "fig14": [0.0, 0.04, 0.15],  # _random_seq
+    "fig2": [0.1, 0.5, 1.0],  # _synth_missrate
+    "fig15": [0.1, 0.5],  # _synth_latency
+    "fig4": [32.0, 128.0],  # _ratio_factory
+}
+
+
 class TestEngineBatchGrouping:
-    # Two seeds, not five: each case runs the experiment grid twice
-    # (batched + scalar) and the scheduler-level sweep above already
-    # covers the per-instance equivalence exhaustively.
-    @pytest.mark.parametrize("seed", range(2))
-    def test_run_experiment_unchanged(self, seed, monkeypatch):
+    # Each case runs the experiment grid twice (batched + scalar); the
+    # scheduler-level sweep above already covers the per-instance
+    # equivalence exhaustively, so fig1 gets two seeds and the other
+    # factory families one rep each.
+    @pytest.mark.parametrize("figure_id,points,reps,seed", [
+        *(pytest.param("fig1", [2.0, 5.0, 9.0], 2, 2017 + seed,
+                       id=f"fig1-seed{seed}") for seed in range(2)),
+        *(pytest.param(fid, points, 1, 2017, id=fid)
+          for fid, points in _FAMILY_FIGURES.items()),
+    ])
+    def test_run_experiment_unchanged(self, figure_id, points, reps, seed,
+                                      monkeypatch):
         """The engine's batch grouping changes no experiment floats."""
         from repro.experiments import build_figure, run_experiment
         from repro.core import registry as registry_mod
 
-        exp = build_figure("fig1", reps=2, seed=2017 + seed,
-                           points=np.array([2.0, 5.0, 9.0]))
+        exp = build_figure(figure_id, reps=reps, seed=seed,
+                           points=np.array(points))
         batched = run_experiment(exp, use_cache=False)
 
         # Disable every batch_fn: same tasks, pure scalar evaluation.
