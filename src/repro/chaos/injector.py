@@ -35,7 +35,7 @@ import numpy as np
 
 from ..core.application import Workload
 from ..core.platform import Platform
-from ..simulate.kernel import EventLog, at_or_before
+from ..simulate.kernel import EventLog, at_or_before, boundary_tol
 from .faults import CompiledFaults
 from .probes import ProbeSample, ProbeTimeline
 
@@ -89,6 +89,10 @@ class FaultInjector:
     probe : ProbeTimeline, optional
         Cadence scraper; ticks become timeline breakpoints, so while
         work is in flight every sample lands at its exact tick time.
+        Each tick is also a stop at which the wrapped policy
+        re-decides: policies that read the remaining work (``dominant``
+        and the registry ones) give cadence-dependent results (see
+        :mod:`repro.chaos.probes`).
 
     Attributes
     ----------
@@ -126,6 +130,7 @@ class FaultInjector:
                           else np.asarray(arrivals, dtype=np.float64))
         self._init_seq = workload.seq * workload.work
         self._init_par = (1.0 - workload.seq) * workload.work
+        self._init_work = self._init_seq + self._init_par
         self._classes = (None if compiled.classes is None
                          else np.asarray(compiled.classes))
         self._n_classes = (1 if self._classes is None
@@ -133,7 +138,8 @@ class FaultInjector:
         self._cursor = 0
         self._down_until = np.zeros(n)
         self._restart_at = np.full(n, np.inf)
-        self._finish_time = np.full(n, np.nan)
+        # Completion instants, inf until harvested from the log.
+        self._finish_time = np.full(n, np.inf)
         self._log_cursor = 0
 
         self.pool = float(platform.p)
@@ -150,7 +156,7 @@ class FaultInjector:
         nxt = np.inf
         if self._cursor < len(self._compiled.events):
             nxt = self._compiled.events[self._cursor].time
-        pending = self._down_until[~at_or_before(self._down_until, now)]
+        pending = self._down_until[self._down_until > now + boundary_tol(now)]
         if pending.size:
             nxt = min(nxt, float(pending.min()))
         if self._probe is not None:
@@ -168,9 +174,8 @@ class FaultInjector:
         n = active.size
         if available.any():
             procs, factors = self._base(now, available, seq_left, par_left)
-            procs = np.asarray(procs, dtype=np.float64).copy()
+            procs = np.where(available, np.asarray(procs, dtype=np.float64), 0.0)
             factors = np.asarray(factors, dtype=np.float64)
-            procs[~available] = 0.0
             # The wrapped policy allocated against the nominal machine;
             # rescale its decision to the processors actually present.
             procs *= self.pool / self._platform.p
@@ -219,6 +224,10 @@ class FaultInjector:
         docstring.
         """
         events = self._compiled.events
+        clock = now + boundary_tol(now)
+        if ((self._cursor == len(events) or events[self._cursor].time > clock)
+                and not (self._restart_at <= clock).any()):
+            return  # nothing due: the common case
         while True:
             t_ev = (events[self._cursor].time
                     if self._cursor < len(events) else np.inf)
@@ -262,8 +271,7 @@ class FaultInjector:
         """
         if not at_or_before(self._arrivals[i], t):
             return False
-        fin = self._finish_time[i]
-        if not np.isnan(fin) and at_or_before(fin, t):
+        if at_or_before(self._finish_time[i], t):
             return False
         return bool(at_or_before(self._down_until[i], t))
 
@@ -329,7 +337,7 @@ class FaultInjector:
         of *t* (churn history is in :attr:`pool_timeline` regardless of
         when the events were lazily applied).
         """
-        fin = np.where(np.isnan(self._finish_time), np.inf, self._finish_time)
+        fin = self._finish_time
         arrived = at_or_before(self._arrivals, t)
         finished = at_or_before(fin, t)
         live = at_or_before(now, t)
@@ -343,32 +351,34 @@ class FaultInjector:
             pr = np.zeros(active.size)
             pool = pool_at(self.pool_timeline, t)
             up = np.ones(active.size, dtype=bool)
-        down = act & ~up
-        running = act & up & (pr > 0.0)
+        n_active = int(np.count_nonzero(act))
         left = seq_left + par_left
-        total = self._init_seq + self._init_par
-        classes = (np.zeros(act.size, dtype=np.intp)
-                   if self._classes is None else self._classes)
-        class_procs = []
-        class_active = []
-        class_mean_flow = []
-        for c in range(self._n_classes):
-            sel = classes == c
-            class_procs.append(float(pr[sel].sum()))
-            class_active.append(int((act & sel).sum()))
-            flows = (fin - self._arrivals)[sel & finished]
-            class_mean_flow.append(float(flows.mean()) if flows.size else 0.0)
+        if self._classes is None:
+            # One class holds everyone: its totals are the run's.
+            flows = (fin - self._arrivals)[finished]
+            class_procs = (float(pr.sum()),)
+            class_active = (n_active,)
+            class_mean_flow = (float(flows.mean()) if flows.size else 0.0,)
+        else:
+            class_procs, class_active, class_mean_flow = [], [], []
+            for c in range(self._n_classes):
+                sel = self._classes == c
+                class_procs.append(float(pr[sel].sum()))
+                class_active.append(int(np.count_nonzero(act & sel)))
+                flows = (fin - self._arrivals)[sel & finished]
+                class_mean_flow.append(float(flows.mean()) if flows.size else 0.0)
         return ProbeSample(
             time=float(t),
             pool=float(pool),
-            arrived=int(arrived.sum()),
-            active=int(act.sum()),
-            running=int(running.sum()),
-            down=int(down.sum()),
-            finished=int(finished.sum()),
+            arrived=int(np.count_nonzero(arrived)),
+            active=n_active,
+            running=int(np.count_nonzero(act & up & (pr > 0.0))),
+            down=int(np.count_nonzero(act & ~up)),
+            finished=int(np.count_nonzero(finished)),
             procs_in_use=float(pr[act].sum()),
-            queue_depth=int((act & (pr <= 0.0)).sum()),
-            work_done=float((total - left)[arrived].sum()) if arrived.any() else 0.0,
+            queue_depth=int(np.count_nonzero(act & (pr <= 0.0))),
+            work_done=(float((self._init_work - left)[arrived].sum())
+                       if arrived.any() else 0.0),
             work_remaining=float(left[act].sum()),
             class_procs=tuple(class_procs),
             class_active=tuple(class_active),

@@ -16,6 +16,17 @@ lazily at the next allocation — still stamped with their tick time,
 with the post-gap state (nothing ran in between, so only arrivals
 differ).
 
+Observer effect: every such stop is also a reallocation point, so the
+cadence is part of a run's input.  ``fair`` and ``fcfs`` decide from
+the active set alone; more stops only split the clock's accumulation,
+and finish times agree to rounding (within ``1e-12`` relative at
+``horizon / 64``, ``/ 128`` and ``/ 512`` on the committed scenarios).
+``dominant`` and every registry policy re-solve from the remaining
+work at each stop, so their results depend on the probe interval —
+``run_chaos(probe_interval=...)`` and the CLI's ``--probe-interval``
+alike: across those three cadences the committed scenarios' makespans
+move by up to 0.4 %.
+
 Samples are plain frozen dataclasses of floats/ints/tuples; two runs
 of the same seeded scenario produce byte-identical
 :meth:`ProbeTimeline.as_rows` output, in one process or across
@@ -28,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable
 
+from ..simulate.kernel import at_or_before
 from ..types import ModelError
 
 __all__ = ["ProbeSample", "ProbeTimeline", "PROBE_COLUMNS"]
@@ -118,8 +130,6 @@ class ProbeTimeline:
     def poll(self, now: float, sample: Callable[[float], ProbeSample]) -> None:
         """Scrape every tick due by *now* (tolerantly), stamping each
         sample with its own tick time."""
-        from ..simulate.kernel import at_or_before  # cycle-free at runtime
-
         while (len(self.samples) < self.max_samples
                and at_or_before(self._next, now)):
             self.samples.append(sample(self._next))

@@ -141,6 +141,9 @@ def run_chaos(
         ``default_rng(0)``.  Ignored for pre-compiled streams.
     probe_interval : float, optional
         Cadence of the metric probes; defaults to ``horizon / 128``.
+        Every tick is a reallocation point, so it moves the results
+        of policies that re-solve from the remaining work (see
+        :mod:`repro.chaos.probes`).
     horizon : float, optional
         Fault-drawing horizon; defaults to :func:`estimate_horizon`.
     max_samples : int

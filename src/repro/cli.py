@@ -100,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     onl.add_argument(
         "--probe-interval", type=float, default=None,
         help="metric-probe cadence in model time units "
-             "(default: fault horizon / 128; only used with --faults)")
+             "(default: fault horizon / 128; only used with --faults); "
+             "every tick is a reallocation point, so it moves dominant "
+             "and registry-policy results")
     onl.add_argument("--seed", type=int, default=2017)
 
     val = sub.add_parser("validate",

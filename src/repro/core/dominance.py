@@ -92,9 +92,9 @@ def cache_weights(workload: Workload, platform: Platform, *,
     never touch memory (``f == 0``) or never miss (``m0 == 0``) have
     weight 0.
 
-    *work* overrides the workload's total operations — the online
-    engine passes each application's *remaining* work so a nearly done
-    application does not hold a large partition.
+    *work* overrides the workload's total operations — pass each
+    application's *remaining* work so a nearly done application does
+    not hold a large partition.
     """
     d = workload.miss_coefficients(platform)
     w = workload.work if work is None else np.asarray(work, dtype=np.float64)
@@ -103,7 +103,7 @@ def cache_weights(workload: Workload, platform: Platform, *,
 
 
 def dominance_ratios(workload: Workload, platform: Platform, *,
-                     work=None) -> np.ndarray:
+                     weights=None) -> np.ndarray:
     """Per-application ratios ``weight_i / d_i^(1/alpha)`` of Definition 4.
 
     An application belongs to a dominant subset only when its ratio
@@ -113,10 +113,12 @@ def dominance_ratios(workload: Workload, platform: Platform, *,
     but their weight is 0 so they also never attract cache.  The
     heuristics therefore naturally leave them out of ``IC``.
 
-    *work* overrides the total operations, as in :func:`cache_weights`.
+    Pass precomputed *weights* (:func:`cache_weights`, for any *work*)
+    to skip recomputing them.
     """
     d = workload.miss_coefficients(platform)
-    weights = cache_weights(workload, platform, work=work)
+    if weights is None:
+        weights = cache_weights(workload, platform)
     thresholds = d ** (1.0 / platform.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = weights / thresholds
@@ -136,7 +138,7 @@ def is_dominant(workload: Workload, platform: Platform, subset) -> bool:
     if not mask.any():
         return True
     weights = cache_weights(workload, platform)
-    ratios = dominance_ratios(workload, platform)
+    ratios = dominance_ratios(workload, platform, weights=weights)
     total = masked_total(weights, mask)
     return bool(np.all(ratios[mask] > total))
 
@@ -151,7 +153,7 @@ def violating_applications(workload: Workload, platform: Platform, subset) -> np
     if not mask.any():
         return np.array([], dtype=np.intp)
     weights = cache_weights(workload, platform)
-    ratios = dominance_ratios(workload, platform)
+    ratios = dominance_ratios(workload, platform, weights=weights)
     total = masked_total(weights, mask)
     bad = mask & (ratios <= total)
     return np.flatnonzero(bad)

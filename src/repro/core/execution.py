@@ -28,6 +28,7 @@ __all__ = [
     "amdahl_flops",
     "amdahl_speedup",
     "miss_rates",
+    "access_cost_model",
     "access_cost_factor",
     "sequential_times",
     "execution_times",
@@ -80,12 +81,41 @@ def miss_rates(workload: Workload, platform: Platform, cache_fractions) -> np.nd
     )
 
 
+def access_cost_model(workload: Workload, platform: Platform):
+    """Eq. 2's cost multiplier as a function of the cache fractions alone.
+
+    Returns ``factors(x)``: :func:`access_cost_factor` for a float64
+    array *x* of shape ``(n,)``, with the workload's and the platform's
+    constants bound once (both were validated when they were built)
+    and *x* taken as given.  A caller pricing many allocations of one
+    workload — the online engine re-prices at every event — builds it
+    once.
+    """
+    freq, m0, c0 = workload.freq, workload.miss0, workload.baseline_cache
+    footprint = workload.footprint
+    never_misses = m0 == 0.0
+    cache_size, alpha = platform.cache_size, platform.alpha
+    latency_cache, latency_memory = platform.latency_cache, platform.latency_memory
+
+    def factors(x: np.ndarray) -> np.ndarray:
+        # Eq. 1 on the footprint-clamped bytes, as miss_rate computes it.
+        cache_bytes = np.minimum(x * cache_size, footprint)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scaled = m0 * (c0 / cache_bytes) ** alpha
+        m = np.where(never_misses, 0.0, np.minimum(1.0, scaled))
+        return 1.0 + freq * (latency_cache + latency_memory * m)
+
+    return factors
+
+
 def access_cost_factor(workload: Workload, platform: Platform, cache_fractions) -> np.ndarray:
     """Per-operation cost multiplier ``1 + f*(ls + ll*m(x))`` of Eq. 2."""
-    m = miss_rates(workload, platform, cache_fractions)
-    return 1.0 + workload.freq * (
-        platform.latency_cache + platform.latency_memory * m
-    )
+    x = np.asarray(cache_fractions, dtype=np.float64)
+    if x.shape != (workload.n,):
+        raise ModelError(f"cache_fractions must have shape ({workload.n},), got {x.shape}")
+    if (x < 0).any():
+        raise ModelError("cache fractions must be >= 0")
+    return access_cost_model(workload, platform)(x)
 
 
 def sequential_times(workload: Workload, platform: Platform, cache_fractions) -> np.ndarray:

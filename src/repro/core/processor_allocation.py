@@ -51,6 +51,7 @@ path; both give the same bits.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -276,17 +277,18 @@ def _equal_finish_single(seq, c, p):
     """
     n = len(c)
     one_minus = [1.0 - s for s in seq]
+    rows = list(zip(c, seq, one_minus))
 
     def demand(K):
         f = 0.0
         fp = 0.0
-        for i in range(n):
-            denom = K / c[i] - seq[i]
+        for ci, s, om in rows:
+            denom = K / ci - s
             if denom <= 0.0:
-                return np.inf, -np.inf
-            term = one_minus[i] / denom
+                return math.inf, -math.inf
+            term = om / denom
             f += term
-            fp += term / (denom * c[i])
+            fp += term / (denom * ci)
         return f - p, -fp
 
     lo = max((s + (1.0 - s) / p) * ci for s, ci in zip(seq, c))
@@ -312,13 +314,13 @@ def _equal_finish_single(seq, c, p):
         for it in range(200):
             if not (b - a) > XTOL * max(1.0, a):
                 break
-            newton = a - fa / fpa if fpa != 0.0 else np.inf
-            n_ok = np.isfinite(newton) and a < newton < b
+            newton = a - fa / fpa if fpa != 0.0 else math.inf
+            n_ok = math.isfinite(newton) and a < newton < b
             if fa != fb:
                 falsepos = a + fa * (b - a) / (fa - fb)
             else:
-                falsepos = np.inf
-            f_ok = np.isfinite(falsepos) and a < falsepos < b
+                falsepos = math.inf
+            f_ok = math.isfinite(falsepos) and a < falsepos < b
             mid = 0.5 * (a + b)
             if it % 2 == 0:
                 cand = newton if n_ok else (falsepos if f_ok else mid)

@@ -57,9 +57,9 @@ def remaining_equal_finish(
     fac = np.asarray(factors, dtype=np.float64)
     if not (seq.shape == par.shape == fac.shape) or seq.ndim != 1 or seq.size == 0:
         raise ModelError("seq_ops, par_ops, factors must be equal-length 1-D arrays")
-    if np.any(seq < 0) or np.any(par < 0) or np.any(fac <= 0):
+    if (seq < 0).any() or (par < 0).any() or (fac <= 0).any():
         raise ModelError("remaining ops must be >= 0 and factors > 0")
-    if np.any((seq == 0) & (par == 0)):
+    if ((seq == 0) & (par == 0)).any():
         raise ModelError("finished applications must be removed before reallocating")
     if p <= 0:
         raise ModelError(f"p must be positive, got {p}")
@@ -67,7 +67,7 @@ def remaining_equal_finish(
     seq_time = seq * fac          # time of the remaining sequential part
     par_work = par * fac          # processor-time of the parallel part
 
-    if np.all(par_work == 0):
+    if (par_work == 0).all():
         # Only sequential tails left: processors are irrelevant.
         procs = np.full(seq.size, _EPS_PROC)
         return procs, float(seq_time.max())

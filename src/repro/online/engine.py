@@ -50,8 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.application import Workload
-from ..core.dominance import cache_weights, dominance_ratios
-from ..core.execution import access_cost_factor
+from ..core.execution import access_cost_model
 from ..core.heuristics import evict_until_dominant
 from ..core.platform import Platform
 from ..core.registry import get_entry, scheduler_names
@@ -133,124 +132,6 @@ class OnlineResult:
         return float(self.flow_times.max())
 
 
-def _dominant_fractions_remaining(
-    workload: Workload, platform: Platform, active: np.ndarray,
-    work_left: np.ndarray,
-) -> np.ndarray:
-    """Theorem-3 fractions over a dominance-filtered active subset.
-
-    Weights use the *remaining* work (an application nearly done should
-    not hold a large partition); the dominance ratios follow Definition
-    4 with those weights, and the eviction is the shared Algorithm-1
-    core with the MinRatio choice.
-    """
-    weights = cache_weights(workload, platform, work=work_left)
-    ratios = dominance_ratios(workload, platform, work=work_left)
-    mask = evict_until_dominant(weights, ratios, active & (weights > 0),
-                                "minratio")
-    x = np.zeros(workload.n)
-    if mask.any():
-        total = float(weights[mask].sum())
-        x[mask] = weights[mask] / total
-    return x
-
-
-def _registry_allocation(
-    workload: Workload,
-    platform: Platform,
-    idx: np.ndarray,
-    seq_left: np.ndarray,
-    par_left: np.ndarray,
-    policy: str,
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(procs, cache) from a registered scheduler over the active apps.
-
-    The entry sees a snapshot workload whose applications carry their
-    *remaining* work and the sequential fraction of that remainder, so
-    an offline strategy re-solves the shrinking instance at each event.
-    """
-    try:
-        entry = get_entry(policy)
-    except ModelError:
-        raise ModelError(
-            f"unknown policy {policy!r}; builtin policies: "
-            f"{', '.join(BUILTIN_POLICIES)}, plus any registered "
-            f"concurrent scheduler ({', '.join(scheduler_names())})"
-        ) from None
-    # An application with no progress yet passes through unchanged:
-    # rebuilding it from seq_left + par_left can move its sequential
-    # fraction (and work) by an ulp, which a local optimizer such as
-    # continuous-opt's SLSQP amplifies into a different schedule.
-    seq_ops = workload.seq * workload.work
-    par_ops = (1.0 - workload.seq) * workload.work
-    apps = []
-    for i in idx:
-        app = workload[int(i)]
-        if seq_left[i] != seq_ops[i] or par_left[i] != par_ops[i]:
-            work = float(seq_left[i] + par_left[i])
-            app = app.scaled(work=work, seq_fraction=float(seq_left[i] / work))
-        apps.append(app)
-    schedule = entry(Workload(apps), platform, rng)
-    if not schedule.concurrent:
-        raise ModelError(
-            f"policy {policy!r} builds a sequential schedule; the online "
-            "engine needs a concurrent strategy (use 'fcfs' instead)"
-        )
-    n = workload.n
-    procs = np.zeros(n)
-    cache = np.zeros(n)
-    procs[idx] = schedule.procs
-    cache[idx] = schedule.cache
-    return procs, cache
-
-
-def _allocate(
-    workload: Workload,
-    platform: Platform,
-    active: np.ndarray,
-    seq_left: np.ndarray,
-    par_left: np.ndarray,
-    policy: str,
-    fcfs_order: np.ndarray,
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(procs, access-cost factors) for the active set under *policy*."""
-    n = workload.n
-    procs = np.zeros(n)
-    cache = np.zeros(n)
-    idx = np.flatnonzero(active)
-    if idx.size == 0:
-        pass  # nothing active: no processors, no cache
-    elif policy == "fcfs":
-        head = idx[np.argmin(fcfs_order[idx])]
-        procs[head] = platform.p
-        cache[head] = 1.0
-    elif policy == "fair":
-        procs[idx] = platform.p / idx.size
-        total_freq = float(workload.freq[idx].sum())
-        if total_freq > 0:
-            cache[idx] = workload.freq[idx] / total_freq
-        else:
-            cache[idx] = 1.0 / idx.size
-    elif policy == "dominant":
-        work_left = seq_left + par_left
-        cache = _dominant_fractions_remaining(workload, platform, active, work_left)
-        factors = access_cost_factor(workload, platform, cache)
-        alloc, _ = remaining_equal_finish(
-            seq_left[idx], par_left[idx], factors[idx], platform.p
-        )
-        procs[idx] = alloc
-        return procs, factors
-    else:
-        # Fall through to the scheduler registry; get_entry raises a
-        # ModelError naming the known strategies for unknown policies.
-        procs, cache = _registry_allocation(
-            workload, platform, idx, seq_left, par_left, policy, rng
-        )
-    return procs, access_cost_factor(workload, platform, cache)
-
-
 def check_arrivals(workload: Workload, arrival_times) -> np.ndarray:
     """*arrival_times* as a float64 array: one instant >= 0 per application."""
     arrivals = np.asarray(arrival_times, dtype=np.float64)
@@ -285,18 +166,142 @@ def make_policy_allocator(
     (:class:`repro.chaos.FaultInjector`), which wraps the returned
     hook rather than re-deriving the policies.
 
+    The hook is compiled once per run: the workload's constants (the
+    Eq. 2 cost model of :func:`repro.core.execution.access_cost_model`,
+    the miss coefficients ``d`` and dominance thresholds
+    ``d^(1/alpha)`` of :mod:`repro.core.dominance`) are bound here, and
+    each event evaluates only what depends on the active set and the
+    remaining work, in the same operation order.  ``"fair"`` and
+    ``"fcfs"`` decide from the active set alone and are memoized on
+    it.  A registry policy sees a snapshot workload whose
+    applications carry their *remaining* work and the sequential
+    fraction of that remainder, so an offline strategy re-solves the
+    shrinking instance at each event; randomized entries draw from
+    *rng* at every event.
+
     *fcfs_order* carries the stable arrival ranks the ``"fcfs"``
     builtin serializes by (see :func:`arrival_order`); it defaults to
-    index order.
+    index order.  An unknown *policy* raises
+    :class:`~repro.types.ModelError` here, before any event.
     """
     if fcfs_order is None:
         fcfs_order = np.arange(workload.n, dtype=np.float64)
+    n = workload.n
+    p = platform.p
+    freq = workload.freq
+    # Eq. 2's factors of a cache split, constants bound once per run.
+    factors_of = access_cost_model(workload, platform)
+
+    if policy == "fcfs":
+        def decide(active, seq_left, par_left):
+            idx = active.nonzero()[0]
+            procs = np.zeros(n)
+            cache = np.zeros(n)
+            head = idx[np.argmin(fcfs_order[idx])]
+            procs[head] = p
+            cache[head] = 1.0
+            return procs, factors_of(cache)
+    elif policy == "fair":
+        def decide(active, seq_left, par_left):
+            idx = active.nonzero()[0]
+            procs = np.zeros(n)
+            cache = np.zeros(n)
+            procs[idx] = p / idx.size
+            total_freq = float(freq[idx].sum())
+            if total_freq > 0:
+                cache[idx] = freq[idx] / total_freq
+            else:
+                cache[idx] = 1.0 / idx.size
+            return procs, factors_of(cache)
+    elif policy == "dominant":
+        # Theorem-3 fractions over a dominance-filtered active subset.
+        # Weights use the *remaining* work (an application nearly done
+        # should not hold a large partition); the ratios follow
+        # Definition 4 with those weights, and the eviction is the
+        # shared Algorithm-1 core with the MinRatio choice.
+        alpha = platform.alpha
+        d = workload.miss_coefficients(platform)
+        thresholds = d ** (1.0 / alpha)
+        no_threshold = thresholds == 0.0
+        weight_power = 1.0 / (alpha + 1.0)
+
+        def decide(active, seq_left, par_left):
+            weights = ((seq_left + par_left) * freq * d) ** weight_power
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = weights / thresholds
+            ratios = np.where(no_threshold, np.inf, ratios)
+            mask = evict_until_dominant(weights, ratios, active & (weights > 0),
+                                        "minratio")
+            cache = np.zeros(n)
+            if mask.any():
+                total = float(weights[mask].sum())
+                cache[mask] = weights[mask] / total
+            factors = factors_of(cache)
+            idx = active.nonzero()[0]
+            alloc, _ = remaining_equal_finish(
+                seq_left[idx], par_left[idx], factors[idx], p)
+            procs = np.zeros(n)
+            procs[idx] = alloc
+            return procs, factors
+    else:
+        try:
+            entry = get_entry(policy)
+        except ModelError:
+            raise ModelError(
+                f"unknown policy {policy!r}; builtin policies: "
+                f"{', '.join(BUILTIN_POLICIES)}, plus any registered "
+                f"concurrent scheduler ({', '.join(scheduler_names())})"
+            ) from None
+        names = workload.names
+        seq_ops = workload.seq * workload.work
+        par_ops = (1.0 - workload.seq) * workload.work
+
+        def decide(active, seq_left, par_left):
+            idx = active.nonzero()[0]
+            seq_left_i, par_left_i = seq_left[idx], par_left[idx]
+            work, seq = workload.work[idx], workload.seq[idx]
+            # An application with no progress yet keeps its own work
+            # and fraction: rebuilding them from seq_left + par_left can
+            # move them by an ulp, which a local optimizer such as
+            # continuous-opt's SLSQP amplifies into a different schedule.
+            moved = (seq_left_i != seq_ops[idx]) | (par_left_i != par_ops[idx])
+            if moved.any():
+                work[moved] = seq_left_i[moved] + par_left_i[moved]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    seq[moved] = seq_left_i[moved] / work[moved]
+            snapshot = Workload.from_columns(
+                [names[i] for i in idx.tolist()], work, seq, freq[idx],
+                workload.miss0[idx], workload.footprint[idx],
+                workload.baseline_cache[idx])
+            schedule = entry(snapshot, platform, rng)
+            if not schedule.concurrent:
+                raise ModelError(
+                    f"policy {policy!r} builds a sequential schedule; the online "
+                    "engine needs a concurrent strategy (use 'fcfs' instead)"
+                )
+            procs = np.zeros(n)
+            cache = np.zeros(n)
+            procs[idx] = schedule.procs
+            cache[idx] = schedule.cache
+            return procs, factors_of(cache)
+
+    # fair and fcfs decide from the active set alone: memoize them on it.
+    memo = {} if policy in ("fair", "fcfs") else None
+    idle = (np.zeros(n), factors_of(np.zeros(n)))
 
     def allocate(now, active, seq_left, par_left):
-        return _allocate(
-            workload, platform, active, seq_left, par_left, policy,
-            fcfs_order, rng,
-        )
+        if not active.any():
+            decision = idle
+        elif memo is None:
+            return decide(active, seq_left, par_left)
+        else:
+            key = active.tobytes()
+            decision = memo.get(key)
+            if decision is None:
+                decision = memo[key] = decide(active, seq_left, par_left)
+        # Kept arrays go out as copies: a caller mutating what it got
+        # cannot reach a later answer.
+        return decision[0].copy(), decision[1].copy()
 
     return allocate
 

@@ -55,6 +55,7 @@ Hooks
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -304,6 +305,7 @@ def run_phase_kernel(
     """
     work = np.asarray(work, dtype=np.float64)
     n = work.size
+    tol = ABS_TOL + REL_TOL * np.abs(work)
     seq_left = np.asarray(seq_work, dtype=np.float64).copy()
     par_left = np.asarray(par_work, dtype=np.float64).copy()
     if arrivals is None:
@@ -320,82 +322,89 @@ def run_phase_kernel(
         log = EventLog()
     usage: list[tuple[float, float]] = []
 
+    # Counts stand in for reductions over the masks: finished apps are
+    # a subset of the arrived ones, so the active set is empty exactly
+    # when the two counts agree.  Admission is monotone in the arrival
+    # instant, so the earliest pending arrival decides whether any is
+    # due; it changes only when someone is admitted.
+    n_arrived = int(arrived.sum())
+    n_finished = 0
+    next_arrival = float(arrivals[~arrived].min()) if n_arrived < n else np.inf
+
     now = 0.0
     events = 0
     limit = max_events if max_events is not None else 20 * n + 10
 
-    while not finished.all():
+    while n_finished < n:
         events += 1
         if events > limit:
             raise ModelError(budget_message)
-        active = arrived & ~finished
-        pending = ~arrived
-        next_arrival = float(arrivals[pending].min()) if pending.any() else np.inf
 
-        if not active.any():
+        if n_arrived == n_finished:
             # Idle: jump the clock straight to the next arrival (an
             # exact assignment, not an accumulation).
             usage.append((now, 0.0))
             now = next_arrival
-            newly = pending & at_or_before(arrivals, now)
-            arrived |= newly
-            for i in np.flatnonzero(newly):
-                log.record(now, "arrival", i)
-            continue
+        else:
+            active = arrived & ~finished
+            procs, factors = allocate(now, active, seq_left, par_left)
+            usage.append((now, float(procs[active].sum())))
 
-        procs, factors = allocate(now, active, seq_left, par_left)
-        usage.append((now, float(procs[active].sum())))
+            # Progress rates and per-application time to the next phase
+            # boundary.  A queued application (no processors) stalls.
+            in_seq = active & (seq_left > 0.0)
+            in_par = active & (seq_left <= 0.0)
+            rate = np.zeros(n)
+            sel = in_seq & (procs > 0.0)
+            rate[sel] = 1.0 / factors[sel]
+            rate[in_par] = procs[in_par] / factors[in_par]
+            remaining = np.where(in_seq, seq_left, par_left)
+            running = active & (rate > 0.0)
+            dt_finish = np.full(n, np.inf)
+            dt_finish[running] = remaining[running] / rate[running]
+            next_exo = np.inf if timeline is None else float(timeline(now))
+            dt = min(float(dt_finish.min()), next_arrival - now, next_exo - now)
+            if not math.isfinite(dt):
+                raise ModelError(
+                    "kernel stalled: no running application, pending arrival, "
+                    "or exogenous event can advance the clock"
+                )
+            dt = max(dt, 0.0)
+            now += dt
 
-        # Progress rates and per-application time to the next phase
-        # boundary.  A queued application (no processors) stalls.
-        in_seq = active & (seq_left > 0.0)
-        in_par = active & (seq_left <= 0.0)
-        rate = np.zeros(n)
-        held = procs > 0.0
-        sel = in_seq & held
-        rate[sel] = 1.0 / factors[sel]
-        rate[in_par] = procs[in_par] / factors[in_par]
-        remaining = np.where(in_seq, seq_left, par_left)
-        running = active & (rate > 0.0)
-        dt_finish = np.full(n, np.inf)
-        dt_finish[running] = remaining[running] / rate[running]
-        next_exo = np.inf if timeline is None else float(timeline(now))
-        dt = min(float(dt_finish.min()), next_arrival - now, next_exo - now)
-        if not np.isfinite(dt):
-            raise ModelError(
-                "kernel stalled: no running application, pending arrival, "
-                "or exogenous event can advance the clock"
-            )
-        dt = max(dt, 0.0)
-        now += dt
+            # Advance everyone by dt, each in its current phase.
+            left = np.maximum(remaining - rate * dt, 0.0)
+            seq_left = np.where(in_seq, left, seq_left)
+            par_left = np.where(in_par, left, par_left)
 
-        # Advance everyone by dt.
-        progress = rate * dt
-        seq_left = np.where(in_seq, np.maximum(seq_left - progress, 0.0), seq_left)
-        par_left = np.where(in_par, np.maximum(par_left - progress, 0.0), par_left)
-
-        # Phase transitions, with the canonical tolerance at the scale
-        # of each application's total work.
-        for i in np.flatnonzero(active):
-            tol = boundary_tol(work[i])
-            if in_seq[i] and seq_left[i] <= tol:
-                seq_left[i] = 0.0
-                log.record(now, "seq-done", i)
-            if seq_left[i] == 0.0 and par_left[i] <= tol:
-                par_left[i] = 0.0
-                finished[i] = True
-                finish[i] = now
-                log.record(now, "done", i)
-                if on_complete is not None:
-                    on_complete(int(i), now, ~finished)
+            # Phase transitions, with the canonical tolerance at the
+            # scale of each application's total work; only the
+            # applications that change phase are visited, in index order.
+            seq_done = in_seq & (seq_left <= tol)
+            seq_left[seq_done] = 0.0
+            done = active & (seq_left == 0.0) & (par_left <= tol)
+            par_left[done] = 0.0
+            for i in (seq_done | done).nonzero()[0]:
+                if seq_done[i]:
+                    log.record(now, "seq-done", i)
+                if done[i]:
+                    finished[i] = True
+                    finish[i] = now
+                    n_finished += 1
+                    log.record(now, "done", i)
+                    if on_complete is not None:
+                        on_complete(int(i), now, ~finished)
 
         # Admissions (after completions: an arrival coinciding with a
         # completion event joins the system the moment it frees up).
-        newly = pending & at_or_before(arrivals, now)
-        if newly.any():
+        if at_or_before(next_arrival, now):
+            newly = ~arrived & at_or_before(arrivals, now)
             arrived |= newly
-            for i in np.flatnonzero(newly):
+            for i in newly.nonzero()[0]:
                 log.record(now, "arrival", i)
+            n_arrived = int(arrived.sum())
+            next_arrival = (float(arrivals[~arrived].min()) if n_arrived < n
+                            else np.inf)
 
     return PhaseKernelResult(
         finish_times=finish,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.chaos import PROBE_COLUMNS, ProbeSample, ProbeTimeline
+from repro.chaos import PROBE_COLUMNS, ProbeSample, ProbeTimeline, run_chaos
 from repro.types import ModelError
+
+from .test_scenarios import SCENARIOS, _build, _load
 
 
 def _sample(t: float) -> ProbeSample:
@@ -76,3 +79,27 @@ class TestRows:
         (row,) = probe.as_rows()
         assert isinstance(row, tuple)
         assert row == _sample(0.0).as_row()
+
+
+class TestObserverEffect:
+    """Probe ticks are reallocation points.
+
+    Every tick stops the kernel, and the policy re-decides there.  A
+    ``fair`` or ``fcfs`` decision reads the active set alone, so extra
+    stops only split the clock's accumulation: finish times agree to
+    rounding whatever the cadence.  (``dominant`` and the registry
+    policies re-solve from the remaining work at every stop, so their
+    results do depend on the cadence.)
+    """
+
+    @pytest.mark.parametrize("policy", ["fair", "fcfs"])
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+    def test_active_set_policies_ignore_the_cadence(self, path, policy):
+        workload, platform, arrivals, horizon, compiled = _build(_load(path))
+        finish = [
+            run_chaos(workload, platform, arrivals, faults=compiled,
+                      policy=policy, horizon=horizon,
+                      probe_interval=horizon / ticks).finish_times
+            for ticks in (64, 128, 512)]
+        for other in (finish[0], finish[2]):
+            np.testing.assert_allclose(other, finish[1], rtol=1e-12, atol=0)

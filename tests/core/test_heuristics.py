@@ -164,21 +164,25 @@ class TestSharedEvictionCore:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_online_agrees_on_full_remaining_work(self, pf, seed):
-        """With every application's remaining work equal to its total
-        work, the online eviction reduces to Algorithm 1 with MinRatio:
-        the supports coincide and the fractions are Theorem 3's."""
+        """Before any progress, the online eviction reduces to
+        Algorithm 1 with MinRatio: the online policy prices the cache
+        exactly as Theorem 3's fractions over the offline partition do
+        (an application in one support but not the other would miss at
+        a different rate)."""
         from repro.core.dominance import optimal_cache_fractions
-        from repro.online.engine import _dominant_fractions_remaining
+        from repro.core.execution import access_cost_factor
+        from repro.online import make_policy_allocator
 
         rng = np.random.default_rng(seed)
         wl = npb_synth(10, rng)
         active = np.ones(10, dtype=bool)
-        x_online = _dominant_fractions_remaining(wl, pf, active, wl.work)
+        allocate = make_policy_allocator(wl, pf, "dominant")
+        _, factors = allocate(0.0, active, wl.seq * wl.work,
+                              (1.0 - wl.seq) * wl.work)
         mask_offline = dominant_partition(wl, pf, "minratio")
-        assert np.array_equal(x_online > 0, mask_offline)
-        if mask_offline.any():
-            x_offline = optimal_cache_fractions(wl, pf, mask_offline)
-            assert np.allclose(x_online, x_offline, rtol=1e-12, atol=0)
+        x_offline = optimal_cache_fractions(wl, pf, mask_offline)
+        assert np.allclose(factors, access_cost_factor(wl, pf, x_offline),
+                           rtol=1e-12, atol=0)
 
     def test_input_mask_not_mutated(self, pf, rng):
         from repro.core.dominance import dominance_ratios
