@@ -48,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (batch imports us)
     from .batch import BatchProblem
 
 __all__ = [
+    "DominanceModel",
     "masked_total",
     "masked_totals",
     "cache_weights",
@@ -82,28 +83,53 @@ def masked_totals(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.where(masks, values, 0.0), axis=1)[:, -1]
 
 
-def cache_weights(workload: Workload, platform: Platform, *,
-                  work=None) -> np.ndarray:
+class DominanceModel:
+    """Lemma 4's weights and Definition 4's ratios of one workload.
+
+    Binds the platform-dependent constants once — the miss
+    coefficients ``d``, the thresholds ``d^(1/alpha)`` and the weight
+    exponent ``1/(alpha+1)`` — so a caller re-weighting the same
+    applications many times (the online engine, at every event, with
+    their *remaining* work) evaluates only what depends on the work.
+    :func:`cache_weights` and :func:`dominance_ratios` are this model
+    applied to the workload's total operations.
+    """
+
+    __slots__ = ("freq", "d", "weight_power", "thresholds", "no_threshold")
+
+    def __init__(self, workload: Workload, platform: Platform):
+        self.freq = workload.freq
+        self.d = workload.miss_coefficients(platform)
+        self.weight_power = 1.0 / (platform.alpha + 1.0)
+        self.thresholds = self.d ** (1.0 / platform.alpha)
+        self.no_threshold = self.thresholds == 0.0
+
+    def weights(self, work: np.ndarray) -> np.ndarray:
+        """Weights ``(w_i f_i d_i)^(1/(alpha+1))`` for the work vector *work*."""
+        return (work * self.freq * self.d) ** self.weight_power
+
+    def ratios(self, weights: np.ndarray) -> np.ndarray:
+        """Ratios ``weight_i / d_i^(1/alpha)`` of the given *weights*."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = weights / self.thresholds
+        # d == 0: threshold is 0.  weight is 0 too (w*f*d == 0), 0/0 -> inf
+        # by the convention of dominance_ratios.
+        return np.where(self.no_threshold, np.inf, ratios)
+
+
+def cache_weights(workload: Workload, platform: Platform) -> np.ndarray:
     """Per-application weights ``(w_i f_i d_i)^(1/(alpha+1))``.
 
     These are the unnormalized optimal cache shares of Lemma 4: within
     a subset ``IC`` the optimal fraction of application ``i`` is its
     weight divided by the subset's total weight.  Applications that
     never touch memory (``f == 0``) or never miss (``m0 == 0``) have
-    weight 0.
-
-    *work* overrides the workload's total operations — pass each
-    application's *remaining* work so a nearly done application does
-    not hold a large partition.
+    weight 0.  :class:`DominanceModel` weighs other work vectors.
     """
-    d = workload.miss_coefficients(platform)
-    w = workload.work if work is None else np.asarray(work, dtype=np.float64)
-    base = w * workload.freq * d
-    return base ** (1.0 / (platform.alpha + 1.0))
+    return DominanceModel(workload, platform).weights(workload.work)
 
 
-def dominance_ratios(workload: Workload, platform: Platform, *,
-                     weights=None) -> np.ndarray:
+def dominance_ratios(workload: Workload, platform: Platform) -> np.ndarray:
     """Per-application ratios ``weight_i / d_i^(1/alpha)`` of Definition 4.
 
     An application belongs to a dominant subset only when its ratio
@@ -112,20 +138,16 @@ def dominance_ratios(workload: Workload, platform: Platform, *,
     epsilon of cache is never *harmful* under the convention of Eq. 3,
     but their weight is 0 so they also never attract cache.  The
     heuristics therefore naturally leave them out of ``IC``.
-
-    Pass precomputed *weights* (:func:`cache_weights`, for any *work*)
-    to skip recomputing them.
     """
-    d = workload.miss_coefficients(platform)
-    if weights is None:
-        weights = cache_weights(workload, platform)
-    thresholds = d ** (1.0 / platform.alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = weights / thresholds
-    # d == 0: threshold is 0.  weight is 0 too (w*f*d == 0), 0/0 -> inf
-    # by the convention described above.
-    ratios = np.where(thresholds == 0.0, np.inf, ratios)
-    return ratios
+    model = DominanceModel(workload, platform)
+    return model.ratios(model.weights(workload.work))
+
+
+def _weights_and_ratios(workload: Workload, platform: Platform):
+    """``(cache_weights, dominance_ratios)`` from one model."""
+    model = DominanceModel(workload, platform)
+    weights = model.weights(workload.work)
+    return weights, model.ratios(weights)
 
 
 def is_dominant(workload: Workload, platform: Platform, subset) -> bool:
@@ -137,8 +159,7 @@ def is_dominant(workload: Workload, platform: Platform, subset) -> bool:
     mask = _as_mask(subset, workload.n)
     if not mask.any():
         return True
-    weights = cache_weights(workload, platform)
-    ratios = dominance_ratios(workload, platform, weights=weights)
+    weights, ratios = _weights_and_ratios(workload, platform)
     total = masked_total(weights, mask)
     return bool(np.all(ratios[mask] > total))
 
@@ -152,8 +173,7 @@ def violating_applications(workload: Workload, platform: Platform, subset) -> np
     mask = _as_mask(subset, workload.n)
     if not mask.any():
         return np.array([], dtype=np.intp)
-    weights = cache_weights(workload, platform)
-    ratios = dominance_ratios(workload, platform, weights=weights)
+    weights, ratios = _weights_and_ratios(workload, platform)
     total = masked_total(weights, mask)
     bad = mask & (ratios <= total)
     return np.flatnonzero(bad)
@@ -182,29 +202,23 @@ def optimal_cache_fractions(workload: Workload, platform: Platform, subset) -> n
     return x
 
 
-def cache_weights_batch(problem: "BatchProblem", *, work=None) -> np.ndarray:
-    """Batched :func:`cache_weights`: ``(B, N)`` weights, zero in padding.
-
-    *work* optionally overrides the per-cell total operations (same
-    shape as the batch), mirroring the scalar override used by the
-    online engine.
-    """
+def cache_weights_batch(problem: "BatchProblem") -> np.ndarray:
+    """Batched :func:`cache_weights`: ``(B, N)`` weights, zero in padding."""
     d = problem.miss_coefficients()
-    w = problem.work if work is None else np.asarray(work, dtype=np.float64)
-    base = w * problem.freq * d
+    base = problem.work * problem.freq * d
     return pow_rowwise(base, 1.0 / (problem.alpha + 1.0))
 
 
-def dominance_ratios_batch(problem: "BatchProblem", *, work=None,
+def dominance_ratios_batch(problem: "BatchProblem", *,
                            weights=None) -> np.ndarray:
     """Batched :func:`dominance_ratios`: ``(B, N)`` Definition-4 ratios.
 
-    Pass precomputed *weights* (for the same *work*) to skip
+    Pass precomputed *weights* (:func:`cache_weights_batch`) to skip
     recomputing them.
     """
     d = problem.miss_coefficients()
     if weights is None:
-        weights = cache_weights_batch(problem, work=work)
+        weights = cache_weights_batch(problem)
     thresholds = pow_rowwise(d, 1.0 / problem.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = weights / thresholds

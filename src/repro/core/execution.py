@@ -17,12 +17,14 @@ sweeps.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..types import ModelError
 from .application import Application, Workload
 from .platform import Platform
-from .powerlaw import effective_cache, miss_rate
+from .powerlaw import power_law_miss_rates
 
 __all__ = [
     "amdahl_flops",
@@ -64,58 +66,55 @@ def amdahl_speedup(seq, procs):
     return out
 
 
+def _checked_fractions(workload: Workload, cache_fractions) -> np.ndarray:
+    """*cache_fractions* as a float64 array of shape ``(n,)``, all >= 0."""
+    x = np.asarray(cache_fractions, dtype=np.float64)
+    if x.shape != (workload.n,):
+        raise ModelError(f"cache_fractions must have shape ({workload.n},), got {x.shape}")
+    if (x < 0).any():
+        raise ModelError("cache fractions must be >= 0")
+    return x
+
+
+def _miss_rates(workload: Workload, platform: Platform, x: np.ndarray) -> np.ndarray:
+    """:func:`miss_rates` for checked fractions *x*."""
+    cache_bytes = np.minimum(x * platform.cache_size, workload.footprint)
+    return power_law_miss_rates(workload.miss0, workload.baseline_cache,
+                                cache_bytes, platform.alpha)
+
+
+def _access_cost_factor(workload: Workload, platform: Platform, x: np.ndarray) -> np.ndarray:
+    """:func:`access_cost_factor` for checked fractions *x*."""
+    m = _miss_rates(workload, platform, x)
+    return 1.0 + workload.freq * (
+        platform.latency_cache + platform.latency_memory * m
+    )
+
+
 def miss_rates(workload: Workload, platform: Platform, cache_fractions) -> np.ndarray:
     """Per-application miss rates for the given cache fractions.
 
     Applies both the power law and the footprint clamp: the bytes that
     actually count are ``min(x_i * Cs, a_i)``.
     """
-    x = np.asarray(cache_fractions, dtype=np.float64)
-    if x.shape != (workload.n,):
-        raise ModelError(f"cache_fractions must have shape ({workload.n},), got {x.shape}")
-    if np.any(x < 0):
-        raise ModelError("cache fractions must be >= 0")
-    cache_bytes = effective_cache(x * platform.cache_size, workload.footprint)
-    return np.asarray(
-        miss_rate(workload.miss0, workload.baseline_cache, cache_bytes, platform.alpha)
-    )
+    return _miss_rates(workload, platform, _checked_fractions(workload, cache_fractions))
 
 
 def access_cost_model(workload: Workload, platform: Platform):
     """Eq. 2's cost multiplier as a function of the cache fractions alone.
 
     Returns ``factors(x)``: :func:`access_cost_factor` for a float64
-    array *x* of shape ``(n,)``, with the workload's and the platform's
-    constants bound once (both were validated when they were built)
-    and *x* taken as given.  A caller pricing many allocations of one
-    workload — the online engine re-prices at every event — builds it
-    once.
+    array *x* of shape ``(n,)`` and >= 0, taken as given.  A caller
+    pricing many allocations of one workload — the online engine
+    re-prices at every event — builds it once and skips the checks.
     """
-    freq, m0, c0 = workload.freq, workload.miss0, workload.baseline_cache
-    footprint = workload.footprint
-    never_misses = m0 == 0.0
-    cache_size, alpha = platform.cache_size, platform.alpha
-    latency_cache, latency_memory = platform.latency_cache, platform.latency_memory
-
-    def factors(x: np.ndarray) -> np.ndarray:
-        # Eq. 1 on the footprint-clamped bytes, as miss_rate computes it.
-        cache_bytes = np.minimum(x * cache_size, footprint)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scaled = m0 * (c0 / cache_bytes) ** alpha
-        m = np.where(never_misses, 0.0, np.minimum(1.0, scaled))
-        return 1.0 + freq * (latency_cache + latency_memory * m)
-
-    return factors
+    return partial(_access_cost_factor, workload, platform)
 
 
 def access_cost_factor(workload: Workload, platform: Platform, cache_fractions) -> np.ndarray:
     """Per-operation cost multiplier ``1 + f*(ls + ll*m(x))`` of Eq. 2."""
-    x = np.asarray(cache_fractions, dtype=np.float64)
-    if x.shape != (workload.n,):
-        raise ModelError(f"cache_fractions must have shape ({workload.n},), got {x.shape}")
-    if (x < 0).any():
-        raise ModelError("cache fractions must be >= 0")
-    return access_cost_model(workload, platform)(x)
+    return _access_cost_factor(workload, platform,
+                               _checked_fractions(workload, cache_fractions))
 
 
 def sequential_times(workload: Workload, platform: Platform, cache_fractions) -> np.ndarray:

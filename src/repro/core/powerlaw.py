@@ -21,6 +21,7 @@ from ..types import ModelError
 
 __all__ = [
     "miss_rate",
+    "power_law_miss_rates",
     "miss_rate_fraction",
     "effective_cache",
     "useful_fraction_bounds",
@@ -89,14 +90,25 @@ def miss_rate(m0, c0, cache, alpha):
     if not 0 < alpha <= 1:
         raise ModelError(f"alpha must be in (0, 1], got {alpha}")
 
+    out = power_law_miss_rates(m0, c0, cache, alpha)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def power_law_miss_rates(m0: np.ndarray, c0: np.ndarray, cache: np.ndarray,
+                         alpha: float) -> np.ndarray:
+    """:func:`miss_rate` on float64 arrays that are already valid.
+
+    Eq. 1 for one workload, with no checks and no scalar unwrapping,
+    for callers whose inputs were validated when they were built
+    (:func:`repro.core.batch.miss_rates_batch` is its batch twin).
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scaled = m0 * (c0 / cache) ** alpha
     out = np.minimum(1.0, scaled)
     # cache == 0 with m0 == 0 produces 0 * inf = nan; define it as 0.
-    out = np.where(m0 == 0.0, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(m0 == 0.0, 0.0, out)
 
 
 def miss_rate_fraction(d, x, alpha):

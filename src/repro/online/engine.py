@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.application import Workload
+from ..core.dominance import DominanceModel
 from ..core.execution import access_cost_model
 from ..core.heuristics import evict_until_dominant
 from ..core.platform import Platform
@@ -132,6 +133,27 @@ class OnlineResult:
         return float(self.flow_times.max())
 
 
+def _dominant_fractions(
+    model: DominanceModel, active: np.ndarray, work_left: np.ndarray,
+) -> np.ndarray:
+    """Theorem-3 fractions over a dominance-filtered active subset.
+
+    Weights use the *remaining* work *work_left* (an application nearly
+    done should not hold a large partition); the dominance ratios
+    follow Definition 4 with those weights, and the eviction is the
+    shared Algorithm-1 core with the MinRatio choice.  *model* is the
+    workload's :class:`~repro.core.dominance.DominanceModel`.
+    """
+    weights = model.weights(work_left)
+    mask = evict_until_dominant(weights, model.ratios(weights),
+                                active & (weights > 0), "minratio")
+    x = np.zeros(work_left.size)
+    if mask.any():
+        total = float(weights[mask].sum())
+        x[mask] = weights[mask] / total
+    return x
+
+
 def check_arrivals(workload: Workload, arrival_times) -> np.ndarray:
     """*arrival_times* as a float64 array: one instant >= 0 per application."""
     arrivals = np.asarray(arrival_times, dtype=np.float64)
@@ -167,11 +189,10 @@ def make_policy_allocator(
     hook rather than re-deriving the policies.
 
     The hook is compiled once per run: the workload's constants (the
-    Eq. 2 cost model of :func:`repro.core.execution.access_cost_model`,
-    the miss coefficients ``d`` and dominance thresholds
-    ``d^(1/alpha)`` of :mod:`repro.core.dominance`) are bound here, and
-    each event evaluates only what depends on the active set and the
-    remaining work, in the same operation order.  ``"fair"`` and
+    Eq. 2 cost model of :func:`repro.core.execution.access_cost_model`
+    and the :class:`~repro.core.dominance.DominanceModel` of
+    ``"dominant"``) are bound here, and each event evaluates only what
+    depends on the active set and the remaining work.  ``"fair"`` and
     ``"fcfs"`` decide from the active set alone and are memoized on
     it.  A registry policy sees a snapshot workload whose
     applications carry their *remaining* work and the sequential
@@ -214,29 +235,11 @@ def make_policy_allocator(
                 cache[idx] = 1.0 / idx.size
             return procs, factors_of(cache)
     elif policy == "dominant":
-        # Theorem-3 fractions over a dominance-filtered active subset.
-        # Weights use the *remaining* work (an application nearly done
-        # should not hold a large partition); the ratios follow
-        # Definition 4 with those weights, and the eviction is the
-        # shared Algorithm-1 core with the MinRatio choice.
-        alpha = platform.alpha
-        d = workload.miss_coefficients(platform)
-        thresholds = d ** (1.0 / alpha)
-        no_threshold = thresholds == 0.0
-        weight_power = 1.0 / (alpha + 1.0)
+        model = DominanceModel(workload, platform)
 
         def decide(active, seq_left, par_left):
-            weights = ((seq_left + par_left) * freq * d) ** weight_power
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = weights / thresholds
-            ratios = np.where(no_threshold, np.inf, ratios)
-            mask = evict_until_dominant(weights, ratios, active & (weights > 0),
-                                        "minratio")
-            cache = np.zeros(n)
-            if mask.any():
-                total = float(weights[mask].sum())
-                cache[mask] = weights[mask] / total
-            factors = factors_of(cache)
+            factors = factors_of(
+                _dominant_fractions(model, active, seq_left + par_left))
             idx = active.nonzero()[0]
             alloc, _ = remaining_equal_finish(
                 seq_left[idx], par_left[idx], factors[idx], p)

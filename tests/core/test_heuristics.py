@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,27 +164,37 @@ class TestSharedEvictionCore:
                                       "minratio")
         assert np.array_equal(direct, dominant_partition(wl, pf, "minratio"))
 
+    @staticmethod
+    def _assert_online_agrees(wl, pf):
+        from repro.core.dominance import DominanceModel, optimal_cache_fractions
+        from repro.online.engine import _dominant_fractions
+
+        active = np.ones(wl.n, dtype=bool)
+        x_online = _dominant_fractions(DominanceModel(wl, pf), active, wl.work)
+        mask_offline = dominant_partition(wl, pf, "minratio")
+        assert np.array_equal(x_online > 0, mask_offline)
+        if mask_offline.any():
+            x_offline = optimal_cache_fractions(wl, pf, mask_offline)
+            assert np.allclose(x_online, x_offline, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_online_agrees_on_full_remaining_work(self, pf, seed):
-        """Before any progress, the online eviction reduces to
-        Algorithm 1 with MinRatio: the online policy prices the cache
-        exactly as Theorem 3's fractions over the offline partition do
-        (an application in one support but not the other would miss at
-        a different rate)."""
-        from repro.core.dominance import optimal_cache_fractions
-        from repro.core.execution import access_cost_factor
-        from repro.online import make_policy_allocator
-
+        """With every application's remaining work equal to its total
+        work, the online eviction reduces to Algorithm 1 with MinRatio:
+        the supports coincide and the fractions are Theorem 3's."""
         rng = np.random.default_rng(seed)
-        wl = npb_synth(10, rng)
-        active = np.ones(10, dtype=bool)
-        allocate = make_policy_allocator(wl, pf, "dominant")
-        _, factors = allocate(0.0, active, wl.seq * wl.work,
-                              (1.0 - wl.seq) * wl.work)
-        mask_offline = dominant_partition(wl, pf, "minratio")
-        x_offline = optimal_cache_fractions(wl, pf, mask_offline)
-        assert np.allclose(factors, access_cost_factor(wl, pf, x_offline),
-                           rtol=1e-12, atol=0)
+        self._assert_online_agrees(npb_synth(10, rng), pf)
+
+    @pytest.mark.parametrize("seed", [4, 5, 7, 8, 9])
+    def test_online_agrees_where_algorithm1_evicts(self, pf, seed):
+        """The same agreement on a 250 kB cache, where Algorithm 1
+        evicts applications that have weight (on the full cache it
+        keeps every one)."""
+        pf = dataclasses.replace(pf, cache_size=2.5e5)
+        wl = npb_synth(10, np.random.default_rng(seed))
+        assert not np.array_equal(dominant_partition(wl, pf, "minratio"),
+                                  cache_weights(wl, pf) > 0)
+        self._assert_online_agrees(wl, pf)
 
     def test_input_mask_not_mutated(self, pf, rng):
         from repro.core.dominance import dominance_ratios
@@ -197,11 +209,14 @@ class TestSharedEvictionCore:
         assert np.array_equal(mask, before)
 
     def test_remaining_work_override_shrinks_weights(self, pf, rng):
-        """cache_weights(work=...) is the remaining-work weight the
-        online engine uses: scaling work down scales weights down."""
+        """DominanceModel.weights of a smaller work vector is the
+        remaining-work weight the online engine uses: scaling work down
+        scales weights down."""
+        from repro.core.dominance import DominanceModel
+
         wl = npb_synth(6, rng)
         full = cache_weights(wl, pf)
-        half = cache_weights(wl, pf, work=wl.work * 0.5)
+        half = DominanceModel(wl, pf).weights(wl.work * 0.5)
         nz = full > 0
         assert np.all(half[nz] < full[nz])
         assert np.allclose(half[nz] / full[nz],
