@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.application import Workload
+from ..core.execution import exe_times
 from ..core.platform import Platform
 from ..online.engine import (
     OnlineResult, arrival_order, check_arrivals, make_policy_allocator)
@@ -50,13 +51,8 @@ def estimate_horizon(workload: Workload, platform: Platform,
     many hazard-driven events are compiled, and with it the kernel's
     event budget.
     """
-    from ..core.execution import access_cost_factor
-
-    factor_alone = access_cost_factor(workload, platform,
-                                      np.ones(workload.n))
-    serial = (workload.seq * workload.work
-              + (1.0 - workload.seq) * workload.work / platform.p)
-    return float(arrivals.max() + 2.0 * (serial * factor_alone).sum())
+    alone = exe_times(workload, platform, platform.p, np.ones(workload.n))
+    return float(arrivals.max() + 2.0 * alone.sum())
 
 
 @dataclass(frozen=True, kw_only=True)

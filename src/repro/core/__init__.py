@@ -11,8 +11,9 @@ Public surface:
   allocators (:mod:`repro.core.processor_allocation`).
 * The six heuristics, four baselines, and the name registry.
 * The structure-of-arrays batch API (:mod:`repro.core.batch`):
-  :class:`BatchProblem` / :class:`BatchSchedule`, the ``*_batch``
-  twins of the scalar kernels, and :func:`schedule_batch`.
+  :class:`BatchProblem` / :class:`BatchSchedule` and
+  :func:`schedule_batch`.  Each model formula has one body, which
+  runs on one instance and on a batch (see :mod:`repro.core.batch`).
 """
 
 from .application import BASELINE_CACHE_BYTES, Application, Workload
@@ -20,20 +21,15 @@ from .baselines import all_proc_cache, fair, random_partition, zero_cache
 from .batch import (
     BatchProblem,
     BatchSchedule,
-    access_cost_factor_batch,
     equal_finish_allocation_batch,
     execution_times_batch,
-    miss_rates_batch,
-    sequential_times_batch,
 )
 from .dominance import (
+    DominanceModel,
     cache_weights,
-    cache_weights_batch,
     dominance_ratios,
-    dominance_ratios_batch,
     is_dominant,
     optimal_cache_fractions,
-    optimal_cache_fractions_batch,
     violating_applications,
 )
 from .execution import (
@@ -131,13 +127,8 @@ __all__ = [
     "PAPER_BASELINES",
     "BatchProblem",
     "BatchSchedule",
-    "miss_rates_batch",
-    "access_cost_factor_batch",
-    "sequential_times_batch",
     "execution_times_batch",
-    "cache_weights_batch",
-    "dominance_ratios_batch",
-    "optimal_cache_fractions_batch",
+    "DominanceModel",
     "equal_finish_batch",
     "equal_finish_allocation_batch",
     "dominant_partition_batch",

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..types import ModelError
 from .platform import Platform
+from .powerlaw import miss_coefficients
 
 __all__ = ["Application", "Workload", "BASELINE_CACHE_BYTES"]
 
@@ -100,15 +101,6 @@ class Application:
     def is_perfectly_parallel(self) -> bool:
         """True when ``s == 0`` so ``Exe(p, x) = Exe(1, x) / p``."""
         return self.seq_fraction == 0.0
-
-    def miss_coefficient(self, platform: Platform) -> float:
-        """Return ``d = m0 * (C0 / Cs)^alpha`` for *platform*.
-
-        ``d`` is the miss rate the application would see if it owned the
-        *entire* LLC of the platform; with a fraction ``x`` of the LLC
-        its miss rate is ``min(1, d / x^alpha)`` (Eq. 1 rewritten).
-        """
-        return self.miss_rate * (self.baseline_cache / platform.cache_size) ** platform.alpha
 
     def scaled(self, *, work: float | None = None,
                seq_fraction: float | None = None) -> "Application":
@@ -236,7 +228,8 @@ class Workload(Sequence[Application]):
 
     def miss_coefficients(self, platform: Platform) -> np.ndarray:
         """Vector of ``d_i = m0_i * (C0_i / Cs)^alpha`` (read-write copy)."""
-        return self.miss0 * (self.baseline_cache / platform.cache_size) ** platform.alpha
+        return miss_coefficients(self.miss0, self.baseline_cache,
+                                 platform.cache_size, platform.alpha)
 
     def subset(self, mask) -> "Workload":
         """Return a new workload of the applications selected by *mask*.

@@ -30,7 +30,7 @@ import numpy as np
 from .application import Workload
 from .batch import (BatchProblem, BatchSchedule, equal_finish_allocation_batch,
                     execution_times_batch)
-from .dominance import cache_weights_batch, optimal_cache_fractions_batch
+from .dominance import DominanceModel
 from .heuristics import _row_rngs
 from .platform import Platform
 from .schedule import Schedule, SequentialSchedule
@@ -81,9 +81,8 @@ def random_partition_batch(
     for i, rng in enumerate(_row_rngs(rngs, len(problem))):
         rng = rng if rng is not None else np.random.default_rng()
         draws[i, :problem.counts[i]] = rng.random(problem.counts[i])
-    weights = cache_weights_batch(problem)
-    masks = problem.valid & (weights > 0) & (draws < 0.5)
-    x = optimal_cache_fractions_batch(problem, masks, weights=weights)
+    model = DominanceModel(problem, problem.platforms)
+    x = model.fractions(problem.valid & (model.cache_weights > 0) & (draws < 0.5))
     procs, _ = equal_finish_allocation_batch(problem, x)
     return BatchSchedule(problem, procs, x)
 

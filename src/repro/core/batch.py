@@ -17,45 +17,51 @@ batch of one copies nothing.
 
 Bit-identity contract
 ---------------------
-A padded row computes the **same bits** as the scalar path on the
-compressed arrays, and as the same instance in a batch of one.  Three
-disciplines make that true:
+A padded row computes the **same bits** as the one-instance path on
+the compressed arrays, and as the same instance in a batch of one.
+Three disciplines make that true:
 
-* every elementwise expression is transcribed from the scalar module
-  it mirrors, in the same operation order (IEEE elementwise ops are
-  value-determined, so broadcasting over extra rows changes nothing);
+* each formula of the model has one body, which runs on one workload's
+  ``(n,)`` columns with its platform's floats and on a batch's
+  ``(B, N)`` columns with the ``(B, 1)`` columns of
+  :attr:`BatchProblem.platforms` (IEEE elementwise ops are
+  value-determined, so broadcasting over extra rows changes nothing,
+  and every power goes through
+  :func:`~repro.core.powerlaw.pow_rowwise`, so both take the same
+  scalar-exponent fast paths);
 * every reduction is padding-invariant: totals use left-to-right
-  accumulation (see :func:`repro.core.dominance.masked_total`), maxima
+  accumulation (see :func:`repro.core.dominance.masked_totals`), maxima
   fill padding with ``-inf``;
 * padding values are chosen so no intermediate produces NaN (work 1.0,
   sequential fraction 0.0, access frequency 0.0, baseline miss rate
   0.0, footprint ``inf``, baseline cache 1.0 — giving a padded
   sequential time of exactly 1.0 and zero cache weight).
 
-The golden suite (``tests/golden/test_batch_equivalence.py``) asserts
-this with ``==`` on floats over seeded ragged sweeps, against the
-frozen scalar heuristics of ``tests/golden/legacy_heuristics.py``.
+The golden suites (``tests/golden/test_batch_equivalence.py`` and
+``tests/golden/test_formula_equivalence.py``) assert this with ``==``
+on floats over seeded ragged sweeps, against the frozen heuristics and
+formulas of ``tests/golden/legacy_*.py``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from ..types import FEASIBILITY_SLACK, ModelError
 from .application import Workload
+from .execution import exe_times, unit_times
 from .platform import Platform
-from .powerlaw import pow_rowwise
+from .powerlaw import miss_coefficients
 from .processor_allocation import equal_finish_batch
 from .schedule import Schedule
 
 __all__ = [
     "BatchProblem",
     "BatchSchedule",
-    "miss_rates_batch",
-    "access_cost_factor_batch",
-    "sequential_times_batch",
+    "PlatformColumns",
     "execution_times_batch",
     "equal_finish_allocation_batch",
 ]
@@ -75,6 +81,21 @@ _PAD = {
 _SUM_MARGIN = 1e-12
 
 
+class PlatformColumns(NamedTuple):
+    """A batch's platform constants as ``(B, 1)`` columns.
+
+    Field for field the :class:`~repro.core.platform.Platform`
+    constants the model reads, so a formula written for ``(workload,
+    platform)`` runs unchanged on ``(problem, problem.platforms)``.
+    """
+
+    p: np.ndarray
+    cache_size: np.ndarray
+    latency_cache: np.ndarray
+    latency_memory: np.ndarray
+    alpha: np.ndarray
+
+
 class BatchProblem:
     """``B`` independent (workload, platform) instances as padded arrays.
 
@@ -84,16 +105,18 @@ class BatchProblem:
     applications and ``counts`` the per-row ``n_i``.  Platform columns
     (``p``, ``cache_size``, ``latency_cache``, ``latency_memory``,
     ``alpha``) have shape ``(B,)`` — instances may mix platforms
-    freely.  The original pairs stay reachable through
-    :attr:`instances` / :meth:`row` so results can be materialized back
-    into per-instance :class:`~repro.core.schedule.Schedule` objects.
+    freely — and :attr:`platforms` holds them again as ``(B, 1)``
+    columns, the shape the model's formulas broadcast.  The original
+    pairs stay reachable through :attr:`instances` / :meth:`row` so
+    results can be materialized back into per-instance
+    :class:`~repro.core.schedule.Schedule` objects.
     """
 
     __slots__ = (
         "instances", "counts", "valid",
         "work", "seq", "freq", "miss0", "footprint", "baseline_cache",
         "p", "cache_size", "latency_cache", "latency_memory", "alpha",
-        "_miss_coefficients",
+        "platforms", "_miss_coefficients",
     )
 
     def __init__(self, instances: Iterable[tuple[Workload, Platform]]):
@@ -132,6 +155,9 @@ class BatchProblem:
         self.latency_cache = np.array([pf.latency_cache for _, pf in pairs])
         self.latency_memory = np.array([pf.latency_memory for _, pf in pairs])
         self.alpha = np.array([pf.alpha for _, pf in pairs])
+        self.platforms = PlatformColumns(*(
+            col[:, None] for col in (self.p, self.cache_size, self.latency_cache,
+                                     self.latency_memory, self.alpha)))
 
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:
@@ -159,51 +185,22 @@ class BatchProblem:
     def miss_coefficients(self) -> np.ndarray:
         """``d = m0 * (C0 / Cs)^alpha`` per cell, shape ``(B, N)``.
 
-        Mirrors :meth:`repro.core.application.Workload.miss_coefficients`
-        elementwise; padding yields 0.  Computed once per problem (every
-        dominance building block needs it) and returned read-only.
+        :func:`~repro.core.powerlaw.miss_coefficients` on the batch's
+        columns; padding yields 0.  Computed once per problem and
+        returned read-only.
         """
         if self._miss_coefficients is None:
-            d = self.miss0 * pow_rowwise(
-                self.baseline_cache / self.cache_size[:, None], self.alpha)
+            d = miss_coefficients(self.miss0, self.baseline_cache,
+                                  self.platforms.cache_size, self.platforms.alpha)
             d.flags.writeable = False
             self._miss_coefficients = d
         return self._miss_coefficients
 
 
-def miss_rates_batch(problem: BatchProblem, cache_fractions) -> np.ndarray:
-    """Batched :func:`repro.core.execution.miss_rates`: ``(B, N)``.
-
-    Inputs were validated when the individual applications/platforms
-    were built, so this applies Eq. 1 plus the footprint clamp
-    directly.  Padding (``m0 == 0``) yields 0.
-    """
-    x = np.asarray(cache_fractions, dtype=np.float64)
-    cache_bytes = np.minimum(
-        x * problem.cache_size[:, None], problem.footprint)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scaled = problem.miss0 * pow_rowwise(
-            problem.baseline_cache / cache_bytes, problem.alpha)
-    return np.where(problem.miss0 == 0.0, 0.0, np.minimum(1.0, scaled))
-
-
-def access_cost_factor_batch(problem: BatchProblem, cache_fractions) -> np.ndarray:
-    """Batched ``1 + f*(ls + ll*m(x))`` of Eq. 2; padding yields 1."""
-    m = miss_rates_batch(problem, cache_fractions)
-    return 1.0 + problem.freq * (
-        problem.latency_cache[:, None] + problem.latency_memory[:, None] * m
-    )
-
-
-def sequential_times_batch(problem: BatchProblem, cache_fractions) -> np.ndarray:
-    """Batched single-processor times ``c_i``; padding yields 1."""
-    return problem.work * access_cost_factor_batch(problem, cache_fractions)
-
-
 def execution_times_batch(problem: BatchProblem, procs, cache_fractions) -> np.ndarray:
     """Batched ``Exe_i(p_i, x_i)`` (Eq. 2); padding yields 0.
 
-    Unlike the scalar :func:`repro.core.execution.execution_times`,
+    Unlike the one-instance :func:`repro.core.execution.execution_times`,
     padded cells may carry ``procs == 0`` — they are masked out rather
     than rejected.
     """
@@ -211,9 +208,7 @@ def execution_times_batch(problem: BatchProblem, procs, cache_fractions) -> np.n
     if (problem.valid & (procs <= 0.0)).any():
         raise ModelError("processor allocation must be positive")
     with np.errstate(divide="ignore", invalid="ignore"):
-        flops = problem.seq * problem.work + (
-            1.0 - problem.seq) * problem.work / procs
-        times = flops * access_cost_factor_batch(problem, cache_fractions)
+        times = exe_times(problem, problem.platforms, procs, cache_fractions)
     return np.where(problem.valid, times, 0.0)
 
 
@@ -225,7 +220,7 @@ def equal_finish_allocation_batch(
     Returns ``(procs, K)`` with ``procs`` of shape ``(B, N)`` (zeros in
     padding) and ``K`` the per-row makespans, shape ``(B,)``.
     """
-    c = sequential_times_batch(problem, cache_fractions)
+    c = unit_times(problem, problem.platforms, cache_fractions)
     return equal_finish_batch(problem.seq, c, problem.valid, problem.p)
 
 

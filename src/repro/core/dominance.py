@@ -20,93 +20,92 @@ improved by evicting an offending application.
 This module provides the vectorized building blocks shared by the six
 greedy heuristics, the exact solver, and the baselines.
 
-Batch variants
---------------
-Every building block has a ``*_batch`` twin operating on a
+One instance and a batch
+------------------------
+:class:`DominanceModel` holds the one body of Lemma 4's weights,
+Definition 4's ratios and Theorem 3's fractions.  It is built from a
+workload and its platform, or from a
 :class:`~repro.core.batch.BatchProblem` — structure-of-arrays over
-``n_instances x max_apps`` with a prefix validity mask — so one NumPy
-call prices a whole batch of independent problem instances.  The
-scalar and batch paths are **bit-identical**: both compute subset
-totals with :func:`masked_total`, a strict left-to-right summation
-that is invariant to trailing padding (NumPy's pairwise ``sum`` is
-not, so sharing it is what makes a padded row reproduce the compressed
-scalar arrays float for float).
+``n_instances x max_apps`` with a prefix validity mask — with its
+``(B, 1)`` platform columns, so one NumPy call prices a whole batch of
+independent problem instances.  Both shapes compute subset totals with
+:func:`masked_totals`, a strict left-to-right summation that is
+invariant to trailing padding (NumPy's pairwise ``sum`` is not, so
+sharing it is what makes a padded row reproduce the compressed
+one-instance arrays float for float).
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..types import ModelError
 from .application import Workload
 from .platform import Platform
-from .powerlaw import pow_rowwise
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (batch imports us)
-    from .batch import BatchProblem
+from .powerlaw import miss_coefficients, pow_rowwise
 
 __all__ = [
     "DominanceModel",
     "masked_total",
     "masked_totals",
     "cache_weights",
-    "cache_weights_batch",
     "dominance_ratios",
-    "dominance_ratios_batch",
     "is_dominant",
     "violating_applications",
     "optimal_cache_fractions",
-    "optimal_cache_fractions_batch",
-    "cache_fractions_for_subset",
     "bounded_optimal_cache_fractions",
 ]
 
 
-def masked_total(values: np.ndarray, mask: np.ndarray) -> float:
-    """Strict left-to-right total of ``values[mask]``.
-
-    The one summation discipline shared by the scalar and batch
-    dominance paths.  A left-to-right accumulation is invariant to
-    interleaved (and trailing-padding) zeros — ``x + 0.0 == x`` exactly
-    — whereas NumPy's pairwise ``sum`` reassociates differently for a
-    compressed length-``k`` array than for a padded length-``N`` row.
-    Using this helper everywhere is what makes
-    ``evict_until_dominant_batch`` bit-identical to the scalar loop.
-    """
-    return float(np.add.accumulate(np.where(mask, values, 0.0))[-1])
-
-
 def masked_totals(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`masked_total` over ``(B, N)`` arrays."""
-    return np.add.accumulate(np.where(masks, values, 0.0), axis=1)[:, -1]
+    """Strict left-to-right totals of *values* under *masks*, along the last axis.
+
+    The one summation discipline shared by one instance and a batch.
+    A left-to-right accumulation is invariant to interleaved (and
+    trailing-padding) zeros — ``x + 0.0 == x`` exactly — whereas
+    NumPy's pairwise ``sum`` reassociates differently for a compressed
+    length-``k`` array than for a padded length-``N`` row.  Using it
+    everywhere is what makes ``evict_until_dominant_batch`` bit-identical
+    to the former one-instance loop.
+    """
+    return np.add.accumulate(np.where(masks, values, 0.0), axis=-1)[..., -1]
+
+
+def masked_total(values: np.ndarray, mask: np.ndarray) -> float:
+    """:func:`masked_totals` of one ``(n,)`` mask, as a float."""
+    return float(masked_totals(values, mask))
 
 
 class DominanceModel:
-    """Lemma 4's weights and Definition 4's ratios of one workload.
+    """Lemma 4's weights, Definition 4's ratios and Theorem 3's fractions.
 
-    Binds the platform-dependent constants once — the miss
+    Built from ``(workload, platform)`` for one instance, or from
+    ``(problem, problem.platforms)`` for a
+    :class:`~repro.core.batch.BatchProblem`, whose padding gets weight
+    0.  It binds the platform-dependent constants once — the miss
     coefficients ``d``, the thresholds ``d^(1/alpha)`` and the weight
-    exponent ``1/(alpha+1)`` — so a caller re-weighting the same
-    applications many times (the online engine, at every event, with
-    their *remaining* work) evaluates only what depends on the work.
-    :func:`cache_weights` and :func:`dominance_ratios` are this model
-    applied to the workload's total operations.
+    exponent ``1/(alpha+1)`` — and the :attr:`cache_weights` of the
+    total work, so a solve prices its partition and its fractions from
+    one model, and a caller re-weighting the same applications many
+    times (the online engine, at every event, with their *remaining*
+    work) evaluates only what depends on the work.
     """
 
-    __slots__ = ("freq", "d", "weight_power", "thresholds", "no_threshold")
+    __slots__ = ("freq", "d", "weight_power", "thresholds", "no_threshold",
+                 "cache_weights")
 
-    def __init__(self, workload: Workload, platform: Platform):
-        self.freq = workload.freq
-        self.d = workload.miss_coefficients(platform)
+    def __init__(self, apps, platform):
+        self.freq = apps.freq
+        self.d = miss_coefficients(apps.miss0, apps.baseline_cache,
+                                   platform.cache_size, platform.alpha)
         self.weight_power = 1.0 / (platform.alpha + 1.0)
-        self.thresholds = self.d ** (1.0 / platform.alpha)
+        self.thresholds = pow_rowwise(self.d, 1.0 / platform.alpha)
         self.no_threshold = self.thresholds == 0.0
+        self.cache_weights = self.weights(apps.work)
 
     def weights(self, work: np.ndarray) -> np.ndarray:
         """Weights ``(w_i f_i d_i)^(1/(alpha+1))`` for the work vector *work*."""
-        return (work * self.freq * self.d) ** self.weight_power
+        return pow_rowwise(work * self.freq * self.d, self.weight_power)
 
     def ratios(self, weights: np.ndarray) -> np.ndarray:
         """Ratios ``weight_i / d_i^(1/alpha)`` of the given *weights*."""
@@ -115,6 +114,25 @@ class DominanceModel:
         # d == 0: threshold is 0.  weight is 0 too (w*f*d == 0), 0/0 -> inf
         # by the convention of dominance_ratios.
         return np.where(self.no_threshold, np.inf, ratios)
+
+    def fractions(self, masks: np.ndarray) -> np.ndarray:
+        """Theorem-3 fractions of :attr:`cache_weights` over boolean *masks*.
+
+        Each subset's fractions are its weights over its total, zeros
+        outside it (so also for an empty subset).  Raises when a
+        nonempty subset selects only zero-weight applications — such a
+        subset cannot use the cache at all.
+        """
+        weights = self.cache_weights
+        totals = masked_totals(weights, masks)
+        bad = masks.any(axis=-1) & (totals <= 0.0)
+        if bad.any():
+            rows = f" in batch rows {np.flatnonzero(bad).tolist()}" if bad.ndim else ""
+            raise ModelError(
+                "cannot partition cache: every selected application has zero "
+                f"weight (w*f*d == 0){rows}")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(masks, weights / totals[..., None], 0.0)
 
 
 def cache_weights(workload: Workload, platform: Platform) -> np.ndarray:
@@ -126,7 +144,7 @@ def cache_weights(workload: Workload, platform: Platform) -> np.ndarray:
     never touch memory (``f == 0``) or never miss (``m0 == 0``) have
     weight 0.  :class:`DominanceModel` weighs other work vectors.
     """
-    return DominanceModel(workload, platform).weights(workload.work)
+    return DominanceModel(workload, platform).cache_weights
 
 
 def dominance_ratios(workload: Workload, platform: Platform) -> np.ndarray:
@@ -140,14 +158,13 @@ def dominance_ratios(workload: Workload, platform: Platform) -> np.ndarray:
     heuristics therefore naturally leave them out of ``IC``.
     """
     model = DominanceModel(workload, platform)
-    return model.ratios(model.weights(workload.work))
+    return model.ratios(model.cache_weights)
 
 
 def _weights_and_ratios(workload: Workload, platform: Platform):
     """``(cache_weights, dominance_ratios)`` from one model."""
     model = DominanceModel(workload, platform)
-    weights = model.weights(workload.work)
-    return weights, model.ratios(weights)
+    return model.cache_weights, model.ratios(model.cache_weights)
 
 
 def is_dominant(workload: Workload, platform: Platform, subset) -> bool:
@@ -187,83 +204,7 @@ def optimal_cache_fractions(workload: Workload, platform: Platform, subset) -> n
     and zeros outside.  Raises when every selected application has zero
     weight — such a subset cannot use the cache at all.
     """
-    mask = _as_mask(subset, workload.n)
-    x = np.zeros(workload.n)
-    if not mask.any():
-        return x
-    weights = cache_weights(workload, platform)
-    total = masked_total(weights, mask)
-    if total <= 0.0:
-        raise ModelError(
-            "cannot partition cache: every selected application has zero weight "
-            "(w*f*d == 0)"
-        )
-    x[mask] = weights[mask] / total
-    return x
-
-
-def cache_weights_batch(problem: "BatchProblem") -> np.ndarray:
-    """Batched :func:`cache_weights`: ``(B, N)`` weights, zero in padding."""
-    d = problem.miss_coefficients()
-    base = problem.work * problem.freq * d
-    return pow_rowwise(base, 1.0 / (problem.alpha + 1.0))
-
-
-def dominance_ratios_batch(problem: "BatchProblem", *,
-                           weights=None) -> np.ndarray:
-    """Batched :func:`dominance_ratios`: ``(B, N)`` Definition-4 ratios.
-
-    Pass precomputed *weights* (:func:`cache_weights_batch`) to skip
-    recomputing them.
-    """
-    d = problem.miss_coefficients()
-    if weights is None:
-        weights = cache_weights_batch(problem)
-    thresholds = pow_rowwise(d, 1.0 / problem.alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = weights / thresholds
-    ratios = np.where(thresholds == 0.0, np.inf, ratios)
-    return ratios
-
-
-def optimal_cache_fractions_batch(
-    problem: "BatchProblem", masks: np.ndarray, *, weights=None
-) -> np.ndarray:
-    """Batched Theorem-3 fractions for per-row boolean *masks*.
-
-    Rows with an empty mask get all-zero fractions (the scalar
-    convention).  Pass precomputed *weights* to skip recomputing them.
-    Raises when some nonempty row selects only zero-weight
-    applications, like the scalar function does.
-    """
-    masks = np.asarray(masks, dtype=bool)
-    if weights is None:
-        weights = cache_weights_batch(problem)
-    totals = masked_totals(weights, masks)
-    bad = masks.any(axis=1) & (totals <= 0.0)
-    if bad.any():
-        raise ModelError(
-            "cannot partition cache: every selected application has zero "
-            f"weight (w*f*d == 0) in batch rows {np.flatnonzero(bad).tolist()}"
-        )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x = np.where(masks, weights / totals[:, None], 0.0)
-    return x
-
-
-def cache_fractions_for_subset(
-    workload: Workload, platform: Platform, subset, *, require_dominant: bool = False
-) -> np.ndarray:
-    """Theorem-3 fractions with an optional dominance assertion.
-
-    Convenience wrapper used by heuristics: same as
-    :func:`optimal_cache_fractions` but optionally verifies that the
-    subset is dominant first (so the closed form is the true optimum of
-    CoSchedCache-Part, not just of the relaxed -Ext problem).
-    """
-    if require_dominant and not is_dominant(workload, platform, subset):
-        raise ModelError("subset is not dominant; Theorem 3 does not apply")
-    return optimal_cache_fractions(workload, platform, subset)
+    return DominanceModel(workload, platform).fractions(_as_mask(subset, workload.n))
 
 
 def bounded_optimal_cache_fractions(

@@ -9,10 +9,16 @@ where ``Fl_i(pi) = si*wi + (1-si)*wi/pi`` is Amdahl's per-processor
 operation count and ``m_i(xi)`` is the power-law miss rate of the
 allocation, clamped by the memory footprint (second branch of Eq. 2).
 
-The module exposes both a scalar convenience entry point
-(:func:`execution_time_single`) and the vectorized
-:func:`execution_times` used by schedules, heuristics, and experiment
-sweeps.
+Each formula has one unchecked body that broadcasts over the columns of
+one workload with its platform's floats (``apps, platform =
+workload, platform``) or over a padded batch with its ``(B, 1)``
+platform columns (``apps, platform = problem, problem.platforms``, see
+:class:`repro.core.batch.BatchProblem`): :func:`amdahl_ops`,
+:func:`clamped_miss_rates`, :func:`cost_factors`, :func:`unit_times`
+and :func:`exe_times`.  The checked one-instance entry points
+(:func:`miss_rates`, :func:`access_cost_factor`,
+:func:`sequential_times`, :func:`execution_times`, ...) validate their
+inputs and call them.
 """
 
 from __future__ import annotations
@@ -35,7 +41,49 @@ __all__ = [
     "sequential_times",
     "execution_times",
     "execution_time_single",
+    "amdahl_ops",
+    "clamped_miss_rates",
+    "cost_factors",
+    "unit_times",
+    "exe_times",
 ]
+
+
+def amdahl_ops(work, seq, procs):
+    """Per-processor operation count ``Fl(p) = s*w + (1-s)*w/p``, unchecked."""
+    return seq * work + (1.0 - seq) * work / procs
+
+
+def clamped_miss_rates(apps, platform, x):
+    """Eq. 1 miss rates of the fractions *x*, clamped by the footprint.
+
+    The bytes that count are ``min(x_i * Cs, a_i)``.  Unchecked; zero
+    where ``m0 == 0`` (batch padding included).
+    """
+    cache_bytes = np.minimum(x * platform.cache_size, apps.footprint)
+    return power_law_miss_rates(apps.miss0, apps.baseline_cache,
+                                cache_bytes, platform.alpha)
+
+
+def cost_factors(apps, platform, x):
+    """Eq. 2's per-operation cost multiplier ``1 + f*(ls + ll*m(x))``.
+
+    Unchecked; 1 in batch padding (``f == 0``).
+    """
+    m = clamped_miss_rates(apps, platform, x)
+    return 1.0 + apps.freq * (
+        platform.latency_cache + platform.latency_memory * m
+    )
+
+
+def unit_times(apps, platform, x):
+    """Single-processor times ``c_i = Exe_i(1, x_i) = w_i * factor_i``, unchecked."""
+    return apps.work * cost_factors(apps, platform, x)
+
+
+def exe_times(apps, platform, procs, x):
+    """``Exe_i(p_i, x_i) = Fl_i(p_i) * factor_i`` (Eq. 2), unchecked."""
+    return amdahl_ops(apps.work, apps.seq, procs) * cost_factors(apps, platform, x)
 
 
 def amdahl_flops(work, seq, procs):
@@ -48,7 +96,7 @@ def amdahl_flops(work, seq, procs):
     procs = np.asarray(procs, dtype=np.float64)
     if np.any(procs <= 0):
         raise ModelError("processor allocation must be positive")
-    out = seq * work + (1.0 - seq) * work / procs
+    out = amdahl_ops(work, seq, procs)
     if out.ndim == 0:
         return float(out)
     return out
@@ -76,28 +124,14 @@ def _checked_fractions(workload: Workload, cache_fractions) -> np.ndarray:
     return x
 
 
-def _miss_rates(workload: Workload, platform: Platform, x: np.ndarray) -> np.ndarray:
-    """:func:`miss_rates` for checked fractions *x*."""
-    cache_bytes = np.minimum(x * platform.cache_size, workload.footprint)
-    return power_law_miss_rates(workload.miss0, workload.baseline_cache,
-                                cache_bytes, platform.alpha)
-
-
-def _access_cost_factor(workload: Workload, platform: Platform, x: np.ndarray) -> np.ndarray:
-    """:func:`access_cost_factor` for checked fractions *x*."""
-    m = _miss_rates(workload, platform, x)
-    return 1.0 + workload.freq * (
-        platform.latency_cache + platform.latency_memory * m
-    )
-
-
 def miss_rates(workload: Workload, platform: Platform, cache_fractions) -> np.ndarray:
     """Per-application miss rates for the given cache fractions.
 
     Applies both the power law and the footprint clamp: the bytes that
     actually count are ``min(x_i * Cs, a_i)``.
     """
-    return _miss_rates(workload, platform, _checked_fractions(workload, cache_fractions))
+    return clamped_miss_rates(workload, platform,
+                              _checked_fractions(workload, cache_fractions))
 
 
 def access_cost_model(workload: Workload, platform: Platform):
@@ -108,13 +142,13 @@ def access_cost_model(workload: Workload, platform: Platform):
     pricing many allocations of one workload — the online engine
     re-prices at every event — builds it once and skips the checks.
     """
-    return partial(_access_cost_factor, workload, platform)
+    return partial(cost_factors, workload, platform)
 
 
 def access_cost_factor(workload: Workload, platform: Platform, cache_fractions) -> np.ndarray:
     """Per-operation cost multiplier ``1 + f*(ls + ll*m(x))`` of Eq. 2."""
-    return _access_cost_factor(workload, platform,
-                               _checked_fractions(workload, cache_fractions))
+    return cost_factors(workload, platform,
+                        _checked_fractions(workload, cache_fractions))
 
 
 def sequential_times(workload: Workload, platform: Platform, cache_fractions) -> np.ndarray:
@@ -123,7 +157,8 @@ def sequential_times(workload: Workload, platform: Platform, cache_fractions) ->
     This is the quantity the theory calls ``c_i``: total work times the
     access-cost factor, on a single processor.
     """
-    return workload.work * access_cost_factor(workload, platform, cache_fractions)
+    return unit_times(workload, platform,
+                      _checked_fractions(workload, cache_fractions))
 
 
 def execution_times(
@@ -153,8 +188,10 @@ def execution_times(
     p = np.asarray(procs, dtype=np.float64)
     if p.shape != (workload.n,):
         raise ModelError(f"procs must have shape ({workload.n},), got {p.shape}")
-    flops = amdahl_flops(workload.work, workload.seq, p)
-    return flops * access_cost_factor(workload, platform, cache_fractions)
+    if np.any(p <= 0):
+        raise ModelError("processor allocation must be positive")
+    return exe_times(workload, platform, p,
+                     _checked_fractions(workload, cache_fractions))
 
 
 def execution_time_single(

@@ -44,12 +44,7 @@ import numpy as np
 from ..types import ModelError
 from .application import Workload
 from .batch import BatchProblem, BatchSchedule, equal_finish_allocation_batch
-from .dominance import (
-    cache_weights_batch,
-    dominance_ratios_batch,
-    masked_totals,
-    optimal_cache_fractions_batch,
-)
+from .dominance import DominanceModel, masked_totals
 from .platform import Platform
 from .schedule import Schedule
 
@@ -276,13 +271,14 @@ def dominant_partition_batch(
     rngs: Sequence[np.random.Generator | None] | None = None,
 ) -> np.ndarray:
     """Batched Algorithm 1: per-row ``IC`` masks, shape ``(B, N)``."""
-    return _evict_partition(problem, cache_weights_batch(problem), choice,
-                            rngs)
+    return _evict_partition(problem, DominanceModel(problem, problem.platforms),
+                            choice, rngs)
 
 
-def _evict_partition(problem, weights, choice, rngs):
-    """:func:`dominant_partition_batch` over precomputed cache weights."""
-    ratios = dominance_ratios_batch(problem, weights=weights)
+def _evict_partition(problem, model, choice, rngs):
+    """:func:`dominant_partition_batch` with the problem's dominance *model*."""
+    weights = model.cache_weights
+    ratios = model.ratios(weights)
     start = (weights > 0.0) & problem.valid
     return evict_until_dominant_batch(weights, ratios, start, choice, rngs)
 
@@ -307,14 +303,15 @@ def dominant_rev_partition_batch(
     accumulation along it.  Random and custom choices draw one pick per
     row per step, so no row draws past its first rejection.
     """
-    return _grow_partition(problem, cache_weights_batch(problem), choice,
-                           rngs)
+    return _grow_partition(problem, DominanceModel(problem, problem.platforms),
+                           choice, rngs)
 
 
-def _grow_partition(problem, weights, choice, rngs):
-    """:func:`dominant_rev_partition_batch` over precomputed cache weights."""
+def _grow_partition(problem, model, choice, rngs):
+    """:func:`dominant_rev_partition_batch` with the problem's dominance *model*."""
     choice_fn = make_choice(choice) if isinstance(choice, str) else choice
-    ratios = dominance_ratios_batch(problem, weights=weights)
+    weights = model.cache_weights
+    ratios = model.ratios(weights)
     remaining = (weights > 0.0) & problem.valid
     B, N = remaining.shape
     rngs = _row_rngs(rngs, B)
@@ -372,10 +369,9 @@ def dominant_schedule_batch(
         partition = _grow_partition
     else:
         raise ModelError(f"unknown strategy {strategy!r}")
-    # One set of cache weights serves the partition and the fractions.
-    weights = cache_weights_batch(problem)
-    masks = partition(problem, weights, choice, rngs)
-    x = optimal_cache_fractions_batch(problem, masks, weights=weights)
+    # One dominance model serves the partition and the fractions.
+    model = DominanceModel(problem, problem.platforms)
+    x = model.fractions(partition(problem, model, choice, rngs))
     procs, _ = equal_finish_allocation_batch(problem, x)
     return BatchSchedule(problem, procs, x)
 

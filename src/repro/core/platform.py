@@ -67,18 +67,6 @@ class Platform:
         if not (0 < self.alpha <= 1):
             raise ModelError(f"alpha must lie in (0, 1], got {self.alpha}")
 
-    @property
-    def miss_penalty_ratio(self) -> float:
-        """Ratio ``(ls + ll) / ls`` — how much worse a miss is than a hit.
-
-        The paper enforces a ratio of about 5.88 / 1 -> with ls=0.17,
-        ll=1 the full-miss access cost is 1.17 vs 0.17, i.e. ~6.9x; the
-        paper's quoted "ratio of 5.88" is ``ll / ls = 1 / 0.17``.
-        """
-        if self.latency_cache == 0:
-            return math.inf
-        return self.latency_memory / self.latency_cache
-
     def with_cache_size(self, cache_size: float) -> "Platform":
         """Return a copy of this platform with a different LLC size."""
         return replace(self, cache_size=cache_size)

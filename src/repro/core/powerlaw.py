@@ -27,25 +27,29 @@ __all__ = [
     "useful_fraction_bounds",
     "cache_for_target_miss_rate",
     "pow_rowwise",
+    "miss_coefficients",
 ]
 
 
-def pow_rowwise(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """``base ** exponents[:, None]``, bit-identical per row to the
-    scalar expression ``row ** float(exponent)``.
+def pow_rowwise(base: np.ndarray, exponents) -> np.ndarray:
+    """``base ** exponents``, raised row by row as a Python float.
 
-    NumPy special-cases a *Python-float scalar* exponent in
+    *exponents* is a scalar, or one exponent per row of *base* --
+    shape ``(B,)`` or a ``(B, 1)`` platform column.  NumPy
+    special-cases a *Python-float scalar* exponent in
     ``ndarray.__pow__`` (e.g. ``x ** 2.0`` becomes ``square``,
-    ``x ** 0.5`` becomes ``sqrt``) — fast paths a broadcast exponent
+    ``x ** 0.5`` becomes ``sqrt``) -- fast paths a broadcast exponent
     *array* never takes, and whose results can differ from the generic
-    ``pow`` ufunc in the last ulp.  The batch modules therefore raise
-    to per-row powers through this helper: one vectorized ``**`` with a
-    genuine Python-float exponent per *distinct* exponent value, which
-    reproduces whatever fast path the scalar code hit.  Batches usually
-    share one platform ``alpha`` (a batch of one always does), so that
-    case is one expression with no ``np.unique`` pass.
+    ``pow`` ufunc in the last ulp.  Every power of the model therefore
+    goes through this helper: one vectorized ``**`` with a genuine
+    Python-float exponent per *distinct* exponent value, so one
+    instance and its row of a batch take the same fast path.  Batches
+    usually share one platform ``alpha`` (a batch of one always does),
+    so that case is one expression with no ``np.unique`` pass.
     """
-    exponents = np.asarray(exponents, dtype=np.float64)
+    if np.ndim(exponents) == 0:
+        return base ** float(exponents)
+    exponents = np.ravel(exponents)
     first = exponents[0]
     if exponents.size == 1 or (exponents == first).all():
         return base ** float(first)
@@ -54,6 +58,18 @@ def pow_rowwise(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
         rows = exponents == e
         out[rows] = base[rows] ** float(e)
     return out
+
+
+def miss_coefficients(m0, c0, cache_size, alpha):
+    """Miss coefficients ``d = m0 * (C0 / Cs)^alpha``, unchecked.
+
+    ``d`` is the miss rate an application would see if it owned the
+    *entire* LLC; with a fraction ``x`` of it the miss rate is
+    ``min(1, d / x^alpha)`` (Eq. 1 rewritten).  Broadcasts over one
+    workload's columns with a platform's floats, or over a batch's
+    ``(B, N)`` columns with its ``(B, 1)`` platform columns.
+    """
+    return m0 * pow_rowwise(c0 / cache_size, alpha)
 
 
 def miss_rate(m0, c0, cache, alpha):
@@ -100,12 +116,12 @@ def power_law_miss_rates(m0: np.ndarray, c0: np.ndarray, cache: np.ndarray,
                          alpha: float) -> np.ndarray:
     """:func:`miss_rate` on float64 arrays that are already valid.
 
-    Eq. 1 for one workload, with no checks and no scalar unwrapping,
-    for callers whose inputs were validated when they were built
-    (:func:`repro.core.batch.miss_rates_batch` is its batch twin).
+    Eq. 1 with no checks and no scalar unwrapping, for callers whose
+    inputs were validated when they were built: one workload with a
+    float *alpha*, or a padded batch with a ``(B, 1)`` *alpha* column.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scaled = m0 * (c0 / cache) ** alpha
+        scaled = m0 * pow_rowwise(c0 / cache, alpha)
     out = np.minimum(1.0, scaled)
     # cache == 0 with m0 == 0 produces 0 * inf = nan; define it as 0.
     return np.where(m0 == 0.0, 0.0, out)
@@ -116,7 +132,7 @@ def miss_rate_fraction(d, x, alpha):
 
     This is Eq. 1 rewritten for a *fraction* ``x`` of a platform LLC:
     ``min(1, d / x^alpha)`` where ``d = m0 * (C0 / Cs)^alpha`` (see
-    :meth:`repro.core.application.Application.miss_coefficient`).
+    :func:`miss_coefficients`).
     ``x == 0`` yields 1 (or 0 when ``d == 0``).
     """
     d = np.asarray(d, dtype=np.float64)

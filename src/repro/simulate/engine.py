@@ -27,8 +27,8 @@ from typing import Literal
 
 import numpy as np
 
-from ..core.batch import BatchSchedule, access_cost_factor_batch
-from ..core.execution import access_cost_factor
+from ..core.batch import BatchSchedule
+from ..core.execution import access_cost_factor, cost_factors
 from ..core.schedule import Schedule
 from ..types import ModelError
 from .kernel import run_phase_kernel, run_phase_kernel_batch
@@ -178,7 +178,7 @@ def simulate_schedule_batch(batch: BatchSchedule) -> BatchSimulationResult:
     ``on_complete`` hook and is deliberately not batched.
     """
     problem = batch.problem
-    factors = access_cost_factor_batch(problem, batch.cache)
+    factors = cost_factors(problem, problem.platforms, batch.cache)
     result = run_phase_kernel_batch(
         problem.work,
         problem.seq * problem.work,

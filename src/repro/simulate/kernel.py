@@ -253,6 +253,53 @@ class PhaseKernelResult:
     now: float = 0.0
 
 
+class _PhaseStep:
+    """One step of the phase clock, for ``(n,)`` or ``(B, N)`` cells.
+
+    The one body of the progress rates, the time to each cell's next
+    phase boundary and the advance with its phase exits, shared by
+    :func:`run_phase_kernel` and :func:`run_phase_kernel_batch`.
+    Rates follow Eq. 2's convention: ``1 / factor`` in the sequential
+    phase (only while holding processors: a queued application
+    stalls), ``procs / factor`` in the parallel phase.
+    """
+
+    __slots__ = ("active", "in_seq", "in_par", "rate", "remaining",
+                 "seq_left", "par_left", "dt_finish")
+
+    def __init__(self, active, seq_left, par_left, procs, factors):
+        self.active = active
+        self.seq_left = seq_left
+        self.par_left = par_left
+        self.in_seq = in_seq = active & (seq_left > 0.0)
+        self.in_par = in_par = active & (seq_left <= 0.0)
+        self.rate = rate = np.zeros(active.shape)
+        sel = in_seq & (procs > 0.0)
+        rate[sel] = 1.0 / factors[sel]
+        rate[in_par] = procs[in_par] / factors[in_par]
+        self.remaining = remaining = np.where(in_seq, seq_left, par_left)
+        running = active & (rate > 0.0)
+        self.dt_finish = np.full(active.shape, np.inf)
+        self.dt_finish[running] = remaining[running] / rate[running]
+
+    def advance(self, dt, tol):
+        """``(seq_left, par_left, seq_done, done)`` after *dt* of progress.
+
+        Every cell advances in its current phase; phase exits use the
+        canonical tolerance *tol* at the scale of each cell's total
+        work.  *dt* is a float, or a ``(B, 1)`` column of per-row steps.
+        """
+        in_seq = self.in_seq
+        left = np.maximum(self.remaining - self.rate * dt, 0.0)
+        seq_left = np.where(in_seq, left, self.seq_left)
+        par_left = np.where(self.in_par, left, self.par_left)
+        seq_done = in_seq & (seq_left <= tol)
+        seq_left[seq_done] = 0.0
+        done = self.active & (seq_left == 0.0) & (par_left <= tol)
+        par_left[done] = 0.0
+        return seq_left, par_left, seq_done, done
+
+
 def run_phase_kernel(
     work: np.ndarray,
     seq_work: np.ndarray,
@@ -350,20 +397,9 @@ def run_phase_kernel(
             procs, factors = allocate(now, active, seq_left, par_left)
             usage.append((now, float(procs[active].sum())))
 
-            # Progress rates and per-application time to the next phase
-            # boundary.  A queued application (no processors) stalls.
-            in_seq = active & (seq_left > 0.0)
-            in_par = active & (seq_left <= 0.0)
-            rate = np.zeros(n)
-            sel = in_seq & (procs > 0.0)
-            rate[sel] = 1.0 / factors[sel]
-            rate[in_par] = procs[in_par] / factors[in_par]
-            remaining = np.where(in_seq, seq_left, par_left)
-            running = active & (rate > 0.0)
-            dt_finish = np.full(n, np.inf)
-            dt_finish[running] = remaining[running] / rate[running]
+            step = _PhaseStep(active, seq_left, par_left, procs, factors)
             next_exo = np.inf if timeline is None else float(timeline(now))
-            dt = min(float(dt_finish.min()), next_arrival - now, next_exo - now)
+            dt = min(float(step.dt_finish.min()), next_arrival - now, next_exo - now)
             if not math.isfinite(dt):
                 raise ModelError(
                     "kernel stalled: no running application, pending arrival, "
@@ -371,19 +407,9 @@ def run_phase_kernel(
                 )
             dt = max(dt, 0.0)
             now += dt
-
-            # Advance everyone by dt, each in its current phase.
-            left = np.maximum(remaining - rate * dt, 0.0)
-            seq_left = np.where(in_seq, left, seq_left)
-            par_left = np.where(in_par, left, par_left)
-
-            # Phase transitions, with the canonical tolerance at the
-            # scale of each application's total work; only the
-            # applications that change phase are visited, in index order.
-            seq_done = in_seq & (seq_left <= tol)
-            seq_left[seq_done] = 0.0
-            done = active & (seq_left == 0.0) & (par_left <= tol)
-            par_left[done] = 0.0
+            seq_left, par_left, seq_done, done = step.advance(dt, tol)
+            # Only the applications that change phase are visited, in
+            # index order.
             for i in (seq_done | done).nonzero()[0]:
                 if seq_done[i]:
                     log.record(now, "seq-done", i)
@@ -449,15 +475,15 @@ def run_phase_kernel_batch(
 ) -> BatchPhaseKernelResult:
     """Advance ``B`` static-allocation phase clocks in lockstep.
 
-    The batched twin of :func:`run_phase_kernel` for its hot special
-    case — everyone present from the start (no arrivals) and a fixed
+    :func:`run_phase_kernel`'s hot special case, for a batch —
+    everyone present from the start (no arrivals) and a fixed
     allocation (no reallocation or completion hooks): each global
     iteration advances every still-running row by that row's own next
-    event, exactly as the scalar loop would, so per-row finish times,
-    clocks, and event counts are **bit-identical** to running the
-    scalar kernel row by row (same elementwise rate/progress
-    expressions, per-row minima over the same values, and dt == 0.0
-    no-op advances once a row is done).
+    event, exactly as the one-instance loop would, so per-row finish
+    times, clocks, and event counts are **bit-identical** to running
+    :func:`run_phase_kernel` row by row (the same :class:`_PhaseStep`
+    body, per-row minima over the same values, and dt == 0.0 no-op
+    advances once a row is done).
 
     Parameters
     ----------
@@ -506,35 +532,11 @@ def run_phase_kernel_batch(
         events = np.where(live, events + 1, events)
         if (live & (events > limits)).any():
             raise ModelError(budget_message)
-        active = valid & ~finished
-
-        # Rates, exactly as the scalar kernel: one-processor speed in
-        # the sequential phase (only while holding processors),
-        # Amdahl-parallel speed after.
-        in_seq = active & (seq_left > 0.0)
-        in_par = active & (seq_left <= 0.0)
-        rate = np.zeros((B, n))
-        sel = in_seq & (procs > 0.0)
-        rate[sel] = 1.0 / factors[sel]
-        rate[in_par] = procs[in_par] / factors[in_par]
-        remaining = np.where(in_seq, seq_left, par_left)
-        running = active & (rate > 0.0)
-        dt_finish = np.full((B, n), np.inf)
-        dt_finish[running] = remaining[running] / rate[running]
-        dt = np.maximum(dt_finish.min(axis=1), 0.0)
+        step = _PhaseStep(valid & ~finished, seq_left, par_left, procs, factors)
+        dt = np.maximum(step.dt_finish.min(axis=1), 0.0)
         dt = np.where(live, dt, 0.0)
         now = now + dt
-
-        # Advance, then apply phase transitions with the canonical
-        # per-cell tolerance.
-        progress = rate * dt[:, None]
-        seq_left = np.where(
-            in_seq, np.maximum(seq_left - progress, 0.0), seq_left)
-        par_left = np.where(
-            in_par, np.maximum(par_left - progress, 0.0), par_left)
-        seq_left = np.where(in_seq & (seq_left <= tol), 0.0, seq_left)
-        done = active & (seq_left == 0.0) & (par_left <= tol)
-        par_left = np.where(done, 0.0, par_left)
+        seq_left, par_left, _, done = step.advance(dt[:, None], tol)
         finish = np.where(done, now[:, None], finish)
         finished |= done
 

@@ -51,7 +51,7 @@ class TestApplicationValidation:
         pf = taihulight()
         app = _app(miss_rate=0.02, baseline_cache=40e6)
         expected = 0.02 * (40e6 / pf.cache_size) ** pf.alpha
-        assert app.miss_coefficient(pf) == pytest.approx(expected)
+        assert Workload([app]).miss_coefficients(pf)[0] == pytest.approx(expected)
 
     def test_scaled(self):
         app = _app().scaled(work=5e9, seq_fraction=0.3)
@@ -127,8 +127,9 @@ class TestWorkload:
         apps = [_app(miss_rate=0.01), _app(miss_rate=0.02)]
         wl = Workload(apps)
         d = wl.miss_coefficients(pf)
-        assert d[0] == pytest.approx(apps[0].miss_coefficient(pf))
-        assert d[1] == pytest.approx(apps[1].miss_coefficient(pf))
+        for di, app in zip(d, apps):
+            expected = app.miss_rate * (app.baseline_cache / pf.cache_size) ** pf.alpha
+            assert di == pytest.approx(expected)
 
     def test_repr_truncates(self):
         wl = Workload([_app(name=f"T{i}") for i in range(10)])

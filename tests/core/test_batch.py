@@ -2,8 +2,8 @@
 
 The golden sweep (``tests/golden/test_batch_equivalence.py``) proves
 end-to-end bit-identity for every registered scheduler; the tests here
-cover the batch container itself and each ``*_batch`` building block
-against its scalar twin — construction, padding, ragged batches, mixed
+cover the batch container itself and each model formula on a padded
+batch against the same formula on one instance — construction, padding, ragged batches, mixed
 platforms, RNG discipline, and error paths.  The eviction and growth
 loops have no live scalar twin (their scalar entry points are batches
 of one), so they are checked against the frozen scalar loops of
@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 from repro.core import (
     BatchProblem,
     BatchSchedule,
+    DominanceModel,
     Schedule,
     cache_weights,
-    cache_weights_batch,
     dominance_ratios,
-    dominance_ratios_batch,
     dominant_partition_batch,
     dominant_rev_partition_batch,
     dominant_schedule_batch,
@@ -37,14 +36,12 @@ from repro.core import (
     fair,
     get_scheduler,
     miss_rates,
-    miss_rates_batch,
     optimal_cache_fractions,
-    optimal_cache_fractions_batch,
     schedule_batch,
     sequential_times,
-    sequential_times_batch,
 )
 from repro.core import registry
+from repro.core.execution import clamped_miss_rates, unit_times
 from repro.core.heuristics import evict_until_dominant_batch
 from repro.core.registry import SchedulerEntry
 from repro.machine import small_llc, taihulight, xeon_e5_2690
@@ -111,8 +108,8 @@ class TestBatchProblem:
         assert np.isinf(problem.footprint[pad]).all()
         # padded cells flow through the whole model without NaN
         x = np.where(problem.valid, 1.0 / np.maximum(problem.counts, 1)[:, None], 0.0)
-        assert (sequential_times_batch(problem, x)[pad] == 1.0).all()
-        assert (cache_weights_batch(problem)[pad] == 0.0).all()
+        assert (unit_times(problem, problem.platforms, x)[pad] == 1.0).all()
+        assert (DominanceModel(problem, problem.platforms).cache_weights[pad] == 0.0).all()
 
     def test_miss_coefficients_match_scalar(self, ragged, problem):
         d = problem.miss_coefficients()
@@ -160,12 +157,12 @@ class TestBatchProblem:
 
 
 class TestModelBatchTwins:
-    """Each ``*_batch`` evaluator is bit-identical to its scalar twin."""
+    """Each model formula computes a padded row as it computes one instance."""
 
     def test_miss_rates(self, ragged, problem):
         x = np.where(problem.valid,
                      1.0 / np.maximum(problem.counts, 1)[:, None], 0.0)
-        m = miss_rates_batch(problem, x)
+        m = clamped_miss_rates(problem, problem.platforms, x)
         for i, (wl, pf) in enumerate(ragged):
             n = wl.n
             assert np.array_equal(m[i, :n], miss_rates(wl, pf, x[i, :n]))
@@ -176,7 +173,7 @@ class TestModelBatchTwins:
         procs = np.where(problem.valid,
                          problem.p[:, None] / np.maximum(problem.counts, 1)[:, None],
                          0.0)
-        c = sequential_times_batch(problem, x)
+        c = unit_times(problem, problem.platforms, x)
         t = execution_times_batch(problem, procs, x)
         for i, (wl, pf) in enumerate(ragged):
             n = wl.n
@@ -191,8 +188,9 @@ class TestModelBatchTwins:
             execution_times_batch(problem, procs, np.zeros_like(procs))
 
     def test_weights_and_ratios(self, ragged, problem):
-        w = cache_weights_batch(problem)
-        r = dominance_ratios_batch(problem)
+        model = DominanceModel(problem, problem.platforms)
+        w = model.cache_weights
+        r = model.ratios(w)
         for i, (wl, pf) in enumerate(ragged):
             n = wl.n
             assert np.array_equal(w[i, :n], cache_weights(wl, pf))
@@ -200,7 +198,7 @@ class TestModelBatchTwins:
 
     def test_optimal_cache_fractions(self, ragged, problem):
         masks = dominant_partition_batch(problem)
-        x = optimal_cache_fractions_batch(problem, masks)
+        x = DominanceModel(problem, problem.platforms).fractions(masks)
         for i, (wl, pf) in enumerate(ragged):
             n = wl.n
             assert np.array_equal(
@@ -209,7 +207,7 @@ class TestModelBatchTwins:
 
     def test_equal_finish_allocation(self, ragged, problem):
         masks = dominant_partition_batch(problem)
-        x = optimal_cache_fractions_batch(problem, masks)
+        x = DominanceModel(problem, problem.platforms).fractions(masks)
         procs, K = equal_finish_allocation_batch(problem, x)
         for i, (wl, pf) in enumerate(ragged):
             n = wl.n
@@ -221,8 +219,9 @@ class TestModelBatchTwins:
 class TestEvictionBatch:
     @pytest.mark.parametrize("choice", ["minratio", "maxratio"])
     def test_deterministic_choices(self, ragged, problem, choice):
-        weights = cache_weights_batch(problem)
-        ratios = dominance_ratios_batch(problem)
+        model = DominanceModel(problem, problem.platforms)
+        weights = model.cache_weights
+        ratios = model.ratios(weights)
         start = (weights > 0.0) & problem.valid
         masks = evict_until_dominant_batch(weights, ratios, start.copy(),
                                            choice=choice)
@@ -233,8 +232,9 @@ class TestEvictionBatch:
             assert np.array_equal(masks[i, :n], ref)
 
     def test_random_choice_matches_with_same_streams(self, ragged, problem):
-        weights = cache_weights_batch(problem)
-        ratios = dominance_ratios_batch(problem)
+        model = DominanceModel(problem, problem.platforms)
+        weights = model.cache_weights
+        ratios = model.ratios(weights)
         start = (weights > 0.0) & problem.valid
         rngs = [np.random.default_rng(40 + i) for i in range(len(ragged))]
         masks = evict_until_dominant_batch(weights, ratios, start.copy(),

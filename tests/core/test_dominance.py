@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core import Application, Workload
 from repro.core.dominance import (
     bounded_optimal_cache_fractions,
-    cache_fractions_for_subset,
     cache_weights,
     dominance_ratios,
     is_dominant,
@@ -104,15 +103,6 @@ class TestOptimalFractions:
         wl = Workload([Application(name="x", work=1e9, access_freq=0.0, miss_rate=0.5)])
         with pytest.raises(ModelError):
             optimal_cache_fractions(wl, pf, np.array([True]))
-
-    def test_require_dominant_flag(self, pf):
-        apps = [
-            Application(name="bad", work=1e11, access_freq=0.5, miss_rate=1.0,
-                        baseline_cache=32000e6 * 4),
-        ]
-        wl = Workload(apps)
-        with pytest.raises(ModelError):
-            cache_fractions_for_subset(wl, pf, np.array([True]), require_dominant=True)
 
     def test_optimality_against_random_allocations(self, npb6_pp, pf, rng):
         """Theorem 3 beats any random allocation on the same subset."""

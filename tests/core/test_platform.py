@@ -34,14 +34,6 @@ class TestPlatform:
         with pytest.raises(ModelError):
             Platform(**base)
 
-    def test_miss_penalty_ratio(self):
-        pf = Platform(p=1, cache_size=1e6, latency_cache=0.17, latency_memory=1.0)
-        assert pf.miss_penalty_ratio == pytest.approx(1.0 / 0.17)
-
-    def test_miss_penalty_ratio_zero_ls(self):
-        pf = Platform(p=1, cache_size=1e6, latency_cache=0.0)
-        assert pf.miss_penalty_ratio == math.inf
-
     def test_with_cache_size(self):
         pf = Platform(p=4, cache_size=1e6).with_cache_size(2e6)
         assert pf.cache_size == 2e6

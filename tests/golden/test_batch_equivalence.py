@@ -25,11 +25,11 @@ from repro.core import (
     DOMINANT_HEURISTICS,
     PAPER_BASELINES,
     BatchProblem,
+    DominanceModel,
     dominant_schedule_batch,
     equal_finish_allocation,
     equal_finish_allocation_batch,
     get_scheduler,
-    optimal_cache_fractions_batch,
     dominant_partition_batch,
     schedule_batch,
     scheduler_names,
@@ -124,7 +124,7 @@ class TestEqualFinishBatch:
         instances = _instances(seed, mixed_platforms=True)
         problem = BatchProblem(instances)
         masks = dominant_partition_batch(problem)
-        x = optimal_cache_fractions_batch(problem, masks)
+        x = DominanceModel(problem, problem.platforms).fractions(masks)
         procs, K = equal_finish_allocation_batch(problem, x)
         for i, (wl, pf) in enumerate(instances):
             n = wl.n

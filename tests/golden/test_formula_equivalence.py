@@ -21,28 +21,26 @@ from repro.chaos.runner import estimate_horizon
 from repro.core.application import Workload
 from repro.core.batch import (
     BatchProblem,
-    access_cost_factor_batch,
     equal_finish_allocation_batch,
     execution_times_batch,
-    miss_rates_batch,
-    sequential_times_batch,
 )
 from repro.core.dominance import (
+    DominanceModel,
     cache_weights,
-    cache_weights_batch,
     dominance_ratios,
-    dominance_ratios_batch,
     masked_total,
     masked_totals,
     optimal_cache_fractions,
-    optimal_cache_fractions_batch,
 )
 from repro.core.execution import (
     access_cost_factor,
     amdahl_flops,
+    clamped_miss_rates,
+    cost_factors,
     execution_times,
     miss_rates,
     sequential_times,
+    unit_times,
 )
 from repro.core.platform import Platform
 from repro.machine import small_llc, taihulight, xeon_e5_2690
@@ -81,27 +79,28 @@ def live_d_batch(problem):
 
 
 def live_weights_batch(problem):
-    return cache_weights_batch(problem)
+    return DominanceModel(problem, problem.platforms).cache_weights
 
 
 def live_ratios_batch(problem):
-    return dominance_ratios_batch(problem)
+    model = DominanceModel(problem, problem.platforms)
+    return model.ratios(model.cache_weights)
 
 
 def live_fractions_batch(problem, masks):
-    return optimal_cache_fractions_batch(problem, masks)
+    return DominanceModel(problem, problem.platforms).fractions(masks)
 
 
 def live_miss_rates_batch(problem, x):
-    return miss_rates_batch(problem, x)
+    return clamped_miss_rates(problem, problem.platforms, x)
 
 
 def live_factors_batch(problem, x):
-    return access_cost_factor_batch(problem, x)
+    return cost_factors(problem, problem.platforms, x)
 
 
 def live_sequential_times_batch(problem, x):
-    return sequential_times_batch(problem, x)
+    return unit_times(problem, problem.platforms, x)
 
 
 # -- seeded ragged instances ----------------------------------------------
