@@ -143,6 +143,13 @@ def _dominant_fractions(
     follow Definition 4 with those weights, and the eviction is the
     shared Algorithm-1 core with the MinRatio choice.  *model* is the
     workload's :class:`~repro.core.dominance.DominanceModel`.
+
+    The fractions are not :meth:`DominanceModel.fractions`: they
+    normalize by NumPy's pairwise ``sum`` where Theorem 3 uses the
+    left-to-right :func:`~repro.core.dominance.masked_totals`, and the
+    two differ in the last ulp for subsets of 8 or more applications.
+    The online schedules, and the frozen engine of
+    ``tests/golden/legacy_engines.py``, are defined by the pairwise sum.
     """
     weights = model.weights(work_left)
     mask = evict_until_dominant(weights, model.ratios(weights),
@@ -155,10 +162,14 @@ def _dominant_fractions(
 
 
 def check_arrivals(workload: Workload, arrival_times) -> np.ndarray:
-    """*arrival_times* as a float64 array: one instant >= 0 per application."""
+    """*arrival_times* as a float64 array: one finite instant >= 0 per application."""
     arrivals = np.asarray(arrival_times, dtype=np.float64)
     if arrivals.shape != (workload.n,):
         raise ModelError(f"arrival_times must have shape ({workload.n},)")
+    finite = np.isfinite(arrivals)
+    if not finite.all():
+        raise ModelError(
+            f"arrival times must be finite, got {arrivals[~finite].tolist()}")
     if np.any(arrivals < 0):
         raise ModelError("arrival times must be >= 0")
     return arrivals

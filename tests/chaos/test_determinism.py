@@ -14,6 +14,7 @@ import pytest
 
 from repro.chaos import run_chaos
 from repro.online import simulate_online
+from repro.types import ModelError
 
 from .conftest import STRESS_SPEC
 
@@ -111,3 +112,15 @@ class TestCleanRunMatchesOnlineEngine:
         np.testing.assert_allclose(chaos.finish_times, online.finish_times,
                                    rtol=1e-9)
         assert chaos.makespan == pytest.approx(online.makespan, rel=1e-9)
+
+
+class TestArrivalValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_arrivals_rejected(self, chaos_workload, chaos_platform,
+                                          chaos_arrivals, bad):
+        arrivals = chaos_arrivals.copy()
+        arrivals[2] = bad
+        with pytest.raises(ModelError,
+                           match=r"arrival times must be finite, got \[(nan|inf)\]"):
+            run_chaos(chaos_workload, chaos_platform, arrivals,
+                      faults=STRESS_SPEC, policy="fair")

@@ -148,6 +148,13 @@ class TestStaggeredArrivals:
         with pytest.raises(ModelError):
             simulate_online(wl, pf, -np.ones(10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_arrivals_rejected(self, pf, bad):
+        wl = npb_synth(4, np.random.default_rng(0))
+        arrivals = [0.0, bad, 1e9, 2e9]
+        with pytest.raises(ModelError, match=r"arrival times must be finite, got \[(nan|inf)\]"):
+            simulate_online(wl, pf, arrivals, policy="fair")
+
 
 class TestArrivalAdmission:
     """The kernel's combined abs+rel admission tolerance.
