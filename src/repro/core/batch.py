@@ -54,7 +54,6 @@ from ..types import FEASIBILITY_SLACK, ModelError
 from .application import Workload
 from .execution import exe_times, unit_times
 from .platform import Platform
-from .powerlaw import miss_coefficients
 from .processor_allocation import equal_finish_batch
 from .schedule import Schedule
 
@@ -116,7 +115,7 @@ class BatchProblem:
         "instances", "counts", "valid",
         "work", "seq", "freq", "miss0", "footprint", "baseline_cache",
         "p", "cache_size", "latency_cache", "latency_memory", "alpha",
-        "platforms", "_miss_coefficients",
+        "platforms",
     )
 
     def __init__(self, instances: Iterable[tuple[Workload, Platform]]):
@@ -131,7 +130,6 @@ class BatchProblem:
                     f"instance {i} must be a (Workload, Platform) pair, "
                     f"got {pair!r}")
         self.instances = pairs
-        self._miss_coefficients = None
         if len(pairs) == 1:
             # A batch of one needs no padding: its rows are (read-only)
             # views of the workload's own columns.
@@ -180,21 +178,6 @@ class BatchProblem:
     def __repr__(self) -> str:
         return (f"BatchProblem({self.n_instances} instances, "
                 f"max {self.max_apps} apps)")
-
-    # -- derived quantities ------------------------------------------------
-    def miss_coefficients(self) -> np.ndarray:
-        """``d = m0 * (C0 / Cs)^alpha`` per cell, shape ``(B, N)``.
-
-        :func:`~repro.core.powerlaw.miss_coefficients` on the batch's
-        columns; padding yields 0.  Computed once per problem and
-        returned read-only.
-        """
-        if self._miss_coefficients is None:
-            d = miss_coefficients(self.miss0, self.baseline_cache,
-                                  self.platforms.cache_size, self.platforms.alpha)
-            d.flags.writeable = False
-            self._miss_coefficients = d
-        return self._miss_coefficients
 
 
 def execution_times_batch(problem: BatchProblem, procs, cache_fractions) -> np.ndarray:

@@ -112,14 +112,9 @@ class TestBatchProblem:
         assert (DominanceModel(problem, problem.platforms).cache_weights[pad] == 0.0).all()
 
     def test_miss_coefficients_match_scalar(self, ragged, problem):
-        d = problem.miss_coefficients()
+        d = DominanceModel(problem, problem.platforms).d
         for i, (wl, pf) in enumerate(ragged):
             assert np.array_equal(d[i, :wl.n], wl.miss_coefficients(pf))
-
-    def test_miss_coefficients_computed_once_read_only(self, problem):
-        d = problem.miss_coefficients()
-        assert problem.miss_coefficients() is d
-        assert not d.flags.writeable
 
     def test_single_instance_matches_padded_row(self, ragged):
         """A batch of one packs the same columns a padded batch holds."""
@@ -137,8 +132,8 @@ class TestBatchProblem:
             for name in ("p", "cache_size", "latency_cache",
                          "latency_memory", "alpha"):
                 assert getattr(one, name)[0] == getattr(wide, name)[i]
-            assert np.array_equal(one.miss_coefficients()[0],
-                                  wide.miss_coefficients()[i, :n])
+            assert np.array_equal(DominanceModel(one, one.platforms).d[0],
+                                  DominanceModel(wide, wide.platforms).d[i, :n])
 
     def test_single_non_pair_rejected(self):
         with pytest.raises(ModelError, match="pair"):

@@ -75,7 +75,7 @@ def live_d(wl, pf):
 
 
 def live_d_batch(problem):
-    return problem.miss_coefficients()
+    return DominanceModel(problem, problem.platforms).d
 
 
 def live_weights_batch(problem):
