@@ -153,9 +153,9 @@ class BatchProblem:
         self.latency_cache = np.array([pf.latency_cache for _, pf in pairs])
         self.latency_memory = np.array([pf.latency_memory for _, pf in pairs])
         self.alpha = np.array([pf.alpha for _, pf in pairs])
-        self.platforms = PlatformColumns(*(
-            col[:, None] for col in (self.p, self.cache_size, self.latency_cache,
-                                     self.latency_memory, self.alpha)))
+        self.platforms = PlatformColumns(
+            self.p[:, None], self.cache_size[:, None], self.latency_cache[:, None],
+            self.latency_memory[:, None], self.alpha[:, None])
 
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:

@@ -47,7 +47,7 @@ def pow_rowwise(base: np.ndarray, exponents) -> np.ndarray:
     usually share one platform ``alpha`` (a batch of one always does),
     so that case is one expression with no ``np.unique`` pass.
     """
-    if np.ndim(exponents) == 0:
+    if isinstance(exponents, float):  # one instance's platform constant
         return base ** float(exponents)
     exponents = np.ravel(exponents)
     first = exponents[0]
