@@ -84,11 +84,11 @@ class PlatformColumns(NamedTuple):
     """A batch's platform constants as ``(B, 1)`` columns.
 
     Field for field the :class:`~repro.core.platform.Platform`
-    constants the model reads, so a formula written for ``(workload,
-    platform)`` runs unchanged on ``(problem, problem.platforms)``.
+    constants the model's formulas read, so a formula written for
+    ``(workload, platform)`` runs unchanged on ``(problem,
+    problem.platforms)``.
     """
 
-    p: np.ndarray
     cache_size: np.ndarray
     latency_cache: np.ndarray
     latency_memory: np.ndarray
@@ -154,7 +154,7 @@ class BatchProblem:
         self.latency_memory = np.array([pf.latency_memory for _, pf in pairs])
         self.alpha = np.array([pf.alpha for _, pf in pairs])
         self.platforms = PlatformColumns(
-            self.p[:, None], self.cache_size[:, None], self.latency_cache[:, None],
+            self.cache_size[:, None], self.latency_cache[:, None],
             self.latency_memory[:, None], self.alpha[:, None])
 
     # -- container protocol ------------------------------------------------
