@@ -65,8 +65,8 @@ def masked_totals(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     trailing-padding) zeros — ``x + 0.0 == x`` exactly — whereas
     NumPy's pairwise ``sum`` reassociates differently for a compressed
     length-``k`` array than for a padded length-``N`` row.  Using it
-    everywhere is what makes ``evict_until_dominant_batch`` bit-identical
-    to the former one-instance loop.
+    everywhere is what makes a padded row of
+    ``evict_until_dominant_batch`` bit-identical to its instance alone.
     """
     return np.add.accumulate(np.where(masks, values, 0.0), axis=-1)[..., -1]
 

@@ -3,8 +3,9 @@
 The golden sweep (``tests/golden/test_batch_equivalence.py``) proves
 end-to-end bit-identity for every registered scheduler; the tests here
 cover the batch container itself and each model formula on a padded
-batch against the same formula on one instance — construction, padding, ragged batches, mixed
-platforms, RNG discipline, and error paths.  The eviction and growth
+batch against the same formula on one instance — construction,
+padding, ragged batches, mixed platforms, RNG discipline, and error
+paths.  The eviction and growth
 loops have no live scalar twin (their scalar entry points are batches
 of one), so they are checked against the frozen scalar loops of
 ``tests/golden/legacy_heuristics.py``.
