@@ -73,17 +73,6 @@ class LRUCache(Generic[V]):
                 self._evictions += 1
             self._entries[key] = value
 
-    def count_hit(self) -> None:
-        """Record a hit served on the cache's behalf by a front cache.
-
-        The async front end keeps an L0 byte-level response cache; a
-        repeat absorbed there is still a decision served from memory,
-        so it counts here to keep the aggregate hit/miss accounting
-        meaningful across front ends.
-        """
-        with self._lock:
-            self._hits += 1
-
     def stats(self) -> CacheStats:
         """Consistent snapshot of the counters."""
         with self._lock:

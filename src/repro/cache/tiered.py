@@ -42,7 +42,7 @@ class TieredCache(Generic[V]):
     ----------
     memory : LRUCache
         The memory tier (:class:`~repro.cache.memory.LRUCache`;
-        anything with its get/put/count_hit/stats contract works).
+        anything with its get/put/stats contract works).
     disk : DecisionDiskTier, optional
         The persistent tier; None (default) disables persistence and
         makes this a transparent wrapper.
@@ -113,10 +113,6 @@ class TieredCache(Generic[V]):
         """Disk-tier writes that failed (value still served from memory)."""
         with self._lock:
             return self._store_errors
-
-    def count_hit(self) -> None:
-        """Record a hit served on this cache's behalf by a front cache."""
-        self.memory.count_hit()
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> CacheStats:

@@ -25,17 +25,19 @@ Everything runs on one event loop, with no thread per request:
 * Connections are ``asyncio.Protocol`` instances with a hand-rolled
   (request-sized, not general) HTTP/1.1 parser: no stream readers, no
   per-request task until a request actually needs the dispatcher.
-* A byte-level L0 cache short-circuits *exact repeat* request bodies:
-  the response bytes are replayed with a fresh ``latency_ms`` stamp
-  without even parsing the JSON.  Decision-cache semantics are kept
-  honest by :meth:`~repro.service.core.DecisionService.note_bytecache_hit`
-  (the hit still counts in the aggregate cache and decision counters).
-* Misses parse, canonicalize, and await
-  :meth:`~repro.service.core.DecisionService.allocate_async` — the
-  event loop feeds the batcher, whose one thread evaluates what is
-  queued whenever it is free (a request identical to one in flight
-  rides on it).  Per-connection response order is preserved by an
-  outbox that interleaves ready bytes with pending tasks.
+* Every ``POST /v1/allocate`` body takes one path: parse,
+  canonicalize, and await
+  :meth:`~repro.service.core.DecisionService.allocate_async`, which
+  fingerprints the request and answers a repeat from the decision
+  cache's memory or disk tier; otherwise the event loop feeds the
+  batcher, whose one thread evaluates what is queued whenever it is
+  free (a request identical to one in flight rides on it).
+  Per-connection response order is preserved by an outbox that
+  interleaves ready bytes with pending tasks.
+* A request that cannot be served still gets exactly one answer: a
+  body that is not UTF-8 JSON (or nests past the parser's depth) is a
+  400, an undecodable method or path is echoed with replacement
+  characters in its 404.
 * Multi-worker mode (``repro serve --workers N``) pre-forks:
   the parent binds the listening socket once (so ``port 0`` works and
   no ``SO_REUSEPORT`` support is assumed) and each child accepts from
@@ -55,17 +57,15 @@ import signal
 import socket
 import threading
 from collections import deque
-from time import perf_counter
 from typing import Callable
 
-from ..cache import LRUCache
 from ..core.registry import entries
 from ..types import ReproError
 from .batcher import QueueFullError
 from .core import DecisionService
 from .dispatcher import RequestError
 from .metrics import render_metrics_text
-from .protocol import MAX_BODY_BYTES, request_from_payload, response_bytes
+from .protocol import MAX_BODY_BYTES, request_from_payload
 
 __all__ = ["AsyncDecisionServer", "AsyncServerThread", "serve_async"]
 
@@ -101,39 +101,9 @@ def _error(status: int, message: str, extra: bytes = b"") -> bytes:
 _HEALTH = _response(200, b'{"status": "ok"}')
 
 
-class _ByteCache:
-    """L0 cache: exact request-body bytes -> replayable response prefix.
-
-    A stored value is the 200 response body re-flagged as a cache hit
-    (``cache_hit=True``, ``coalesced=False``, ``batch_size=0``) and
-    stopped just after ``"latency_ms":`` (the prefix form of
-    :func:`~repro.service.protocol.response_bytes`) — the hit path
-    appends the fresh latency and the closing brace, so a replay costs
-    a cache probe and one concatenation.
-
-    Storage is the unified :class:`repro.cache.LRUCache` used in
-    *FIFO* mode: gets go through counter-free :meth:`peek` (this tier
-    fronts the decision cache, whose counters stay authoritative via
-    ``note_bytecache_hit``), so recency is never refreshed and the
-    LRU eviction order degenerates to insertion order: a bounded FIFO
-    of 4096 request bodies.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self) -> None:
-        self._entries = LRUCache(4096)
-
-    def get(self, body: bytes) -> bytes | None:
-        return self._entries.peek(body)
-
-    def put(self, body: bytes, response) -> None:
-        """Remember the replay prefix of *response* under *body*."""
-        if self._entries.peek(body) is not None:
-            return
-        self._entries.put(body, response_bytes(
-            response.request_id, response.decision,
-            cache_hit=True, coalesced=False, batch_size=0))
+def _text(raw: bytes) -> str:
+    """A request-line token for an error message, whatever its bytes."""
+    return raw.decode(errors="replace")
 
 
 class AsyncDecisionServer:
@@ -141,7 +111,10 @@ class AsyncDecisionServer:
 
     def __init__(self, service: DecisionService):
         self.service = service
-        self.l0 = _ByteCache()
+        # perfbench/serve.py's in-process replay probes ``server.l0``
+        # before it calls handle_allocate; an empty mapping makes every
+        # probe a miss.  Delete it with that probe.
+        self.l0: dict = {}
         # The registry is process-static: render /v1/schedulers once.
         payload = [
             {
@@ -158,11 +131,13 @@ class AsyncDecisionServer:
     def protocol_factory(self) -> "_HttpProtocol":
         return _HttpProtocol(self)
 
-    # -- slow-path handler (one task per decision-cache-missing request) ---
+    # -- the allocate handler (one task per request) -----------------------
     async def handle_allocate(self, body: bytes) -> bytes:
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError and a non-UTF-8 body's UnicodeDecodeError
+            # are ValueErrors; nesting past the parser's depth recurses.
             return _error(400, f"invalid JSON: {exc}")
         try:
             request = request_from_payload(payload)
@@ -177,7 +152,6 @@ class AsyncDecisionServer:
             return _error(400, str(exc))
         except Exception as exc:  # pragma: no cover - defensive
             return _error(500, f"internal error: {exc}")
-        self.l0.put(body, response)
         return _response(200, response.to_bytes())
 
     def metrics_response(self, query: bytes) -> bytes:
@@ -200,12 +174,10 @@ class _HttpProtocol(asyncio.Protocol):
     walks the front of the queue writing everything that is ready.
     """
 
-    __slots__ = ("owner", "service", "transport", "buf", "_outbox",
-                 "_closing")
+    __slots__ = ("owner", "transport", "buf", "_outbox", "_closing")
 
     def __init__(self, owner: AsyncDecisionServer):
         self.owner = owner
-        self.service = owner.service
         self.transport: asyncio.Transport | None = None
         self.buf = bytearray()
         self._outbox: deque = deque()
@@ -274,19 +246,10 @@ class _HttpProtocol(asyncio.Protocol):
         path, _, query = target.partition(b"?")
         if method == b"POST":
             if path != b"/v1/allocate":
-                self._emit(_error(404, f"no such endpoint: {path.decode()}"))
+                self._emit(_error(404, f"no such endpoint: {_text(path)}"))
                 return
             if not body:
                 self._emit(_error(400, "empty request body"))
-                return
-            start = perf_counter()
-            prefix = self.owner.l0.get(body)
-            if prefix is not None:
-                # L0 hit: replay the bytes, stamp this request's latency.
-                latency_s = perf_counter() - start
-                self.service.note_bytecache_hit(latency_s)
-                out = prefix + b"%.6g}" % (latency_s * 1e3)
-                self._emit(_response(200, out))
                 return
             task = asyncio.ensure_future(self.owner.handle_allocate(body))
             self._outbox.append(task)
@@ -299,10 +262,9 @@ class _HttpProtocol(asyncio.Protocol):
             elif path == b"/metrics":
                 self._emit(self.owner.metrics_response(query))
             else:
-                self._emit(_error(404, f"no such endpoint: {path.decode()}"))
+                self._emit(_error(404, f"no such endpoint: {_text(path)}"))
         else:
-            self._emit(_error(404,
-                              f"unsupported method: {method.decode()}"))
+            self._emit(_error(404, f"unsupported method: {_text(method)}"))
 
     # -- ordered write path ------------------------------------------------
     def _emit(self, response: bytes) -> None:

@@ -177,20 +177,6 @@ class DecisionService:
         with self._lock:
             self._errors += 1
 
-    def note_bytecache_hit(self, latency_s: float) -> None:
-        """Account a decision served by a front end's L0 byte cache.
-
-        The HTTP front end short-circuits byte-identical repeat bodies
-        before they are even parsed; the decision still came from
-        memory on this service's behalf, so the aggregate counters
-        (decisions, cache hits, latency) must include it.
-        """
-        self.cache.count_hit()
-        self.latency.observe(latency_s)
-        with self._lock:
-            self._decisions += 1
-            self._latency_total_s += latency_s
-
     def _respond(self, key: str, decision: AllocationDecision, start: float,
                  *, cache_hit: bool, coalesced: bool, batch_size: int,
                  ) -> AllocationResponse:

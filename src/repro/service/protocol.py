@@ -22,8 +22,8 @@ phrased the platform — hit the same cache line.
 
 A decision is encoded once: :meth:`AllocationDecision.canonical_bytes`
 is the sorted, compact JSON the disk tier stores, and
-:func:`response_bytes` builds every HTTP answer (and the async front
-end's replay prefix) around those bytes by concatenation.
+:func:`response_bytes` builds every HTTP answer around those bytes by
+concatenation.
 """
 
 from __future__ import annotations
@@ -344,23 +344,18 @@ class AllocationResponse:
 
 def response_bytes(request_id: str, decision: AllocationDecision, *,
                    cache_hit: bool, coalesced: bool, batch_size: int,
-                   latency_ms: float | None = None) -> bytes:
+                   latency_ms: float) -> bytes:
     """The JSON body of a 200 answer, built around the decision's bytes.
 
     The HTTP front end answers with these bytes; ``json.loads`` of them
-    equals :meth:`AllocationResponse.to_payload`.  With *latency_ms*
-    None the body stops just after ``"latency_ms":`` — the async front
-    end's replay prefix, completed per hit with the fresh latency and
-    the closing brace.
+    equals :meth:`AllocationResponse.to_payload`.
     """
-    head = b'{"request_id":%s,"decision":%s,"cache_hit":%s,' \
-           b'"coalesced":%s,"batch_size":%d,"latency_ms":' % (
+    return b'{"request_id":%s,"decision":%s,"cache_hit":%s,' \
+           b'"coalesced":%s,"batch_size":%d,"latency_ms":%s}' % (
                json.dumps(request_id).encode(), decision.canonical_bytes(),
                b"true" if cache_hit else b"false",
-               b"true" if coalesced else b"false", batch_size)
-    if latency_ms is None:
-        return head
-    return head + json.dumps(latency_ms).encode() + b"}"
+               b"true" if coalesced else b"false", batch_size,
+               json.dumps(latency_ms).encode())
 
 
 def parse_platform(spec: Mapping[str, Any] | str) -> Platform:

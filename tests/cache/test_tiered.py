@@ -145,14 +145,6 @@ class TestDiskPromotion:
         assert tiered.stats().store_errors == 1
         assert tiered.get(_hexkey(1)) == {"v": 1}
 
-    def test_count_hit_reaches_memory_tier(self, tmp_path):
-        tiered = _tiered(tmp_path)
-        tiered.count_hit()
-        tiered.get(_hexkey(5))
-        st = tiered.stats()
-        assert (st.hits, st.misses, st.disk_hits) == (1, 1, 0)
-        assert tiered.memory.stats().hits == 1
-
     def test_metrics_keys_are_additive_only(self, tmp_path):
         plain = TieredCache(LRUCache(8)).stats().as_dict()
         tiered = _tiered(tmp_path).stats().as_dict()

@@ -91,15 +91,6 @@ class TestCounters:
     def test_hit_rate_zero_without_traffic(self):
         assert LRUCache(4).stats().hit_rate == 0.0
 
-    def test_count_hit_feeds_aggregate(self):
-        cache = LRUCache(capacity=4)
-        cache.count_hit()
-        cache.count_hit()
-        cache.get("absent")
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (2, 1)
-        assert stats.size == 0
-
     def test_capacity_is_respected(self):
         cache = LRUCache(capacity=128)
         keys = fingerprints(500)
@@ -223,20 +214,3 @@ class TestThreadSafety:
         # capacity was never exceeded, so every key must be present
         assert all(cache.peek(k) == i for i, k in enumerate(keys))
         assert cache.stats().evictions == 0
-
-    def test_concurrent_count_hit_is_exact(self):
-        nthreads, per_thread = 8, 1_000
-        cache = LRUCache(capacity=4)
-        barrier = threading.Barrier(nthreads)
-
-        def worker():
-            barrier.wait()
-            for _ in range(per_thread):
-                cache.count_hit()
-
-        threads = [threading.Thread(target=worker) for _ in range(nthreads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert cache.stats().hits == nthreads * per_thread
