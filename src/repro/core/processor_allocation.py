@@ -18,20 +18,20 @@ paper's bounds (every application on ``p`` processors, respectively on
 1 processor — expanded geometrically when ``n > p`` makes the upper
 bound insufficient).
 
-Root finders
-------------
-``"hybrid"`` (default) is a safeguarded Newton-bisection implemented
-directly on ``(B, N)`` arrays — :func:`equal_finish_batch` solves a
-whole batch of independent instances in lockstep, and the scalar entry
-points route through it as a batch of one, which is what makes the
-scalar and batch paths bit-identical by construction.  ``g`` is convex
+Root finder
+-----------
+The solver is a safeguarded Newton-bisection implemented directly on
+``(B, N)`` arrays — :func:`equal_finish_batch` solves a whole batch of
+independent instances in lockstep, and the scalar entry points route
+through it as a batch of one, which is what makes the scalar and batch
+paths bit-identical by construction.  ``g`` is convex
 and decreasing on the bracket, so a Newton step from the left bracket
 edge can never overshoot the root; whenever the step is unusable
 (singular ``g``, out of bracket) the iteration falls back to plain
-bisection, keeping convergence guaranteed.  ``"brentq"`` (SciPy) and
-``"bisect"`` (the paper's literal binary search) are retained for the
-solver-ablation benchmark; SciPy is imported only on the ``"brentq"``
-branch, so the package itself does not load it.
+bisection, keeping convergence guaranteed.  The paper's literal
+binary search and SciPy's ``brentq`` are not shipped: the paper-claim
+row ``equal-finish-brentq-matches-bisect`` keeps them as references
+and holds this solver to both.
 
 The scalar path (:func:`_equal_finish_single`) is also the online
 engine's re-solve: :func:`repro.online.allocation.remaining_equal_finish`
@@ -52,7 +52,6 @@ path; both give the same bits.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -69,7 +68,6 @@ __all__ = [
     "equal_finish_allocation",
     "equal_finish_batch",
     "build_equal_finish_schedule",
-    "processor_demand",
     "XTOL",
 ]
 
@@ -97,22 +95,6 @@ def perfectly_parallel_makespan(
     """Makespan ``(1/p) sum_i Exe_i(1, x_i)`` of Lemma 3."""
     c = sequential_times(workload, platform, cache_fractions)
     return float(c.sum() / platform.p)
-
-
-def processor_demand(seq: np.ndarray, c: np.ndarray, makespan: float) -> float:
-    """Total processors needed for every app to finish at *makespan*.
-
-    Evaluates ``g(K) = sum_i (1-s_i) / (K/c_i - s_i)``.  Infinite when
-    ``K <= s_i * c_i`` for some ``i`` (no processor count suffices).
-    Applications whose work is entirely sequential (``s_i == 1``)
-    contribute 0 processors-of-demand beyond feasibility: they finish at
-    ``c_i`` regardless, so ``K >= c_i`` is required and the demand is
-    the limit value 0 there.
-    """
-    denom = makespan / c - seq
-    if np.any(denom <= 0):
-        return np.inf
-    return float(((1.0 - seq) / denom).sum())
 
 
 def equal_finish_batch(
@@ -350,21 +332,11 @@ def equal_finish_makespan(
     workload: Workload,
     platform: Platform,
     cache_fractions,
-    *,
-    method: str = "hybrid",
 ) -> float:
     """Solve ``g(K) = p`` for the equal-finish makespan ``K``.
 
-    Parameters
-    ----------
-    workload, platform, cache_fractions
-        The co-schedule being priced.
-    method : {"hybrid", "brentq", "bisect"}
-        Root finder, each to relative tolerance :data:`XTOL` on ``K``.
-        ``"hybrid"`` (default) is the vectorized Newton-bisection
-        shared with :func:`equal_finish_batch`; ``"bisect"`` is the
-        paper's literal binary search and ``"brentq"`` SciPy's
-        bracketing solver, both kept for the solver-ablation benchmark.
+    The vectorized Newton-bisection of :func:`equal_finish_batch` on a
+    batch of one, to relative tolerance :data:`XTOL` on ``K``.
 
     Returns
     -------
@@ -379,59 +351,11 @@ def equal_finish_makespan(
         # One application takes the whole machine.
         return float((seq[0] + (1.0 - seq[0]) / p) * c[0])
 
-    if method == "hybrid":
-        _, K = equal_finish_batch(
-            seq[None, :], c[None, :],
-            np.ones((1, workload.n), dtype=bool),
-            np.array([float(p)]))
-        return float(K[0])
-
-    # Lower bound: every application on all p processors (finishing
-    # earlier than that is impossible).  Strictly above the singularity
-    # max_i s_i * c_i, so g(lo) is finite and >= p.
-    lo = float(((seq + (1.0 - seq) / p) * c).max())
-    # Upper bound: every application on one processor; expand when
-    # n > p makes even that insufficient.
-    hi = float(c.max())
-    if hi <= lo:
-        hi = lo * (1.0 + 1e-9) + 1e-300
-    g = lambda K: processor_demand(seq, c, K) - p  # noqa: E731
-    g_lo = g(lo)
-    if g_lo <= 0:
-        # Degenerate: even the fastest possible finish needs fewer than
-        # p processors in total (can happen when n is tiny and the
-        # budget huge); the equal-finish solution then saturates at lo.
-        return lo
-    expansions = 0
-    while g(hi) > 0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 200:
-            raise SolverError("could not bracket the equal-finish makespan")
-
-    if method == "bisect":
-        return _bisect(g, lo, hi)
-    if method != "brentq":
-        raise ValueError(f"unknown method {method!r}")
-    from scipy.optimize import brentq  # deferred: only this ablation needs scipy
-
-    try:
-        return float(brentq(g, lo, hi, xtol=max(XTOL * lo, 1e-300), rtol=1e-14))
-    except ValueError as exc:  # pragma: no cover - bracket guaranteed above
-        raise SolverError(f"brentq failed on [{lo}, {hi}]: {exc}") from exc
-
-
-def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
-    """Plain binary search on a decreasing function, paper-style."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= XTOL * max(1.0, lo):
-            break
-    return 0.5 * (lo + hi)
+    _, K = equal_finish_batch(
+        seq[None, :], c[None, :],
+        np.ones((1, workload.n), dtype=bool),
+        np.array([float(p)]))
+    return float(K[0])
 
 
 def equal_finish_allocation(

@@ -15,7 +15,6 @@ from repro.core.processor_allocation import (
     equal_finish_makespan,
     lemma2_processor_allocation,
     perfectly_parallel_makespan,
-    processor_demand,
 )
 from repro.machine import taihulight
 
@@ -56,26 +55,6 @@ class TestLemma2:
             assert span >= best * (1 - 1e-12)
 
 
-class TestProcessorDemand:
-    def test_perfectly_parallel_closed_form(self):
-        """For s = 0, g(K) = sum(c)/K."""
-        seq = np.zeros(3)
-        c = np.array([1.0, 2.0, 3.0])
-        assert processor_demand(seq, c, 2.0) == pytest.approx(6.0 / 2.0)
-
-    def test_infinite_below_singularity(self):
-        seq = np.array([0.5])
-        c = np.array([10.0])
-        assert processor_demand(seq, c, 4.0) == np.inf  # K < s*c = 5
-
-    def test_decreasing(self):
-        seq = np.array([0.1, 0.2])
-        c = np.array([5.0, 7.0])
-        ks = np.linspace(2.0, 20.0, 50)
-        vals = [processor_demand(seq, c, k) for k in ks]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
 class TestEqualFinish:
     def test_single_app(self, pf):
         wl = Workload([Application(name="x", work=1e9, seq_fraction=0.2,
@@ -97,16 +76,6 @@ class TestEqualFinish:
         sched = build_equal_finish_schedule(npb6_amdahl, pf, x)
         assert sched.finish_time_spread() < 1e-8
         assert sched.procs.sum() == pytest.approx(pf.p, rel=1e-8)
-
-    def test_bisect_matches_brentq(self, npb6_amdahl, pf):
-        x = np.full(6, 1 / 6)
-        k_brent = equal_finish_makespan(npb6_amdahl, pf, x, method="brentq")
-        k_bisect = equal_finish_makespan(npb6_amdahl, pf, x, method="bisect")
-        assert k_bisect == pytest.approx(k_brent, rel=1e-8)
-
-    def test_unknown_method(self, npb6_amdahl, pf):
-        with pytest.raises(ValueError):
-            equal_finish_makespan(npb6_amdahl, pf, np.zeros(6), method="newton")
 
     def test_more_apps_than_processors(self, rng):
         """n > p forces fractional allocations below 1."""

@@ -21,8 +21,11 @@ def _run(code: str) -> str:
 
 
 def test_import_repro_does_not_load_scipy():
-    """scipy loads only on the paths that need it (continuous-opt, brentq)."""
+    """scipy loads only on the one path that needs it (continuous-opt)."""
     assert _run("import sys, repro; print('scipy' in sys.modules)") == "False"
+    importers = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                 if "from scipy" in path.read_text() or "import scipy" in path.read_text()]
+    assert importers == ["repro/extensions/continuous.py"]
 
 
 def test_import_service_loads_no_engine_or_threaded_server():

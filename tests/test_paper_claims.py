@@ -19,7 +19,8 @@ import pytest
 
 from repro.cachesim import fit_power_law, measure_miss_curve, zipf_stream
 from repro.core import dominant_schedule, get_scheduler
-from repro.core.processor_allocation import equal_finish_makespan
+from repro.core.execution import sequential_times
+from repro.core.processor_allocation import XTOL, equal_finish_makespan
 from repro.core.registry import PAPER_HEURISTICS
 from repro.experiments import Experiment, build_figure, figure_ids, run_experiment
 from repro.extensions import granularity_penalty, rounding_penalty
@@ -346,11 +347,12 @@ def _(result):
 @claim("equal-finish-brentq-matches-bisect", "§5 (equal-finish solver)",
        "equal_finish_by_method")
 def _(k):
-    """Brent's method and the paper's bisection find the same root."""
-    assert k["brentq"] > 0
-    assert k["bisect"] > 0
+    """Brent's method, the paper's bisection and the shipped hybrid
+    Newton-bisection find the same root."""
     kb = k["brentq"]
-    assert abs(kb - k["bisect"]) / kb < 1e-8
+    assert kb > 0
+    for method in ("bisect", "hybrid"):
+        assert abs(kb - k[method]) / kb < 1e-8, method
 
 
 @claim("exact-gap-of-dominant-minratio", "§4.2 (exact subsets)",
@@ -443,14 +445,51 @@ def choice_pairing():
     ))
 
 
+def _paper_bisection(g, lo: float, hi: float) -> float:
+    """Plain binary search on a decreasing *g*, as the paper solves it."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= XTOL * max(1.0, lo):
+            break
+    return 0.5 * (lo + hi)
+
+
 @pytest.fixture(scope="module")
 def equal_finish_by_method():
-    """The equal-finish makespan of 64 NPB-SYNTH applications, by solver."""
+    """The equal-finish makespan of 64 NPB-SYNTH applications, by solver.
+
+    The shipped solver is ``equal_finish_makespan``; the references
+    solve ``g(K) = sum_i (1-s_i) / (K/c_i - s_i) = p`` on the paper's
+    bracket (every application on all ``p`` processors, respectively
+    on one, doubled until it brackets the root).
+    """
+    from scipy.optimize import brentq
+
     pf = taihulight()
     wl = npb_synth(64, np.random.default_rng(0))
     x = np.zeros(64)
-    return {method: equal_finish_makespan(wl, pf, x, method=method)
-            for method in ("brentq", "bisect")}
+    seq, c, p = wl.seq, sequential_times(wl, pf, x), pf.p
+
+    def g(K: float) -> float:
+        denom = K / c - seq
+        if np.any(denom <= 0):
+            return np.inf
+        return float(((1.0 - seq) / denom).sum()) - p
+
+    lo = float(((seq + (1.0 - seq) / p) * c).max())
+    hi = float(c.max())
+    while g(hi) > 0:
+        hi *= 2.0
+    assert g(lo) > 0
+    return {
+        "hybrid": equal_finish_makespan(wl, pf, x),
+        "bisect": _paper_bisection(g, lo, hi),
+        "brentq": float(brentq(g, lo, hi, xtol=XTOL * lo, rtol=1e-14)),
+    }
 
 
 @pytest.fixture(scope="module")
