@@ -52,9 +52,7 @@ from .heuristics import (
 from .platform import Platform
 from .powerlaw import (
     cache_for_target_miss_rate,
-    effective_cache,
     miss_rate,
-    miss_rate_fraction,
     useful_fraction_bounds,
 )
 from .processor_allocation import (
@@ -88,8 +86,6 @@ __all__ = [
     "Schedule",
     "SequentialSchedule",
     "miss_rate",
-    "miss_rate_fraction",
-    "effective_cache",
     "useful_fraction_bounds",
     "cache_for_target_miss_rate",
     "amdahl_flops",

@@ -1,4 +1,4 @@
-"""Power law of cache misses (Eq. 1) and its footprint-aware variant.
+"""Power law of cache misses (Eq. 1).
 
 The model: if a workload has miss rate ``m0`` on a baseline cache of
 size ``C0``, its miss rate on a cache of size ``C`` is
@@ -7,7 +7,8 @@ size ``C0``, its miss rate on a cache of size ``C`` is
 
 with sensitivity ``alpha`` in (0, 1].  A cache allocation larger than
 the application's memory footprint ``a`` brings no further benefit, so
-the effective cache size is ``min(C, a)`` (second branch of Eq. 2).
+the effective cache size is ``min(C, a)`` (second branch of Eq. 2);
+:func:`repro.core.execution.clamped_miss_rates` applies that clamp.
 
 All functions are numpy ufunc-style: scalars in, scalar out; arrays in,
 array out (with broadcasting).
@@ -22,8 +23,6 @@ from ..types import ModelError
 __all__ = [
     "miss_rate",
     "power_law_miss_rates",
-    "miss_rate_fraction",
-    "effective_cache",
     "useful_fraction_bounds",
     "cache_for_target_miss_rate",
     "pow_rowwise",
@@ -125,47 +124,6 @@ def power_law_miss_rates(m0: np.ndarray, c0: np.ndarray, cache: np.ndarray,
     out = np.minimum(1.0, scaled)
     # cache == 0 with m0 == 0 produces 0 * inf = nan; define it as 0.
     return np.where(m0 == 0.0, 0.0, out)
-
-
-def miss_rate_fraction(d, x, alpha):
-    """Miss rate from the miss coefficient ``d`` and cache fraction ``x``.
-
-    This is Eq. 1 rewritten for a *fraction* ``x`` of a platform LLC:
-    ``min(1, d / x^alpha)`` where ``d = m0 * (C0 / Cs)^alpha`` (see
-    :func:`miss_coefficients`).
-    ``x == 0`` yields 1 (or 0 when ``d == 0``).
-    """
-    d = np.asarray(d, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(d < 0):
-        raise ModelError("miss coefficient d must be >= 0")
-    if np.any(x < 0) or np.any(x > 1):
-        raise ModelError("cache fraction x must lie in [0, 1]")
-    if not 0 < alpha <= 1:
-        raise ModelError(f"alpha must be in (0, 1], got {alpha}")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.minimum(1.0, d / x**alpha)
-    out = np.where(d == 0.0, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def effective_cache(cache, footprint):
-    """Clamp an allocation to the application's memory footprint.
-
-    Cache beyond the footprint is wasted (second branch of Eq. 2):
-    the application's resident set simply fits.
-    """
-    cache = np.asarray(cache, dtype=np.float64)
-    footprint = np.asarray(footprint, dtype=np.float64)
-    if np.any(footprint <= 0):
-        raise ModelError("footprint must be positive")
-    out = np.minimum(cache, footprint)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def useful_fraction_bounds(d, footprint, cache_size, alpha):

@@ -144,6 +144,32 @@ class TestMissRates:
         wl = _wl(miss_rate=0.5)
         assert miss_rates(wl, pf, np.array([0.0]))[0] == 1.0
 
+    def test_never_missing_application_never_misses(self, pf):
+        """d = 0 (m0 = 0) gives 0 at every fraction, x = 0 included."""
+        x = np.array([0.0, 0.3, 1.0])
+        wl = Workload([Application(name=f"T{i}", work=1e9, miss_rate=0.0)
+                       for i in range(3)])
+        assert miss_rates(wl, pf, x).tolist() == [0.0, 0.0, 0.0]
+
+    def test_clamp_stops_at_footprint(self, pf):
+        """Past a / Cs more cache changes nothing; an infinite footprint
+        never clamps."""
+        wl = _wl(footprint=2.5e8, baseline_cache=1e9, miss_rate=0.2)
+        at = miss_rates(wl, pf, np.array([0.25]))[0]
+        past = miss_rates(wl, pf, np.array([0.8]))[0]
+        assert past == at == pytest.approx(0.2 * (1e9 / 2.5e8) ** 0.5)
+        unclamped = _wl(baseline_cache=1e9, miss_rate=0.2)
+        assert miss_rates(unclamped, pf, np.array([0.8]))[0] < at
+
+    @given(m0=st.floats(min_value=0.0, max_value=1.0),
+           x=st.floats(min_value=0.0, max_value=1.0),
+           alpha=st.floats(min_value=0.05, max_value=1.0),
+           footprint=st.floats(min_value=1e3, max_value=1e12))
+    def test_range(self, m0, x, alpha, footprint):
+        pf = Platform(p=8.0, cache_size=1e9, alpha=alpha)
+        m = miss_rates(_wl(miss_rate=m0, footprint=footprint), pf, np.array([x]))[0]
+        assert 0.0 <= m <= 1.0
+
     def test_access_cost_factor_formula(self, pf):
         wl = _wl(access_freq=0.5)
         m = miss_rates(wl, pf, np.array([0.2]))[0]

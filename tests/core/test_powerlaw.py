@@ -12,9 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.powerlaw import (
     cache_for_target_miss_rate,
-    effective_cache,
     miss_rate,
-    miss_rate_fraction,
     pow_rowwise,
     useful_fraction_bounds,
 )
@@ -71,52 +69,6 @@ class TestMissRate:
     def test_range(self, m0, c0, c, alpha):
         m = miss_rate(m0, c0, c, alpha)
         assert 0.0 <= m <= 1.0
-
-
-class TestMissRateFraction:
-    def test_matches_bytes_form(self):
-        """d/x^alpha equals the Eq. 1 bytes form with C = x*Cs."""
-        m0, c0, cs, alpha, x = 0.02, 40e6, 32e9, 0.5, 0.25
-        d = m0 * (c0 / cs) ** alpha
-        assert miss_rate_fraction(d, x, alpha) == pytest.approx(
-            miss_rate(m0, c0, x * cs, alpha)
-        )
-
-    def test_zero_fraction(self):
-        assert miss_rate_fraction(0.3, 0.0, 0.5) == 1.0
-        assert miss_rate_fraction(0.0, 0.0, 0.5) == 0.0
-
-    def test_threshold(self):
-        """At x = d^(1/alpha) the min() clamps exactly at 1."""
-        d, alpha = 0.04, 0.5
-        x = d ** (1 / alpha)
-        assert miss_rate_fraction(d, x, alpha) == pytest.approx(1.0)
-
-    @given(d=st.floats(min_value=1e-8, max_value=0.5),
-           x=st.floats(min_value=1e-6, max_value=1.0),
-           alpha=_alpha)
-    def test_range(self, d, x, alpha):
-        assert 0.0 <= miss_rate_fraction(d, x, alpha) <= 1.0
-
-    def test_rejects_fraction_above_one(self):
-        with pytest.raises(ModelError):
-            miss_rate_fraction(0.1, 1.5, 0.5)
-
-
-class TestEffectiveCache:
-    def test_clamps_to_footprint(self):
-        assert effective_cache(100.0, 60.0) == 60.0
-
-    def test_infinite_footprint_passthrough(self):
-        assert effective_cache(100.0, math.inf) == 100.0
-
-    def test_vectorized(self):
-        out = effective_cache(np.array([10.0, 100.0]), np.array([50.0, 50.0]))
-        assert np.allclose(out, [10.0, 50.0])
-
-    def test_rejects_nonpositive_footprint(self):
-        with pytest.raises(ModelError):
-            effective_cache(1.0, 0.0)
 
 
 class TestUsefulFractionBounds:
