@@ -12,7 +12,6 @@ from repro.core.execution import execution_times, sequential_times
 from repro.core.processor_allocation import (
     build_equal_finish_schedule,
     equal_finish_allocation,
-    equal_finish_makespan,
     lemma2_processor_allocation,
     perfectly_parallel_makespan,
 )
