@@ -145,6 +145,15 @@ class TestDiskPromotion:
         assert tiered.stats().store_errors == 1
         assert tiered.get(_hexkey(1)) == {"v": 1}
 
+    def test_memory_hit_counts_once_in_both_tiers(self, tmp_path):
+        """A repeat served from memory is one hit, never read from disk."""
+        tiered = _tiered(tmp_path)
+        tiered.put(_hexkey(5), {"v": 5})
+        assert tiered.get(_hexkey(5)) == {"v": 5}
+        st = tiered.stats()
+        assert (st.hits, st.misses, st.disk_hits) == (1, 0, 0)
+        assert tiered.memory.stats().hits == 1
+
     def test_metrics_keys_are_additive_only(self, tmp_path):
         plain = TieredCache(LRUCache(8)).stats().as_dict()
         tiered = _tiered(tmp_path).stats().as_dict()

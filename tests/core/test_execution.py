@@ -17,6 +17,7 @@ from repro.core.execution import (
     miss_rates,
     sequential_times,
 )
+from repro.core.powerlaw import miss_rate
 from repro.types import ModelError
 
 
@@ -160,6 +161,34 @@ class TestMissRates:
         assert past == at == pytest.approx(0.2 * (1e9 / 2.5e8) ** 0.5)
         unclamped = _wl(baseline_cache=1e9, miss_rate=0.2)
         assert miss_rates(unclamped, pf, np.array([0.8]))[0] < at
+
+    def test_threshold_clamps_at_one(self, pf):
+        """At x = d^(1/alpha), d = m0 (C0/Cs)^alpha, Eq. 1 reaches 1
+        exactly; below it the rate stays clamped at 1."""
+        wl = _wl(baseline_cache=1e9, miss_rate=0.2)
+        x_t = 0.2 ** (1 / pf.alpha) * 1e9 / pf.cache_size
+        m = miss_rates(wl, pf, np.array([x_t]))[0]
+        assert m == pytest.approx(1.0)
+        assert miss_rates(wl, pf, np.array([x_t / 2]))[0] == 1.0
+        assert miss_rates(wl, pf, np.array([2 * x_t]))[0] == pytest.approx(
+            2 ** -pf.alpha)
+
+    def test_matches_eq1_bytes_form(self, pf):
+        """A fraction x prices like Eq. 1 on x * Cs bytes."""
+        m0, c0, x = 0.02, 40e6, 0.25
+        wl = _wl(miss_rate=m0, baseline_cache=c0)
+        assert miss_rates(wl, pf, np.array([x]))[0] == pytest.approx(
+            miss_rate(m0, c0, x * pf.cache_size, pf.alpha))
+
+    def test_vectorized_matches_one_by_one(self, pf):
+        apps = [Application(name="a", work=1e9, miss_rate=0.3),
+                Application(name="b", work=1e9, miss_rate=0.05, footprint=5e7),
+                Application(name="c", work=1e9, miss_rate=0.0)]
+        x = np.array([0.1, 0.5, 0.2])
+        together = miss_rates(Workload(apps), pf, x)
+        alone = [miss_rates(Workload([a]), pf, x[i:i + 1])[0]
+                 for i, a in enumerate(apps)]
+        assert together.tolist() == alone
 
     @given(m0=st.floats(min_value=0.0, max_value=1.0),
            x=st.floats(min_value=0.0, max_value=1.0),

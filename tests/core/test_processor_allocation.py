@@ -12,6 +12,7 @@ from repro.core.execution import execution_times, sequential_times
 from repro.core.processor_allocation import (
     build_equal_finish_schedule,
     equal_finish_allocation,
+    equal_finish_makespan,
     lemma2_processor_allocation,
     perfectly_parallel_makespan,
 )
@@ -75,6 +76,38 @@ class TestEqualFinish:
         sched = build_equal_finish_schedule(npb6_amdahl, pf, x)
         assert sched.finish_time_spread() < 1e-8
         assert sched.procs.sum() == pytest.approx(pf.p, rel=1e-8)
+
+    def test_makespan_perfectly_parallel_closed_form(self, npb6_pp, pf):
+        """For s = 0, g(K) = sum(c) / K, so K = sum(c) / p."""
+        x = np.full(6, 1 / 6)
+        c = sequential_times(npb6_pp, pf, x)
+        assert equal_finish_makespan(npb6_pp, pf, x) == pytest.approx(
+            c.sum() / pf.p, rel=1e-8)
+
+    def test_makespan_above_every_sequential_part(self, npb6_amdahl, pf):
+        """g(K) is infinite below max(s_i c_i): no application finishes
+        before its sequential part."""
+        x = np.full(6, 1 / 6)
+        c = sequential_times(npb6_amdahl, pf, x)
+        assert equal_finish_makespan(npb6_amdahl, pf, x) > (
+            npb6_amdahl.seq * c).max()
+
+    def test_makespan_falls_with_processors(self, npb6_amdahl):
+        x = np.full(6, 1 / 6)
+        spans = [equal_finish_makespan(npb6_amdahl, taihulight(p=p), x)
+                 for p in (8.0, 32.0, 128.0, 512.0)]
+        assert all(a > b for a, b in zip(spans, spans[1:]))
+
+    def test_makespan_is_the_allocation_makespan(self, npb6_amdahl, pf):
+        x = np.full(6, 1 / 6)
+        _, K = equal_finish_allocation(npb6_amdahl, pf, x)
+        assert equal_finish_makespan(npb6_amdahl, pf, x) == pytest.approx(
+            K, rel=1e-12)
+
+    def test_makespan_takes_no_method(self, npb6_amdahl, pf):
+        """One solver: the hybrid Newton-bisection, with no method option."""
+        with pytest.raises(TypeError):
+            equal_finish_makespan(npb6_amdahl, pf, np.zeros(6), method="bisect")
 
     def test_more_apps_than_processors(self, rng):
         """n > p forces fractional allocations below 1."""

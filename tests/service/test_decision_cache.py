@@ -91,6 +91,16 @@ class TestCounters:
     def test_hit_rate_zero_without_traffic(self):
         assert LRUCache(4).stats().hit_rate == 0.0
 
+    def test_repeat_gets_feed_aggregate(self):
+        cache = LRUCache(capacity=4)
+        cache.put("a", 1)
+        cache.get("a")
+        cache.get("a")
+        cache.get("absent")
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (2, 1)
+        assert stats.size == 1
+
     def test_capacity_is_respected(self):
         cache = LRUCache(capacity=128)
         keys = fingerprints(500)
@@ -214,3 +224,22 @@ class TestThreadSafety:
         # capacity was never exceeded, so every key must be present
         assert all(cache.peek(k) == i for i, k in enumerate(keys))
         assert cache.stats().evictions == 0
+
+    def test_concurrent_repeat_hits_are_exact(self):
+        nthreads, per_thread = 8, 1_000
+        cache = LRUCache(capacity=4)
+        cache.put("hot", 1)
+        barrier = threading.Barrier(nthreads)
+
+        def worker():
+            barrier.wait()
+            for _ in range(per_thread):
+                cache.get("hot")
+
+        threads = [threading.Thread(target=worker) for _ in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (nthreads * per_thread, 0)

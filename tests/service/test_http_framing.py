@@ -8,7 +8,9 @@ status; a request whose framing is unusable (a bad ``Content-Length``,
 any ``Transfer-Encoding``, a body over the size limit) gets its 4xx
 and the connection closes, as does ``Connection: close`` after its
 answer.  A 500, a missing or extra answer, an exception out of the
-parser, or a write after the close fails the property.
+parser, or a write after the close fails the property.  The inputs
+that once hung, dropped or misframed a connection also run as fixed
+cases, so no draw of the property has to find them.
 """
 
 from __future__ import annotations
@@ -176,4 +178,38 @@ def test_every_request_answered_once_in_order(server, requests, data):
     transport = asyncio.run(_feed(server, chunks))
     assert _statuses(bytes(transport.out)) == expected
     assert transport.closed == requests[len(expected) - 1].closes
+    assert transport.after_close == 0
+
+
+_HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+def _post(body: bytes, *headers: bytes) -> bytes:
+    return (b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n"
+            + b"".join(h + b"\r\n" for h in headers)
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+@pytest.mark.parametrize("wire, expected, closes", [
+    pytest.param(_post(b"\x9e\x80"), [400, 200], False, id="non-utf8-body"),
+    pytest.param(_post(b"[" * 50_000), [400, 200], False, id="deep-nesting"),
+    pytest.param(b"GET /\xff\xfe HTTP/1.1\r\n\r\n", [404, 200], False,
+                 id="non-utf8-path"),
+    pytest.param(b"G\xe9T /healthz HTTP/1.1\r\n\r\n", [404, 200], False,
+                 id="non-utf8-method"),
+    pytest.param(_post(b"{}", b"Transfer-Encoding: chunked"), [400], True,
+                 id="transfer-encoding"),
+    pytest.param(b"POST /v1/allocate HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+                 [400], True, id="bad-content-length"),
+    pytest.param(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+                 [200], True, id="connection-close"),
+])
+def test_pinned_framing_case(server, wire, expected, closes):
+    """Inputs that once hung, dropped or misframed a connection, each
+    with a /healthz behind it, fed in 7-byte chunks."""
+    stream = wire + _HEALTHZ
+    chunks = [stream[i:i + 7] for i in range(0, len(stream), 7)]
+    transport = asyncio.run(_feed(server, chunks))
+    assert _statuses(bytes(transport.out)) == expected
+    assert transport.closed == closes
     assert transport.after_close == 0
